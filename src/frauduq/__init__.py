@@ -59,13 +59,7 @@ from .network import (
 from .pipeline import RunConfig, load_run_config
 from .uncertainty import (
     EnsembleSpec,
-    PredictiveSamples,
-    UncertaintyEstimate,
-    emcd_predict,
-    ensemble_predict,
-    flag_certainty,
-    mcd_predict,
-    mean_probabilities,
+    Estimates,
     predict_table,
     predictive_entropy,
     summarize,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .uncertainty import UncertaintyEstimate
+from .uncertainty import Estimates
 
 DEFAULT_THRESHOLDS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 REPORT_FORMAT = "frauduq-report"
@@ -107,12 +107,11 @@ def _check_aligned(estimates, labels):
         raise DataError(f"{len(estimates)} estimates but {len(labels)} labels")
 
 
-def _correctness(estimates: list[UncertaintyEstimate], labels) -> np.ndarray:
-    pred = np.array([e.predicted_class for e in estimates])
-    return pred == np.asarray(labels)
+def _correctness(estimates: Estimates, labels) -> np.ndarray:
+    return estimates.predicted_class == np.asarray(labels)
 
 
-def compute_ece(estimates: list[UncertaintyEstimate], labels, m_bins: int = 10) -> CalibrationBins:
+def compute_ece(estimates: Estimates, labels, m_bins: int = 10) -> CalibrationBins:
     """Expected calibration error over equal-width buckets of (0, 1].
 
     A sample's confidence is the max of its mean distribution; bucket
@@ -123,7 +122,7 @@ def compute_ece(estimates: list[UncertaintyEstimate], labels, m_bins: int = 10) 
     if m_bins < 1:
         raise ValidationError(f"m_bins must be >= 1, got {m_bins}")
     _check_aligned(estimates, labels)
-    conf = np.array([float(e.mean_probs.max()) for e in estimates])
+    conf = estimates.mean_probs.max(axis=1)
     correct = _correctness(estimates, labels)
     n = len(conf)
 
@@ -144,7 +143,7 @@ def compute_ece(estimates: list[UncertaintyEstimate], labels, m_bins: int = 10) 
     return CalibrationBins(bins=tuple(bins), ece=float(ece), total=n)
 
 
-def uq_confusion(estimates: list[UncertaintyEstimate], labels, threshold: float) -> UqConfusion:
+def uq_confusion(estimates: Estimates, labels, threshold: float) -> UqConfusion:
     """Count the four correctness/certainty outcomes at one threshold.
 
     Certain means entropy_norm <= threshold (ties are certain).
@@ -153,7 +152,7 @@ def uq_confusion(estimates: list[UncertaintyEstimate], labels, threshold: float)
         raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
     _check_aligned(estimates, labels)
     correct = _correctness(estimates, labels)
-    certain = np.array([e.entropy_norm <= threshold for e in estimates])
+    certain = estimates.entropy_norm <= threshold
     return UqConfusion(
         tc=int(np.sum(correct & certain)),
         tu=int(np.sum(~correct & ~certain)),
@@ -177,7 +176,7 @@ def uq_metrics(c: UqConfusion) -> UqMetrics:
     )
 
 
-def threshold_sweep(estimates: list[UncertaintyEstimate], labels,
+def threshold_sweep(estimates: Estimates, labels,
                     thresholds=DEFAULT_THRESHOLDS) -> tuple[tuple[UqConfusion, ...], tuple[UqMetrics, ...]]:
     """Confusion counts and metrics per threshold, flags recomputed each time."""
     thresholds = tuple(float(t) for t in thresholds)
@@ -189,10 +188,10 @@ def threshold_sweep(estimates: list[UncertaintyEstimate], labels,
     return confusions, tuple(uq_metrics(c) for c in confusions)
 
 
-def classic_metrics(estimates: list[UncertaintyEstimate], labels) -> ClassicMetrics:
+def classic_metrics(estimates: Estimates, labels) -> ClassicMetrics:
     """Standard binary metrics on the point predictions, fraud (1) positive."""
     _check_aligned(estimates, labels)
-    pred = np.array([e.predicted_class for e in estimates])
+    pred = estimates.predicted_class
     truth = np.asarray(labels)
     tp = int(np.sum((pred == 1) & (truth == 1)))
     tn = int(np.sum((pred == 0) & (truth == 0)))
@@ -206,14 +205,14 @@ def classic_metrics(estimates: list[UncertaintyEstimate], labels) -> ClassicMetr
     )
 
 
-def export_entropy_histogram(estimates: list[UncertaintyEstimate], labels,
+def export_entropy_histogram(estimates: Estimates, labels,
                              bins: int = 50) -> EntropyHistogram:
     """Bin entropy_norm over [0, 1] separately for correct and incorrect
     predictions; also reports each group's mean entropy."""
     if bins < 1:
         raise ValidationError(f"bins must be >= 1, got {bins}")
     _check_aligned(estimates, labels)
-    entropy = np.array([e.entropy_norm for e in estimates])
+    entropy = estimates.entropy_norm
     correct = _correctness(estimates, labels)
     edges = np.linspace(0.0, 1.0, bins + 1)
     correct_counts, _ = np.histogram(entropy[correct], bins=edges)
@@ -227,7 +226,7 @@ def export_entropy_histogram(estimates: list[UncertaintyEstimate], labels,
     )
 
 
-def build_report(method: str, estimates: list[UncertaintyEstimate], labels,
+def build_report(method: str, estimates: Estimates, labels,
                  thresholds=DEFAULT_THRESHOLDS, m_bins: int = 10,
                  histogram_bins: int = 50) -> UqReport:
     confusions, metrics = threshold_sweep(estimates, labels, thresholds)

@@ -27,7 +27,7 @@ from .data import (
     split_train_test,
     synth_generate,
 )
-from .errors import DataError, ValidationError
+from .errors import DataError, FormatError, ValidationError
 from .evaluation import (
     DEFAULT_THRESHOLDS,
     build_report,
@@ -328,7 +328,7 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
     if manifest_path.is_file():
         try:
             manifest = container.read_json(manifest_path)
-        except Exception:
+        except (FormatError, OSError):
             manifest = {}
         if (manifest.get("format") == MANIFEST_FORMAT
                 and manifest.get("config_digest") == config_digest
@@ -556,7 +556,7 @@ def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print) ->
         header, estimates, labels = read_dump(dump_path)
         if len(estimates) == 0:
             raise DataError(f"{dump_path}: dump contains no predictions")
-        if any(label is None for label in labels):
+        if None in labels:
             raise DataError(f"{dump_path}: dump has no labels; evaluation needs them")
         report = build_report(header.get("method", method), estimates, labels,
                               thresholds=config.thresholds, m_bins=config.m_bins)

@@ -8,17 +8,20 @@ Three sampling schemes over a trained classifier stack:
   (all members see the identical training table, no bootstrapping).
 * Ensemble MC dropout: T stochastic passes per member, M*T samples.
 
-The summary of any sample set is the mean distribution, its predictive
-entropy in nats, and the entropy normalized by ln(num classes) so the
-certainty threshold lives on a [0, 1] axis.
+All three are one computation in :func:`predict_table`: M*T softmax
+samples per row (MC dropout is M=1, the ensemble T=1), reduced to the
+mean distribution, its predictive entropy in nats, and the entropy
+normalized by ln(num classes) so the certainty threshold lives on a
+[0, 1] axis.
 """
 
+import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DataError, ShapeError, ValidationError
+from .errors import DataError, FormatError, ShapeError, ValidationError
 from .network import Network, NetworkConfig, forward, sample_dropout_mask, train
 from .seeding import STREAM_MEMBER, STREAM_PREDICT, derive_seed, substream
 
@@ -28,31 +31,21 @@ METHOD_EMCD = "emcd"
 METHODS = (METHOD_MCD, METHOD_ENSEMBLE, METHOD_EMCD)
 
 
-@dataclass
-class PredictiveSamples:
-    """Stochastic softmax outputs for one input.
+@dataclass(frozen=True)
+class Estimates:
+    """Mean distribution plus entropy for every row of a table, as columns.
 
-    ``samples`` is (num_samples, num_classes); ``member_index`` and
-    ``pass_index`` record which ensemble member and which stochastic pass
-    produced each row.
+    ``mean_probs`` is (n, num_classes); ``predicted_class``, ``entropy_raw``
+    and ``entropy_norm`` are (n,). Row i of each column belongs to input i.
     """
 
-    samples: np.ndarray
-    method: str
-    member_index: np.ndarray
-    pass_index: np.ndarray
-
-
-@dataclass(frozen=True)
-class UncertaintyEstimate:
-    """Mean distribution plus entropy for one input; ``certain`` is set by
-    thresholding afterwards."""
-
     mean_probs: np.ndarray
-    predicted_class: int
-    entropy_raw: float
-    entropy_norm: float
-    certain: bool | None = None
+    predicted_class: np.ndarray
+    entropy_raw: np.ndarray
+    entropy_norm: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.predicted_class)
 
 
 @dataclass(frozen=True)
@@ -76,129 +69,54 @@ class EnsembleSpec:
         return self
 
 
-def mcd_predict(net: Network, x: np.ndarray, passes: int, rng: np.random.Generator) -> PredictiveSamples:
-    """MC-dropout samples: ``passes`` forward passes, fresh mask per pass."""
-    if passes < 1:
-        raise ValidationError(f"number of MC passes must be >= 1, got {passes}")
-    x = np.asarray(x, dtype=np.float64)
-    rows = np.empty((passes, net.config.output_units))
-    for t in range(passes):
-        mask = sample_dropout_mask(net.config, rng)
-        rows[t] = forward(net, x, mask)
-    return PredictiveSamples(
-        samples=rows,
-        method=METHOD_MCD,
-        member_index=np.zeros(passes, dtype=np.int64),
-        pass_index=np.arange(passes, dtype=np.int64),
-    )
-
-
-def ensemble_predict(members: list[Network], x: np.ndarray) -> PredictiveSamples:
-    """One deterministic (mask-free) forward pass per member."""
-    if len(members) < 2:
-        raise ValidationError(f"ensemble prediction needs >= 2 members, got {len(members)}")
-    x = np.asarray(x, dtype=np.float64)
-    widths = {m.config.input_units for m in members}
-    if len(widths) != 1 or x.shape[-1] not in widths:
-        raise ShapeError(
-            f"input width {x.shape[-1]} does not match member input widths {sorted(widths)}"
-        )
-    rows = np.stack([forward(m, x) for m in members])
-    n = len(members)
-    return PredictiveSamples(
-        samples=rows,
-        method=METHOD_ENSEMBLE,
-        member_index=np.arange(n, dtype=np.int64),
-        pass_index=np.zeros(n, dtype=np.int64),
-    )
-
-
-def emcd_predict(members: list[Network], x: np.ndarray, passes: int,
-                 rng: np.random.Generator) -> PredictiveSamples:
-    """MC dropout over every ensemble member: M*T sample rows."""
-    if len(members) < 2:
-        raise ValidationError(f"ensemble prediction needs >= 2 members, got {len(members)}")
-    if passes < 1:
-        raise ValidationError(f"number of MC passes must be >= 1, got {passes}")
-    x = np.asarray(x, dtype=np.float64)
-    member_rngs = rng.spawn(len(members))
-    blocks, member_idx, pass_idx = [], [], []
-    for i, (member, member_rng) in enumerate(zip(members, member_rngs)):
-        block = mcd_predict(member, x, passes, member_rng)
-        blocks.append(block.samples)
-        member_idx.append(np.full(passes, i, dtype=np.int64))
-        pass_idx.append(np.arange(passes, dtype=np.int64))
-    return PredictiveSamples(
-        samples=np.vstack(blocks),
-        method=METHOD_EMCD,
-        member_index=np.concatenate(member_idx),
-        pass_index=np.concatenate(pass_idx),
-    )
-
-
-def _centered_mean(rows: np.ndarray) -> np.ndarray:
-    # Offsetting by the first row keeps the mean of bitwise-identical rows
-    # exact, so zero-dropout sampling collapses to the single forward pass
-    # with no rounding drift.
-    return rows[0] + (rows - rows[0]).mean(axis=0)
-
-
-def mean_probabilities(samples: PredictiveSamples) -> np.ndarray:
-    """Grand mean distribution: per-member mean over passes, then across members.
-
-    Rows are first put in canonical (member, pass) order, which makes the
-    result invariant to row permutations and, for equal passes per member,
-    equal to the flat mean over all rows.
-    """
-    rows, members, passes = samples.samples, samples.member_index, samples.pass_index
-    if rows.shape[0] == 0:
-        raise DataError("cannot summarize an empty sample set")
-    order = np.lexsort((passes, members))
-    if not np.array_equal(order, np.arange(len(order))):
-        rows, members = rows[order], members[order]
-    boundaries = np.flatnonzero(np.diff(members)) + 1
-    groups = np.split(rows, boundaries)
-    member_means = np.stack([_centered_mean(g) for g in groups])
-    return _centered_mean(member_means)
-
-
-def predictive_entropy(mean_probs: np.ndarray) -> tuple[float, float]:
-    """Shannon entropy of the mean distribution, raw nats and ln(C)-normalized.
+def predictive_entropy(mean_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shannon entropy of mean distributions along the last axis, raw nats
+    and ln(C)-normalized.
 
     Uses the 0*ln(0) := 0 convention; the normalized value is clamped to
     [0, 1] against last-ulp rounding. Rejects vectors that are not a
     probability distribution rather than returning a meaningless number.
     """
     p = np.asarray(mean_probs, dtype=np.float64)
-    if p.min() < -1e-9 or abs(p.sum() - 1.0) > 1e-6:
-        raise DataError(f"not a probability distribution: {p.tolist()}")
+    bad = (p.min(axis=-1) < -1e-9) | (np.abs(p.sum(axis=-1) - 1.0) > 1e-6)
+    if bad.any():
+        raise DataError(f"not a probability distribution: {p[bad][0].tolist()}")
     terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    raw = float(-terms.sum() + 0.0)  # +0.0 normalizes -0.0
-    raw = max(raw, 0.0)
-    norm = min(max(raw / math.log(p.shape[-1]), 0.0), 1.0)
+    raw = np.maximum(-terms.sum(axis=-1) + 0.0, 0.0)  # +0.0 normalizes -0.0
+    norm = np.clip(raw / math.log(p.shape[-1]), 0.0, 1.0)
     return raw, norm
 
 
-def summarize(samples: PredictiveSamples) -> UncertaintyEstimate:
-    """Collapse a sample set into its mean distribution and entropy.
+def _centered_mean(x: np.ndarray, axis: int) -> np.ndarray:
+    """Mean along ``axis``, taken relative to the first entry on that axis.
 
-    Argmax ties resolve to the lower class index (genuine).
+    Offsetting by the first entry keeps the mean of bitwise-identical
+    entries exact, so zero-dropout sampling collapses to the single
+    forward pass with no rounding drift. ``x`` is centered in place.
     """
-    mean_probs = mean_probabilities(samples)
+    first = x.take([0], axis=axis)
+    x -= first
+    mean = x.mean(axis=axis)
+    mean += first.squeeze(axis)
+    return mean
+
+
+def summarize(samples: np.ndarray) -> Estimates:
+    """Collapse a (rows, members, passes, classes) softmax tensor into the
+    mean distribution and its entropy per row.
+
+    Each member's passes are averaged first, then the member means, which
+    equals the flat mean over all samples up to rounding. The tensor is
+    overwritten (centered in place), so besides it the reduction only
+    holds arrays of one pass per member. Argmax ties resolve to the lower
+    class index (genuine).
+    """
+    if 0 in samples.shape[1:3]:
+        raise DataError("cannot summarize an empty sample set")
+    mean_probs = _centered_mean(_centered_mean(samples, axis=2), axis=1)
     raw, norm = predictive_entropy(mean_probs)
-    return UncertaintyEstimate(
-        mean_probs=mean_probs,
-        predicted_class=int(np.argmax(mean_probs)),
-        entropy_raw=raw,
-        entropy_norm=norm,
-    )
-
-
-def flag_certainty(est: UncertaintyEstimate, threshold: float) -> UncertaintyEstimate:
-    """Mark the estimate certain iff entropy_norm <= threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValidationError(f"certainty threshold must be in [0, 1], got {threshold}")
-    return replace(est, certain=bool(est.entropy_norm <= threshold))
+    return Estimates(mean_probs=mean_probs, predicted_class=mean_probs.argmax(axis=1),
+                     entropy_raw=raw, entropy_norm=norm)
 
 
 def member_config(spec: EnsembleSpec, index: int) -> tuple[NetworkConfig, int]:
@@ -235,14 +153,18 @@ _CHUNK_BUDGET_FLOATS = 16_000_000
 
 
 def predict_table(method: str, models: list[Network], features: np.ndarray,
-                  passes: int, seed: int = 0) -> list[UncertaintyEstimate]:
+                  passes: int, seed: int = 0) -> Estimates:
     """Uncertainty estimates for every row of a feature matrix.
 
     Runs whole-table forward passes per (member, pass) with a fresh
-    per-row dropout mask each pass, then summarizes each input through
-    the same path as the single-input API. Mask streams are keyed by
-    (seed, member, pass, chunk), so results are reproducible and
-    independent of how many other rows are predicted alongside.
+    per-row dropout mask each pass, and reduces each chunk's sample
+    tensor with :func:`summarize`. Mask streams are keyed by (seed,
+    member, pass, chunk), and one stream draws the masks of every row in
+    the chunk, so a row's MC masks depend on which rows share its chunk:
+    for mcd and emcd, the same rows predicted alone or with a different
+    chunk budget give different samples. What holds is that the same
+    table, models and seed always give the same bytes, and that the
+    mask-free ensemble path does not depend on chunking.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown UQ method {method!r}")
@@ -268,32 +190,24 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
     n_members = len(models)
     per_member = 1 if method == METHOD_ENSEMBLE else passes
     stochastic = method != METHOD_ENSEMBLE
-    total = n_members * per_member
     n_classes = models[0].config.output_units
 
-    member_idx = np.repeat(np.arange(n_members, dtype=np.int64), per_member)
-    pass_idx = np.tile(np.arange(per_member, dtype=np.int64), n_members)
-
-    chunk_rows = max(1, min(n, _CHUNK_BUDGET_FLOATS // max(total * n_classes, 1)))
-    estimates: list[UncertaintyEstimate] = []
-    for chunk_no, start in enumerate(range(0, n, chunk_rows)):
+    chunk_rows = max(1, min(n, _CHUNK_BUDGET_FLOATS // (n_members * per_member * n_classes)))
+    parts = []
+    # An empty table still runs one (empty) chunk, so the columns get their shapes.
+    for chunk_no, start in enumerate(range(0, max(n, 1), chunk_rows)):
         block = features[start : start + chunk_rows]
-        tensor = np.empty((block.shape[0], total, n_classes))
-        slot = 0
+        tensor = np.empty((block.shape[0], n_members, per_member, n_classes))
         for m, net in enumerate(models):
             for t in range(per_member):
                 mask = None
                 if stochastic:
                     rng = substream(seed, STREAM_PREDICT, m, t, chunk_no)
                     mask = sample_dropout_mask(net.config, rng, n_rows=block.shape[0])
-                tensor[:, slot, :] = forward(net, block, mask)
-                slot += 1
-        for i in range(block.shape[0]):
-            estimates.append(summarize(PredictiveSamples(
-                samples=tensor[i], method=method,
-                member_index=member_idx, pass_index=pass_idx,
-            )))
-    return estimates
+                tensor[:, m, t] = forward(net, block, mask)
+        parts.append(summarize(tensor))
+    return Estimates(*(np.concatenate([getattr(p, f.name) for p in parts])
+                       for f in fields(Estimates)))
 
 
 DUMP_FORMAT = "frauduq-predictions"
@@ -302,7 +216,7 @@ DUMP_COLUMNS = ("index", "method", "mean_prob_genuine", "mean_prob_fraud",
                 "predicted_class", "entropy_raw", "entropy_norm", "label")
 
 
-def write_dump(path_jsonl, path_csv, method: str, estimates: list[UncertaintyEstimate],
+def write_dump(path_jsonl, path_csv, method: str, estimates: Estimates,
                labels, meta: dict | None = None) -> None:
     """Write the per-input prediction dump as JSON lines and CSV.
 
@@ -310,68 +224,74 @@ def write_dump(path_jsonl, path_csv, method: str, estimates: list[UncertaintyEst
     (format version, method, seed, config digest). Column order follows
     DUMP_COLUMNS; floats use shortest round-trip formatting.
     """
-    import json
-
+    n = len(estimates)
     header = {"format": DUMP_FORMAT, "version": DUMP_VERSION, "method": method,
-              "n": len(estimates), **(meta or {})}
-    labels = list(labels) if labels is not None else [None] * len(estimates)
-    if len(labels) != len(estimates):
+              "n": n, **(meta or {})}
+    labels = [None] * n if labels is None else [None if y is None else int(y) for y in labels]
+    if len(labels) != n:
         raise DataError("labels and estimates are misaligned")
+    rows = list(enumerate(zip(estimates.mean_probs.tolist(), estimates.predicted_class.tolist(),
+                              estimates.entropy_raw.tolist(), estimates.entropy_norm.tolist(),
+                              labels)))
 
     with open(path_jsonl, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for i, (est, label) in enumerate(zip(estimates, labels)):
-            fh.write(json.dumps({
-                "index": i,
-                "mean_probs": [float(p) for p in est.mean_probs],
-                "predicted_class": est.predicted_class,
-                "entropy_raw": est.entropy_raw,
-                "entropy_norm": est.entropy_norm,
-                "label": None if label is None else int(label),
-            }, sort_keys=True) + "\n")
+        fh.writelines(json.dumps({
+            "index": i, "mean_probs": probs, "predicted_class": pred,
+            "entropy_raw": raw, "entropy_norm": norm, "label": label,
+        }, sort_keys=True) + "\n" for i, (probs, pred, raw, norm, label) in rows)
 
     meta_bits = " ".join(f"{k}={v}" for k, v in sorted(header.items()))
     with open(path_csv, "w", encoding="utf-8") as fh:
         fh.write(f"# {meta_bits}\n")
         fh.write(",".join(DUMP_COLUMNS) + "\n")
-        for i, (est, label) in enumerate(zip(estimates, labels)):
-            fh.write(",".join([
-                str(i), method,
-                repr(float(est.mean_probs[0])), repr(float(est.mean_probs[1])),
-                str(est.predicted_class),
-                repr(est.entropy_raw), repr(est.entropy_norm),
-                "" if label is None else str(int(label)),
-            ]) + "\n")
+        fh.writelines(",".join([
+            str(i), method, repr(probs[0]), repr(probs[1]), str(pred), repr(raw), repr(norm),
+            "" if label is None else str(label),
+        ]) + "\n" for i, (probs, pred, raw, norm, label) in rows)
 
 
-def read_dump(path_jsonl) -> tuple[dict, list[UncertaintyEstimate], list]:
-    """Read a JSONL prediction dump back; labels may contain None."""
-    import json
+def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
+    """Read a JSONL prediction dump back; labels may contain None.
 
-    from .errors import FormatError
-
-    estimates, labels = [], []
+    Rejects, naming the file, a record count that differs from the
+    header's ``n``, indices that are not 0..n-1 in order, and records
+    whose ``mean_probs`` does not hold one entry per class.
+    """
     with open(path_jsonl, encoding="utf-8") as fh:
         try:
             header = json.loads(fh.readline())
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path_jsonl}: invalid JSONL header at offset {exc.pos}") from exc
-        if header.get("format") != DUMP_FORMAT or header.get("version") != DUMP_VERSION:
+        if (not isinstance(header, dict) or header.get("format") != DUMP_FORMAT
+                or header.get("version") != DUMP_VERSION):
             raise FormatError(f"{path_jsonl}: not a {DUMP_FORMAT} v{DUMP_VERSION} file")
+        records = []
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                probs = np.array([float(p) for p in rec["mean_probs"]])
-                est = UncertaintyEstimate(
-                    mean_probs=probs,
-                    predicted_class=int(rec["predicted_class"]),
-                    entropy_raw=float(rec["entropy_raw"]),
-                    entropy_norm=float(rec["entropy_norm"]),
-                )
+                probs = [float(p) for p in rec["mean_probs"]]
+                records.append((int(rec["index"]), probs, int(rec["predicted_class"]),
+                                float(rec["entropy_raw"]), float(rec["entropy_norm"]),
+                                None if rec.get("label") is None else int(rec["label"])))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path_jsonl}: bad record on line {line_no} ({exc})") from exc
-            estimates.append(est)
-            labels.append(None if rec.get("label") is None else int(rec["label"]))
-    return header, estimates, labels
+            if len(probs) != 2:
+                raise FormatError(f"{path_jsonl}: line {line_no} has {len(probs)} "
+                                  f"mean_probs entries, expected 2")
+    n = len(records)
+    if n != header.get("n"):
+        raise FormatError(f"{path_jsonl}: header says n={header.get('n')!r} but "
+                          f"{n} records follow")
+    index, probs, pred, raw, norm, labels = list(zip(*records)) or [()] * 6
+    if not np.array_equal(index, np.arange(n)):
+        raise FormatError(f"{path_jsonl}: record indices are not 0..{n - 1} in order")
+    estimates = Estimates(
+        mean_probs=np.array(probs, dtype=np.float64).reshape(n, 2),
+        predicted_class=np.array(pred, dtype=np.int64),
+        entropy_raw=np.array(raw, dtype=np.float64),
+        entropy_norm=np.array(norm, dtype=np.float64),
+    )
+    return header, estimates, list(labels)

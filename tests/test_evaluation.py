@@ -1,8 +1,8 @@
 """Tests for calibration, the certain/uncertain confusion matrix,
 threshold sweeps, classic metrics, histograms, and the reliability SVG.
 
-All fixtures fabricate UncertaintyEstimate objects directly so that
-every checked number is independent of the sampling machinery.
+All fixtures fabricate Estimates columns directly so that every
+checked number is independent of the sampling machinery.
 """
 
 import math
@@ -24,20 +24,23 @@ from frauduq.evaluation import (
     uq_confusion,
     uq_metrics,
 )
-from frauduq.uncertainty import UncertaintyEstimate
+from frauduq.uncertainty import Estimates
 
 
 def est(p_class1, entropy_norm=None):
-    """Fabricate an estimate with confidence max(p, 1-p)."""
-    probs = np.array([1.0 - p_class1, p_class1])
+    """Fabricate estimates, one row per entry of ``p_class1`` (a scalar
+    makes one row), each with confidence max(p, 1-p)."""
+    p = np.atleast_1d(np.asarray(p_class1, dtype=np.float64))
+    probs = np.stack([1.0 - p, p], axis=1)
     if entropy_norm is None:
-        terms = [q * math.log(q) for q in probs if q > 0.0]
-        entropy_norm = -sum(terms) / math.log(2)
-    return UncertaintyEstimate(
+        terms = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+        entropy_norm = -terms.sum(axis=1) / math.log(2)
+    entropy_norm = np.broadcast_to(np.asarray(entropy_norm, dtype=np.float64), p.shape)
+    return Estimates(
         mean_probs=probs,
-        predicted_class=int(p_class1 > 0.5),
+        predicted_class=(p > 0.5).astype(np.int64),
         entropy_raw=entropy_norm * math.log(2),
-        entropy_norm=entropy_norm,
+        entropy_norm=entropy_norm.copy(),
     )
 
 
@@ -50,7 +53,7 @@ def test_ece_two_bin_hand_example():
     Bucket (0.5,0.6]: confidences .55/.60, accuracy 1/2 -> gap |0.5-0.575|.
     Bucket (0.9,1.0]: confidences .95/1.0, accuracy 1 -> gap |1-0.975|.
     """
-    estimates = [est(0.55), est(0.4), est(0.95), est(1.0)]
+    estimates = est([0.55, 0.4, 0.95, 1.0])
     labels = [1, 1, 1, 1]  # second sample predicts 0 -> wrong
     bins = compute_ece(estimates, labels, m_bins=10)
     assert bins.ece == pytest.approx(0.5 * 0.075 + 0.5 * 0.025, abs=1e-12)
@@ -69,14 +72,14 @@ def test_ece_bin_assignment_edges():
         (0.9, 8),
     ]
     for conf, expected_bin in cases:
-        bins = compute_ece([est(conf)], [1], m_bins=10)
+        bins = compute_ece(est(conf), [1], m_bins=10)
         filled = [i for i, b in enumerate(bins.bins) if b.count]
         assert filled == [expected_bin], f"confidence {conf}"
 
 
 def test_ece_maximally_miscalibrated_is_half_exactly():
     """Confidence 1.0 everywhere, accuracy one half -> ECE = 0.5 exactly."""
-    estimates = [est(1.0) for _ in range(40)]
+    estimates = est([1.0] * 40)
     labels = [1, 0] * 20
     bins = compute_ece(estimates, labels, m_bins=10)
     assert bins.ece == 0.5
@@ -85,44 +88,37 @@ def test_ece_maximally_miscalibrated_is_half_exactly():
 def test_ece_perfectly_calibrated_predictor_is_small():
     """Correctness probability equals stated confidence -> ECE near 0."""
     rng = np.random.default_rng(99)
-    estimates, labels = [], []
+    confidences, labels = [], []
     for _ in range(4000):
         conf = float(rng.uniform(0.5, 1.0))
-        estimates.append(est(conf))
+        confidences.append(conf)
         labels.append(1 if rng.random() < conf else 0)
-    bins = compute_ece(estimates, labels, m_bins=10)
+    bins = compute_ece(est(confidences), labels, m_bins=10)
     assert bins.ece < 0.03
 
 
 def test_ece_rejects_empty_and_bad_bins():
     with pytest.raises(ValidationError):
-        compute_ece([est(0.9)], [1], m_bins=0)
+        compute_ece(est(0.9), [1], m_bins=0)
     with pytest.raises(DataError):
-        compute_ece([], [], m_bins=10)
+        compute_ece(est([]), [], m_bins=10)
     with pytest.raises(DataError):
-        compute_ece([est(0.9)], [1, 0], m_bins=10)
+        compute_ece(est(0.9), [1, 0], m_bins=10)
 
 
 # --- UQ confusion matrix ----------------------------------------------------------
 
 
 def fixture_counts(tc, tu, fu, fc, threshold=0.4):
-    """Fabricate estimates realizing exact TC/TU/FU/FC counts."""
+    """Fabricate estimates realizing exact TC/TU/FU/FC counts; every row
+    predicts class 1."""
     certain_h, uncertain_h = threshold / 2, (1 + threshold) / 2
-    estimates, labels = [], []
-    for _ in range(tc):  # correct & certain
-        estimates.append(est(0.9, entropy_norm=certain_h))
-        labels.append(1)
-    for _ in range(tu):  # incorrect & uncertain
-        estimates.append(est(0.9, entropy_norm=uncertain_h))
-        labels.append(0)
-    for _ in range(fu):  # correct & uncertain
-        estimates.append(est(0.9, entropy_norm=uncertain_h))
-        labels.append(1)
-    for _ in range(fc):  # incorrect & certain
-        estimates.append(est(0.9, entropy_norm=certain_h))
-        labels.append(0)
-    return estimates, labels
+    entropy = ([certain_h] * tc       # correct & certain
+               + [uncertain_h] * tu   # incorrect & uncertain
+               + [uncertain_h] * fu   # correct & uncertain
+               + [certain_h] * fc)    # incorrect & certain
+    labels = [1] * tc + [0] * tu + [1] * fu + [0] * fc
+    return est([0.9] * len(labels), entropy_norm=entropy), labels
 
 
 def test_worked_fixture_metrics():
@@ -151,7 +147,7 @@ def test_zero_denominators_are_none_not_nan():
 
 
 def test_boundary_entropy_counts_as_certain():
-    e = [est(0.9, entropy_norm=0.4)]
+    e = est(0.9, entropy_norm=0.4)
     c = uq_confusion(e, [1], threshold=0.4)
     assert c.tc == 1 and c.fu == 0
 
@@ -162,18 +158,18 @@ def test_confusion_brute_force_recount():
     for _ in range(200):
         n = int(rng.integers(1, 40))
         threshold = float(rng.random())
-        estimates, labels = [], []
+        ps, hs, labels = [], [], []
         for _ in range(n):
-            p = float(rng.uniform(0.0, 1.0))
-            h = float(rng.random())
-            estimates.append(est(p, entropy_norm=h))
+            ps.append(float(rng.uniform(0.0, 1.0)))
+            hs.append(float(rng.random()))
             labels.append(int(rng.integers(0, 2)))
+        estimates = est(ps, entropy_norm=hs)
         c = uq_confusion(estimates, labels, threshold)
 
         tc = tu = fu = fc = 0
-        for e, y in zip(estimates, labels):
-            correct = e.predicted_class == y
-            certain = e.entropy_norm <= threshold
+        for p, h, y in zip(ps, hs, labels):
+            correct = int(p > 0.5) == y
+            certain = h <= threshold
             if correct and certain:
                 tc += 1
             elif not correct and not certain:
@@ -191,8 +187,8 @@ def test_confusion_brute_force_recount():
 
 def test_sweep_certain_count_monotone_and_grid_checked():
     rng = np.random.default_rng(11)
-    estimates = [est(float(rng.uniform()), entropy_norm=float(rng.random()))
-                 for _ in range(60)]
+    draws = [(float(rng.uniform()), float(rng.random())) for _ in range(60)]
+    estimates = est(*zip(*draws))
     labels = [int(rng.integers(0, 2)) for _ in range(60)]
     confusions, metrics = threshold_sweep(estimates, labels)
     assert len(confusions) == 9 and len(metrics) == 9
@@ -234,7 +230,7 @@ def test_sweep_high_threshold_uacc_tracks_accuracy():
 
 def test_classic_metrics_hand_fixture():
     """3 TP, 1 FN, 2 TN, 2 FP with fraud=1 positive."""
-    estimates = [est(0.9)] * 3 + [est(0.1)] + [est(0.2)] * 2 + [est(0.8)] * 2
+    estimates = est([0.9] * 3 + [0.1] + [0.2] * 2 + [0.8] * 2)
     labels = [1, 1, 1, 1, 0, 0, 0, 0]
     m = classic_metrics(estimates, labels)
     assert m.accuracy == pytest.approx(5 / 8)
@@ -248,7 +244,7 @@ def test_classic_metrics_hand_fixture():
 
 def test_classic_metrics_everything_predicted_genuine():
     # degenerate predictor: no positive calls at all -> precision undefined
-    estimates = [est(0.1)] * 4
+    estimates = est([0.1] * 4)
     labels = [1, 1, 0, 0]
     m = classic_metrics(estimates, labels)
     assert m.accuracy == pytest.approx(0.5)
@@ -258,7 +254,7 @@ def test_classic_metrics_everything_predicted_genuine():
 
 
 def test_entropy_histogram_counts_and_means():
-    estimates = [est(0.9, entropy_norm=h) for h in (0.1, 0.3, 0.6, 0.9)]
+    estimates = est([0.9] * 4, entropy_norm=[0.1, 0.3, 0.6, 0.9])
     labels = [1, 1, 0, 0]  # first two correct, last two wrong
     hist = export_entropy_histogram(estimates, labels, bins=4)
     assert hist.correct_counts == (1, 1, 0, 0)
@@ -268,7 +264,7 @@ def test_entropy_histogram_counts_and_means():
 
 
 def test_entropy_histogram_empty_group_is_none():
-    estimates = [est(0.9, entropy_norm=0.2)]
+    estimates = est(0.9, entropy_norm=0.2)
     hist = export_entropy_histogram(estimates, [1], bins=5)
     assert hist.mean_entropy_incorrect is None
     assert sum(hist.correct_counts) == 1
@@ -279,8 +275,8 @@ def test_entropy_histogram_empty_group_is_none():
 
 def full_report():
     rng = np.random.default_rng(3)
-    estimates = [est(float(rng.uniform()), entropy_norm=float(rng.random()))
-                 for _ in range(50)]
+    draws = [(float(rng.uniform()), float(rng.random())) for _ in range(50)]
+    estimates = est(*zip(*draws))
     labels = [int(rng.integers(0, 2)) for _ in range(50)]
     return build_report("mcd", estimates, labels)
 
@@ -326,7 +322,7 @@ def test_reliability_svg_is_byte_deterministic(tmp_path):
 
 def test_reliability_svg_handles_empty_bins(tmp_path):
     # two occupied bins, eight empty ones: must render without NaNs
-    estimates = [est(0.55), est(0.95)]
+    estimates = est([0.55, 0.95])
     report = build_report("mcd", estimates, [1, 1])
     out = tmp_path / "sparse.svg"
     render_reliability_svg(report.calibration, out)

@@ -151,6 +151,19 @@ def test_stage_reruns_when_config_changes(tmp_path):
     assert tree_digests(tmp_path / "out") != digest_before
 
 
+def test_unreadable_manifest_reruns_the_stage(tmp_path):
+    config = run_config(tmp_path)
+    pipeline.cmd_preprocess(config, log=quiet)
+    manifest = tmp_path / "out" / "data" / "manifest.json"
+    good = manifest.read_bytes()
+    manifest.write_text("{not json")
+
+    messages = []
+    pipeline.stage_data(config, log=messages.append)
+    assert not any("skipping" in m for m in messages)
+    assert manifest.read_bytes() == good
+
+
 def test_predict_requires_matching_feature_width(tmp_path):
     from frauduq.data import save_features, synth_generate
     from frauduq.errors import ShapeError
@@ -236,6 +249,16 @@ def test_cli_data_errors_exit_3(tmp_path, capsys):
     assert cli_run("evaluate", "--config", str(config_path), "--out", out,
                    "--dump", str(unlabeled)) == 3
     assert "labels" in capsys.readouterr().err
+
+    truncated = tmp_path / "truncated.jsonl"
+    truncated.write_text(
+        '{"format": "frauduq-predictions", "version": 1, "method": "mcd", "n": 2}\n'
+        '{"index": 0, "mean_probs": [0.6, 0.4], "predicted_class": 0, '
+        '"entropy_raw": 0.67, "entropy_norm": 0.97, "label": 0}\n')
+    assert cli_run("evaluate", "--config", str(config_path), "--out", out,
+                   "--dump", str(truncated)) == 3
+    err = capsys.readouterr().err
+    assert "truncated.jsonl" in err and "n=2" in err
 
 
 def test_cli_shape_error_names_both_widths(tmp_path, capsys):

@@ -1,23 +1,20 @@
-"""Tests for the three sampling schemes, the entropy summary, certainty
-flagging, ensemble construction, and the prediction dump files."""
+"""Tests for the sampling engine, the entropy summary, ensemble
+construction, and the prediction dump files."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from frauduq.data import FeatureTable
 from frauduq.errors import DataError, FormatError, ShapeError, ValidationError
-from frauduq.network import Network, NetworkConfig, forward, init_network
+from frauduq.evaluation import uq_confusion
+from frauduq.network import Network, NetworkConfig, forward, init_network, sample_dropout_mask
+from frauduq.seeding import STREAM_PREDICT, substream
 from frauduq.uncertainty import (
     EnsembleSpec,
-    PredictiveSamples,
-    UncertaintyEstimate,
-    emcd_predict,
-    ensemble_predict,
-    flag_certainty,
-    mcd_predict,
-    mean_probabilities,
+    Estimates,
     member_config,
     predict_table,
     predictive_entropy,
@@ -68,119 +65,153 @@ def test_entropy_rejects_garbage():
         predictive_entropy(np.array([1.2, -0.2]))
 
 
-# --- sampling schemes ------------------------------------------------------------
+# --- summarize: the tensor reduction --------------------------------------------------
 
 
-def trained_pair(seed=0):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(1, 3))[0]
-    net = init_network(BASE, seed=seed)
-    return net, x
+def random_tensor(rng, rows, members, passes):
+    raw = rng.random((rows, members, passes, 2))
+    return raw / raw.sum(axis=-1, keepdims=True)
 
 
-def test_mcd_produces_spread_with_dropout():
-    net, x = trained_pair(1)
-    samples = mcd_predict(net, x, passes=50, rng=np.random.default_rng(5))
-    assert samples.samples.shape == (50, 2)
-    assert samples.samples.std(axis=0).max() > 0  # dropout actually perturbs
+def reference_summary(rows: np.ndarray) -> tuple[np.ndarray, int, float, float]:
+    """Per-row reduction of one (members, passes, classes) sample block,
+    written as a plain loop: centered mean per member, then across members."""
+    def centered_mean(block):
+        return block[0] + (block - block[0]).mean(axis=0)
+
+    mean_probs = centered_mean(np.stack([centered_mean(member) for member in rows]))
+    terms = np.where(mean_probs > 0.0,
+                     mean_probs * np.log(np.where(mean_probs > 0.0, mean_probs, 1.0)), 0.0)
+    raw = max(float(-terms.sum() + 0.0), 0.0)
+    norm = min(max(raw / math.log(2), 0.0), 1.0)
+    return mean_probs, int(np.argmax(mean_probs)), raw, norm
+
+
+def test_summarize_matches_per_row_reference_bitwise():
+    rng = np.random.default_rng(19)
+    for case in range(60):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 5)),
+                 int(rng.choice([1, 2, 7, 9, 150])))
+        tensor = random_tensor(rng, *shape)
+        if case % 3 == 0:
+            tensor[:] = tensor[:, :, :1]  # identical passes, as with dropout 0
+        got = summarize(tensor.copy())
+        for i in range(shape[0]):
+            mean_probs, pred, raw, norm = reference_summary(tensor[i])
+            assert np.array_equal(got.mean_probs[i], mean_probs)
+            assert got.predicted_class[i] == pred
+            assert got.entropy_raw[i] == raw and got.entropy_norm[i] == norm
+
+
+def test_summarize_matches_grand_mean():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        rows, members, passes = (int(rng.integers(1, 4)), int(rng.integers(1, 6)),
+                                 int(rng.integers(1, 9)))
+        tensor = random_tensor(rng, rows, members, passes)
+        flat_mean = tensor.reshape(rows, -1, 2).mean(axis=1)
+        assert summarize(tensor).mean_probs == pytest.approx(flat_mean, abs=1e-12)
+
+
+def test_argmax_tie_prefers_lower_index():
+    est = summarize(np.full((3, 2, 2, 2), 0.5))
+    assert est.predicted_class.tolist() == [0, 0, 0]
+
+
+# --- the sampling engine --------------------------------------------------------------
+
+
+def captured_tensors(monkeypatch):
+    """Record a copy of every sample tensor predict_table hands to summarize."""
+    import frauduq.uncertainty as unc
+
+    seen = []
+
+    def spy(tensor):
+        seen.append(tensor.copy())
+        return summarize(tensor)
+
+    monkeypatch.setattr(unc, "summarize", spy)
+    return seen
+
+
+def test_mcd_produces_spread_with_dropout(monkeypatch):
+    net = init_network(BASE, seed=1)
+    x = np.random.default_rng(1).normal(size=(4, 3))
+    seen = captured_tensors(monkeypatch)
+    predict_table("mcd", [net], x, passes=50, seed=5)
+    assert [t.shape for t in seen] == [(4, 1, 50, 2)]
+    assert seen[0].std(axis=2).max() > 0  # dropout actually perturbs
 
 
 def test_mcd_rejects_bad_passes():
-    net, x = trained_pair(2)
+    net = init_network(BASE, seed=2)
+    x = np.zeros((2, 3))
     with pytest.raises(ValidationError):
-        mcd_predict(net, x, passes=0, rng=np.random.default_rng(0))
+        predict_table("mcd", [net], x, passes=0)
+    with pytest.raises(ValidationError):
+        predict_table("emcd", [net, net], x, passes=0)
+
+
+def test_emcd_sample_count_and_provenance(monkeypatch):
+    """Slot (m, t) of the tensor is pass t of member m, drawn from its own stream."""
+    members = [init_network(BASE, seed=1), init_network(BASE, seed=2)]
+    x = np.random.default_rng(3).normal(size=(5, 3))
+    seen = captured_tensors(monkeypatch)
+    predict_table("emcd", members, x, passes=7, seed=3)
+    assert [t.shape for t in seen] == [(5, 2, 7, 2)]
+    for m, net in enumerate(members):
+        for t in range(7):
+            mask = sample_dropout_mask(net.config, substream(3, STREAM_PREDICT, m, t, 0),
+                                       n_rows=5)
+            assert np.array_equal(seen[0][:, m, t], forward(net, x, mask))
 
 
 def test_ensemble_disagreement_yields_maximal_entropy():
     """Two confident members voting for opposite classes average to ~uniform."""
     members = [biased_network(40.0), biased_network(-40.0)]
-    est = summarize(ensemble_predict(members, np.zeros(3)))
-    assert est.mean_probs == pytest.approx([0.5, 0.5], abs=1e-12)
-    assert est.entropy_norm == pytest.approx(1.0, abs=1e-9)
+    est = predict_table("ensemble", members, np.zeros((1, 3)), passes=1)
+    assert est.mean_probs[0] == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert est.entropy_norm[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ensemble_needs_two_members_and_equal_widths():
     lone = [biased_network(1.0)]
     with pytest.raises(ValidationError):
-        ensemble_predict(lone, np.zeros(3))
+        predict_table("ensemble", lone, np.zeros((1, 3)), passes=1)
 
     wrong = init_network(NetworkConfig(input_units=4, hidden_units=(2, 2, 2)), seed=1)
     with pytest.raises(ShapeError):
-        ensemble_predict([biased_network(1.0), wrong], np.zeros(3))
+        predict_table("ensemble", [biased_network(1.0), wrong], np.zeros((1, 3)), passes=1)
 
 
-def test_emcd_sample_count_and_provenance():
-    net_a = init_network(BASE, seed=1)
-    net_b = init_network(BASE, seed=2)
-    samples = emcd_predict([net_a, net_b], np.zeros(3), passes=7,
-                           rng=np.random.default_rng(3))
-    assert samples.samples.shape == (14, 2)
-    assert list(samples.member_index) == [0] * 7 + [1] * 7
-    assert list(samples.pass_index) == list(range(7)) * 2
+# --- certainty flagging -------------------------------------------------------------
 
 
-def test_argmax_tie_prefers_lower_index():
-    est = summarize(PredictiveSamples(
-        samples=np.array([[0.5, 0.5]]), method="mcd",
-        member_index=np.array([0]), pass_index=np.array([0])))
-    assert est.predicted_class == 0
+def make_estimate(entropy_norm: float) -> Estimates:
+    """One correct class-1 prediction carrying the given normalized entropy."""
+    return Estimates(
+        mean_probs=np.array([[0.1, 0.9]]), predicted_class=np.array([1]),
+        entropy_raw=np.array([entropy_norm * math.log(2)]),
+        entropy_norm=np.array([entropy_norm]))
 
 
-# --- summarize: means, permutation invariance ---------------------------------------
-
-
-def random_samples(rng, n_members, n_passes):
-    raw = rng.random((n_members * n_passes, 2))
-    probs = raw / raw.sum(axis=1, keepdims=True)
-    return PredictiveSamples(
-        samples=probs, method="emcd",
-        member_index=np.repeat(np.arange(n_members), n_passes),
-        pass_index=np.tile(np.arange(n_passes), n_members),
-    )
-
-
-def test_mean_probabilities_matches_grand_mean():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        samples = random_samples(rng, int(rng.integers(1, 6)), int(rng.integers(1, 9)))
-        assert mean_probabilities(samples) == pytest.approx(
-            samples.samples.mean(axis=0), abs=1e-12)
-
-
-def test_summarize_is_bitwise_permutation_invariant():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        samples = random_samples(rng, 4, 6)
-        base = summarize(samples)
-        perm = rng.permutation(24)
-        shuffled = PredictiveSamples(
-            samples=samples.samples[perm], method=samples.method,
-            member_index=samples.member_index[perm],
-            pass_index=samples.pass_index[perm])
-        again = summarize(shuffled)
-        assert np.array_equal(base.mean_probs, again.mean_probs)
-        assert base.entropy_norm == again.entropy_norm
-
-
-# --- certainty flag --------------------------------------------------------------
-
-
-def make_estimate(entropy_norm):
-    return UncertaintyEstimate(
-        mean_probs=np.array([0.6, 0.4]), predicted_class=0,
-        entropy_raw=entropy_norm * math.log(2), entropy_norm=entropy_norm)
+def is_certain(estimate: Estimates, threshold: float) -> bool:
+    """A correct prediction lands in TC when flagged certain and in FU otherwise."""
+    c = uq_confusion(estimate, [1], threshold)
+    assert c.tc + c.fu == 1
+    return c.tc == 1
 
 
 def test_flag_certainty_boundary_is_certain():
-    est = flag_certainty(make_estimate(0.4), threshold=0.4)
-    assert est.certain is True
-    assert flag_certainty(make_estimate(0.4000001), 0.4).certain is False
-    assert flag_certainty(make_estimate(0.0), 0.0).certain is True
+    assert is_certain(make_estimate(0.4), threshold=0.4) is True
+    assert is_certain(make_estimate(0.4000001), 0.4) is False
+    assert is_certain(make_estimate(0.0), 0.0) is True
 
 
 def test_flag_certainty_rejects_out_of_range_threshold():
     with pytest.raises(ValidationError):
-        flag_certainty(make_estimate(0.5), 1.5)
+        uq_confusion(make_estimate(0.5), [1], 1.5)
 
 
 # --- ensemble construction ---------------------------------------------------------
@@ -223,6 +254,11 @@ def test_train_ensemble_members_differ():
 # --- table-scale prediction ----------------------------------------------------------
 
 
+def assert_same_estimates(a, b):
+    for column in ("mean_probs", "predicted_class", "entropy_raw", "entropy_norm"):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
+
+
 def test_predict_table_deterministic_and_validates():
     net = init_network(BASE, seed=4)
     rng = np.random.default_rng(41)
@@ -230,9 +266,11 @@ def test_predict_table_deterministic_and_validates():
 
     first = predict_table("mcd", [net], x, passes=20, seed=9)
     second = predict_table("mcd", [net], x, passes=20, seed=9)
-    assert len(first) == 12
-    for a, b in zip(first, second):
-        assert np.array_equal(a.mean_probs, b.mean_probs)
+    assert len(first) == 12 and first.mean_probs.shape == (12, 2)
+    assert_same_estimates(first, second)
+
+    empty = predict_table("mcd", [net], x[:0], passes=20, seed=9)
+    assert len(empty) == 0 and empty.mean_probs.shape == (0, 2)
 
     with pytest.raises(ValidationError):
         predict_table("mcd", [net, net], x, passes=5)
@@ -253,8 +291,7 @@ def test_predict_table_ensemble_chunking_is_invisible(monkeypatch):
     whole = predict_table("ensemble", members, x, passes=1, seed=0)
     monkeypatch.setattr(unc, "_CHUNK_BUDGET_FLOATS", 12)  # forces 2-row chunks
     tiny = predict_table("ensemble", members, x, passes=1, seed=0)
-    for a, b in zip(whole, tiny):
-        assert np.array_equal(a.mean_probs, b.mean_probs)
+    assert_same_estimates(whole, tiny)
 
 
 # --- prediction dumps -----------------------------------------------------------------
@@ -272,9 +309,7 @@ def test_dump_round_trip(tmp_path):
 
     assert header["method"] == "mcd" and header["n"] == 5
     assert loaded_labels == labels
-    for a, b in zip(estimates, loaded):
-        assert np.array_equal(a.mean_probs, b.mean_probs)
-        assert a.entropy_norm == b.entropy_norm
+    assert_same_estimates(estimates, loaded)
 
     lines = csv.read_text().splitlines()
     assert lines[0].startswith("# ")
@@ -292,3 +327,24 @@ def test_read_dump_rejects_foreign_and_truncated(tmp_path):
     chopped.write_text('{"format": "frauduq-predictions", "version": 1}\n{"index": 0,')
     with pytest.raises(FormatError, match="line 2"):
         read_dump(chopped)
+
+    net = init_network(BASE, seed=6)
+    x = np.random.default_rng(53).normal(size=(6, 3))
+    jsonl = tmp_path / "whole.jsonl"
+    write_dump(jsonl, tmp_path / "whole.csv", "mcd", predict_table("mcd", [net], x, 4), None)
+    header, *records = jsonl.read_text().splitlines()
+    one_prob = re.sub(r'"mean_probs": \[[^]]*\]', '"mean_probs": [0.9]', records[0])
+    three_probs = records[0].replace('"mean_probs": [', '"mean_probs": [0.5, ')
+    for name, lines, message in (
+        ("short.jsonl", [header, *records[:2]], "n=6 but 2 records"),
+        ("long.jsonl", [header, *records, records[-1]], "n=6 but 7 records"),
+        ("shifted.jsonl", [header, records[0].replace('"index": 0', '"index": 5'),
+                           *records[1:]], "indices"),
+        ("swapped.jsonl", [header, records[1], records[0], *records[2:]], "indices"),
+        ("one_prob.jsonl", [header, one_prob, *records[1:]], "1 mean_probs"),
+        ("three_probs.jsonl", [header, three_probs, *records[1:]], "3 mean_probs"),
+    ):
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"{name}.*{message}"):
+            read_dump(path)
