@@ -191,14 +191,17 @@ def sample_dropout_mask(
     rows, i.e. every sample in a batch gets its own mask.
     """
     rate = config.dropout_rate
+    scale = 1.0 / (1.0 - rate)
     masks = []
     for width in config.hidden_units:
         shape = (width,) if n_rows is None else (n_rows, width)
         if rate == 0.0:
             masks.append(np.ones(shape))
         else:
-            keep = rng.random(shape) >= rate
-            masks.append(keep / (1.0 - rate))
+            u = rng.random(shape)
+            np.greater_equal(u, rate, out=u)  # 1.0 kept, 0.0 dropped
+            u *= scale  # 1.0 * scale is exactly 1.0 / (1 - rate), and cheaper than dividing
+            masks.append(u)
     return DropoutMask(layer_masks=masks, rate=rate)
 
 
@@ -209,25 +212,47 @@ def _check_input_width(net: Network, x: np.ndarray) -> None:
         )
 
 
-def _forward_cached(net: Network, x: np.ndarray, mask: DropoutMask | None):
-    """Forward pass keeping pre-activations and activations for backprop."""
+def _hidden(net: Network, i: int, a: np.ndarray) -> np.ndarray:
+    """ReLU output of hidden layer ``i`` for input activations ``a``, before its mask."""
+    return np.maximum(a @ net.weights[i].T + net.biases[i], 0.0)
+
+
+def first_hidden(net: Network, x: np.ndarray) -> np.ndarray:
+    """Layer 1's activation ``ReLU(x W1^T + b1)``, before its dropout mask.
+
+    Dropout acts only after each hidden ReLU, so this is the same on every
+    stochastic pass over ``x``: compute it once and hand it to
+    :func:`forward` for each pass.
+    """
+    x = np.asarray(x, dtype=np.float64)
     _check_input_width(net, x)
-    pre, acts = [], [x]
-    a = x
+    return _hidden(net, 0, x)
+
+
+def _forward_cached(net: Network, x: np.ndarray, mask: DropoutMask | None,
+                    hidden1: np.ndarray | None = None):
+    """Forward pass keeping the unmasked ReLU outputs (the backprop gates)
+    and the masked activations. ``hidden1``, if given, must be
+    ``first_hidden(net, x)``; layer 1 is then not recomputed."""
+    _check_input_width(net, x)
+    h = first_hidden(net, x) if hidden1 is None else hidden1
+    relus, acts = [], [x]
     for i in range(N_HIDDEN_LAYERS):
-        z = a @ net.weights[i].T + net.biases[i]
-        a = np.maximum(z, 0.0)
-        if mask is not None:
-            a = a * mask.layer_masks[i]
-        pre.append(z)
-        acts.append(a)
-    logits = a @ net.weights[-1].T + net.biases[-1]
-    return softmax(logits), pre, acts
+        if i > 0:
+            h = _hidden(net, i, acts[-1])
+        relus.append(h)
+        acts.append(h if mask is None else h * mask.layer_masks[i])
+    logits = acts[-1] @ net.weights[-1].T + net.biases[-1]
+    return softmax(logits), relus, acts
 
 
-def forward(net: Network, x: np.ndarray, mask: DropoutMask | None = None) -> np.ndarray:
-    """Class probabilities for one input vector or an (n, d) batch."""
-    probs, _, _ = _forward_cached(net, np.asarray(x, dtype=np.float64), mask)
+def forward(net: Network, x: np.ndarray, mask: DropoutMask | None = None,
+            hidden1: np.ndarray | None = None) -> np.ndarray:
+    """Class probabilities for one input vector or an (n, d) batch.
+
+    ``hidden1`` is an optional precomputed ``first_hidden(net, x)``.
+    """
+    probs, _, _ = _forward_cached(net, np.asarray(x, dtype=np.float64), mask, hidden1)
     return probs
 
 
@@ -265,7 +290,7 @@ def _loss_and_grads(net, x, labels, masks):
     n = x.shape[0]
     if n == 0:
         raise DataError("cannot compute gradients on an empty batch")
-    probs, pre, acts = _forward_cached(net, x, masks)
+    probs, relus, acts = _forward_cached(net, x, masks)
     loss = _mean_cross_entropy(probs, labels)
 
     one_hot = np.zeros_like(probs)
@@ -281,7 +306,7 @@ def _loss_and_grads(net, x, labels, masks):
             d_act = delta @ net.weights[i]
             if masks is not None:
                 d_act = d_act * masks.layer_masks[i - 1]
-            delta = d_act * (pre[i - 1] > 0)
+            delta = d_act * (relus[i - 1] > 0)  # ReLU(z) > 0 exactly where z > 0
     return Gradients(weights=d_weights, biases=d_biases), loss
 
 
@@ -302,11 +327,22 @@ def adam_step(
         for p, g, m, v in zip(params, gs, ms, vs):
             if g.shape != p.shape:
                 raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+            # Rounds exactly as p -= lr * (m / c1) / (sqrt(v / c2) + eps),
+            # with two scratch arrays per parameter.
+            step = np.multiply(g, 1.0 - b1)
             m *= b1
-            m += (1.0 - b1) * g
+            m += step
+            np.square(g, out=step)
+            step *= 1.0 - b2
             v *= b2
-            v += (1.0 - b2) * np.square(g)
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            v += step
+            np.divide(m, c1, out=step)
+            step *= lr
+            denom = np.divide(v, c2)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+            p -= step
     return net, state
 
 

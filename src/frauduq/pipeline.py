@@ -11,6 +11,7 @@ timestamps, hostnames, or absolute paths are ever written.
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -110,9 +111,10 @@ class EnsembleParams:
             raise ValidationError(f"ensemble members must be >= 2, got {self.members}")
         if len(self.width_ranges) != 3:
             raise ValidationError("ensemble width_ranges must cover the 3 hidden layers")
-        for lo, hi in self.width_ranges:
-            if not 1 <= lo < hi:
-                raise ValidationError(f"width range ({lo}, {hi}) must satisfy 1 <= low < high")
+        for r in self.width_ranges:
+            if len(r) != 2 or not 1 <= r[0] < r[1]:
+                raise ValidationError(f"width range {list(r)} must be [low, high] "
+                                      f"with 1 <= low < high")
         return self
 
 
@@ -212,16 +214,50 @@ class RunConfig:
         }
 
 
-_TOP_KEYS = {"format", "version", "profile", "seed", "out", "method", "mc_passes",
-             "thresholds", "m_bins", "report_threshold", "train_fraction",
-             "data", "network", "ensemble"}
+# Allowed keys per config section with the type of each value: int, float
+# or str, [kind] for a list of that kind, or None for a sub-object (or the
+# unused "format"/"version" that config.json carries).
+_TOP_SCHEMA = {"format": None, "version": None, "data": None, "network": None,
+               "ensemble": None, "profile": str, "seed": int, "out": str, "method": str,
+               "mc_passes": int, "thresholds": [float], "m_bins": int,
+               "report_threshold": float, "train_fraction": float}
+_DATA_SCHEMA = {"csv": None, "synth": None}
+_CSV_SCHEMA = {"path": str, "schema": str}
+_SYNTH_SCHEMA = {"n_per_class": int, "n_features": int, "separation": float}
+_NETWORK_SCHEMA = {"hidden_units": [int], "dropout_rate": float, "epochs": int,
+                   "batch_size": int, "learning_rate": float}
+_ENSEMBLE_SCHEMA = {"members": int, "width_ranges": [[int]]}
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _take(section: dict, allowed: set, where: str) -> dict:
-    unknown = set(section) - allowed
+def _typed(value, kind, where: str):
+    """Check one config value strictly; lists come back as tuples.
+
+    An int is not a bool; a float field takes an int or a finite float
+    but not a bool.
+    """
+    if kind is None:
+        return value
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ValidationError(f"{where} must be a list, got {value!r}")
+        return tuple(_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value))
+    accepted = (int, float) if kind is float else kind
+    if (isinstance(value, bool) or not isinstance(value, accepted)
+            or (kind is float and not abs(value) <= sys.float_info.max)):  # NaN fails too
+        raise ValidationError(f"{where} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _take(section, schema: dict, where: str) -> dict:
+    """Check a config section against its schema: an object with known
+    keys and strictly typed values."""
+    if not isinstance(section, dict):
+        raise ValidationError(f"config {where} must be an object, got {section!r}")
+    unknown = set(section) - set(schema)
     if unknown:
         raise ValidationError(f"unknown config key(s) in {where}: {sorted(unknown)}")
-    return section
+    return {k: _typed(v, schema[k], f"{where}.{k}") for k, v in section.items()}
 
 
 def load_run_config(path=None, profile: str | None = None, seed: int | None = None,
@@ -241,36 +277,28 @@ def load_run_config(path=None, profile: str | None = None, seed: int | None = No
             raise ValidationError(f"{path}: config is not valid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: config must be a JSON object")
-        _take(raw, _TOP_KEYS, "config")
+        raw = _take(raw, _TOP_SCHEMA, "config")
 
     name = profile or raw.get("profile") or PROFILE_DESK
     if name not in PROFILES:
         raise ValidationError(f"unknown profile {name!r}")
     base = PROFILES[name]
 
-    data = _take(dict(raw.get("data", {})), {"csv", "synth"}, "data")
+    data = _take(raw.get("data", {}), _DATA_SCHEMA, "data")
     if "csv" in data and "synth" in data:
         raise ValidationError("config must name exactly one data source, found csv and synth")
     csv_path = schema_path = None
     synth = SynthSpec()
     if "csv" in data:
-        csv = _take(dict(data["csv"]), {"path", "schema"}, "data.csv")
+        csv = _take(data["csv"], _CSV_SCHEMA, "data.csv")
         csv_path, schema_path = csv.get("path"), csv.get("schema")
     elif "synth" in data:
-        synth = SynthSpec(**_take(dict(data["synth"]),
-                                  {"n_per_class", "n_features", "separation"}, "data.synth"))
+        synth = SynthSpec(**_take(data["synth"], _SYNTH_SCHEMA, "data.synth"))
 
-    net_raw = _take(dict(raw.get("network", {})),
-                    {"hidden_units", "dropout_rate", "epochs", "batch_size", "learning_rate"},
-                    "network")
-    if "hidden_units" in net_raw:
-        net_raw["hidden_units"] = tuple(net_raw["hidden_units"])
-    network = replace(base["network"], **net_raw)
-
-    ens_raw = _take(dict(raw.get("ensemble", {})), {"members", "width_ranges"}, "ensemble")
-    if "width_ranges" in ens_raw:
-        ens_raw["width_ranges"] = tuple(tuple(r) for r in ens_raw["width_ranges"])
-    ensemble = replace(base["ensemble"], **ens_raw)
+    network = replace(base["network"],
+                      **_take(raw.get("network", {}), _NETWORK_SCHEMA, "network"))
+    ensemble = replace(base["ensemble"],
+                       **_take(raw.get("ensemble", {}), _ENSEMBLE_SCHEMA, "ensemble"))
 
     config = RunConfig(
         profile=name,

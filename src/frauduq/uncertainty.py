@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import DataError, FormatError, ShapeError, ValidationError
-from .network import Network, NetworkConfig, forward, sample_dropout_mask, train
+from .network import Network, NetworkConfig, first_hidden, forward, sample_dropout_mask, train
 from .seeding import STREAM_MEMBER, STREAM_PREDICT, derive_seed, substream
 
 METHOD_MCD = "mcd"
@@ -156,13 +156,19 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
                   passes: int, seed: int = 0) -> Estimates:
     """Uncertainty estimates for every row of a feature matrix.
 
-    Runs whole-table forward passes per (member, pass) with a fresh
+    Runs whole-chunk forward passes per (member, pass) with a fresh
     per-row dropout mask each pass, and reduces each chunk's sample
-    tensor with :func:`summarize`. Mask streams are keyed by (seed,
-    member, pass, chunk), and one stream draws the masks of every row in
-    the chunk, so a row's MC masks depend on which rows share its chunk:
-    for mcd and emcd, the same rows predicted alone or with a different
-    chunk budget give different samples. What holds is that the same
+    tensor with :func:`summarize`. Dropout acts only after each hidden
+    ReLU, so layer 1's activation is the same on every pass: it is
+    computed once per member per chunk and reused by all of that
+    member's passes.
+
+    A row's MC samples are fixed by (seed, member, pass, chunk): one
+    stream per key draws the masks of every row in the chunk, so they
+    depend on which rows share the row's chunk. For mcd and emcd, the
+    same rows predicted alone, or under a different chunk budget, give
+    different samples; that is why ``_CHUNK_BUDGET_FLOATS`` is a fixed
+    constant and not tuned to the machine. What holds is that the same
     table, models and seed always give the same bytes, and that the
     mask-free ensemble path does not depend on chunking.
     """
@@ -199,12 +205,13 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
         block = features[start : start + chunk_rows]
         tensor = np.empty((block.shape[0], n_members, per_member, n_classes))
         for m, net in enumerate(models):
+            hidden1 = first_hidden(net, block)
             for t in range(per_member):
                 mask = None
                 if stochastic:
                     rng = substream(seed, STREAM_PREDICT, m, t, chunk_no)
                     mask = sample_dropout_mask(net.config, rng, n_rows=block.shape[0])
-                tensor[:, m, t] = forward(net, block, mask)
+                tensor[:, m, t] = forward(net, block, mask, hidden1)
         parts.append(summarize(tensor))
     return Estimates(*(np.concatenate([getattr(p, f.name) for p in parts])
                        for f in fields(Estimates)))

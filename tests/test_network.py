@@ -159,6 +159,32 @@ def test_adam_first_step_closed_form():
         assert np.allclose(w1, expected, atol=1e-12)
 
 
+def test_adam_step_matches_one_line_update_bitwise():
+    """The in-place update rounds exactly like the textbook expression."""
+    rng = np.random.default_rng(13)
+    config = small_config(rng)
+    net = init_network(config)
+    ref = [p.copy() for p in net.weights + net.biases]
+    ref_m = [np.zeros_like(p) for p in ref]
+    ref_v = [np.zeros_like(p) for p in ref]
+    state = AdamState.for_network(net)
+    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
+    for t in range(1, 6):
+        x = rng.normal(size=(4, config.input_units))
+        grads = backward(net, x, np.array([0, 1, 1, 0]))
+        lr = config.learning_rate if t % 2 else 0.05
+        adam_step(net, grads, state, lr=lr)
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for p, m, v, g in zip(ref, ref_m, ref_v, grads.weights + grads.biases):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        for got, want in zip(net.weights + net.biases, ref):
+            assert np.array_equal(got, want)
+
+
 def test_adam_rejects_mismatched_shapes():
     rng = np.random.default_rng(5)
     net = init_network(small_config(rng))
@@ -245,6 +271,19 @@ def test_dropout_mask_values_and_mean():
     for layer in mask.layer_masks:
         assert set(np.unique(layer)) <= {0.0, scale}
         assert layer.mean() == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5])
+def test_dropout_mask_matches_reference_expression_bitwise(rate):
+    """Masks are (u >= rate) / (1 - rate) on the stream's uniforms, layer by layer."""
+    config = NetworkConfig(input_units=4, hidden_units=(7, 5, 3), dropout_rate=rate)
+    for n_rows in (None, 1, 9):
+        mask = sample_dropout_mask(config, np.random.default_rng(21), n_rows=n_rows)
+        twin = np.random.default_rng(21)
+        for width, layer in zip(config.hidden_units, mask.layer_masks):
+            shape = (width,) if n_rows is None else (n_rows, width)
+            want = (twin.random(shape) >= rate) / (1 - rate)
+            assert layer.shape == shape and np.array_equal(layer, want)
 
 
 def test_rate_zero_mask_is_identity():

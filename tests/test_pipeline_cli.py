@@ -7,6 +7,10 @@ seconds; the full desk-profile checks live in the acceptance suite.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +220,51 @@ def test_cli_validation_errors_exit_2(tmp_path, capsys):
     bad_method = write_config(tmp_path, {"method": "bogus"}, name="method.json")
     assert cli_run("train", "--config", str(bad_method)) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"mc_passes": "abc"}, "config.mc_passes"),
+    ({"mc_passes": True}, "config.mc_passes"),
+    ({"seed": 7.0}, "config.seed"),
+    ({"thresholds": 0.5}, "config.thresholds"),
+    ({"thresholds": [0.4, "0.5"]}, "config.thresholds[1]"),
+    ({"report_threshold": False}, "config.report_threshold"),
+    ({"method": 3}, "config.method"),
+    ({"data": {"synth": {"n_per_class": "5"}}}, "data.synth.n_per_class"),
+    ({"data": {"synth": {"separation": True}}}, "data.synth.separation"),
+    ({"data": ["synth"]}, "config data"),
+    ({"network": {"dropout_rate": "0.3"}}, "network.dropout_rate"),
+    ({"network": {"epochs": 2.5}}, "network.epochs"),
+    ({"network": {"learning_rate": float("nan")}}, "network.learning_rate"),
+    ({"network": {"hidden_units": [8, 6.0, 4]}}, "network.hidden_units[1]"),
+    ({"ensemble": {"members": True}}, "ensemble.members"),
+    ({"ensemble": {"width_ranges": [[6, 10], [4, 8], [3, 5, 7]]}}, "[3, 5, 7]"),
+])
+def test_cli_mistyped_config_values_exit_2(tmp_path, capsys, overrides, named):
+    """A wrong-typed value exits 2, names the field and writes nothing."""
+    out = tmp_path / "out"
+    config_path = write_config(tmp_path, overrides)
+    assert cli_run("preprocess", "--config", str(config_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "frauduq", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    version = run("--version")
+    assert version.returncode == 0 and version.stdout.startswith("frauduq ")
+    bad = run("preprocess", "--config", str(write_config(tmp_path, {"mc_passes": "abc"})),
+              "--out", str(tmp_path / "out"))
+    assert bad.returncode == 2 and "config.mc_passes" in bad.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_method_model_mismatch_exits_2(tmp_path):

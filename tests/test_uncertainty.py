@@ -167,6 +167,31 @@ def test_emcd_sample_count_and_provenance(monkeypatch):
             assert np.array_equal(seen[0][:, m, t], forward(net, x, mask))
 
 
+@pytest.mark.parametrize("method, n_members", [("mcd", 1), ("emcd", 2)])
+def test_chunked_samples_equal_full_forward_passes(monkeypatch, method, n_members):
+    """In every chunk, slot (m, t) is member m's full forward pass of that
+    chunk under the mask stream of (seed, m, t, chunk), bitwise: reusing
+    layer 1 across passes changes no sample."""
+    import frauduq.uncertainty as unc
+
+    config = NetworkConfig(input_units=40, hidden_units=(6, 5, 4), dropout_rate=0.3)
+    members = [init_network(config, seed=s) for s in range(1, n_members + 1)]
+    x = np.random.default_rng(59).normal(size=(11, 40))
+    passes, seed = 3, 13
+    monkeypatch.setattr(unc, "_CHUNK_BUDGET_FLOATS", 4 * n_members * passes * 2)  # 4-row chunks
+    seen = captured_tensors(monkeypatch)
+    predict_table(method, members, x, passes=passes, seed=seed)
+
+    assert [t.shape for t in seen] == [(rows, n_members, passes, 2) for rows in (4, 4, 3)]
+    for chunk_no, tensor in enumerate(seen):
+        block = x[4 * chunk_no : 4 * chunk_no + len(tensor)]
+        for m, net in enumerate(members):
+            for t in range(passes):
+                rng = substream(seed, STREAM_PREDICT, m, t, chunk_no)
+                mask = sample_dropout_mask(net.config, rng, n_rows=len(block))
+                assert np.array_equal(tensor[:, m, t], forward(net, block, mask))
+
+
 def test_ensemble_disagreement_yields_maximal_entropy():
     """Two confident members voting for opposite classes average to ~uniform."""
     members = [biased_network(40.0), biased_network(-40.0)]
