@@ -66,40 +66,6 @@ class NetworkConfig:
         sizes = [self.input_units, *self.hidden_units, self.output_units]
         return [(sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1)]
 
-    def to_dict(self) -> dict:
-        return {
-            "input_units": self.input_units,
-            "hidden_units": list(self.hidden_units),
-            "output_units": self.output_units,
-            "dropout_rate": self.dropout_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_epsilon": self.adam_epsilon,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkConfig":
-        try:
-            return cls(
-                input_units=int(d["input_units"]),
-                hidden_units=tuple(d["hidden_units"]),
-                output_units=int(d.get("output_units", 2)),
-                dropout_rate=float(d.get("dropout_rate", 0.3)),
-                epochs=int(d.get("epochs", 50)),
-                batch_size=int(d.get("batch_size", 128)),
-                learning_rate=float(d.get("learning_rate", 1e-3)),
-                adam_beta1=float(d.get("adam_beta1", 0.9)),
-                adam_beta2=float(d.get("adam_beta2", 0.999)),
-                adam_epsilon=float(d.get("adam_epsilon", 1e-8)),
-                seed=int(d.get("seed", 0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad network config: {exc}") from exc
-
 
 @dataclass
 class Network:
@@ -392,7 +358,7 @@ def save_network(net: Network, path) -> None:
     obj = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "config": net.config.to_dict(),
+        "config": container.to_plain(net.config),
         "weights": [container.encode_array(w) for w in net.weights],
         "biases": [container.encode_array(b) for b in net.biases],
     }
@@ -402,7 +368,10 @@ def save_network(net: Network, path) -> None:
 def load_network(path) -> Network:
     obj = container.read_json(path)
     container.expect_format(obj, MODEL_FORMAT, MODEL_VERSION, path)
-    config = NetworkConfig.from_dict(obj.get("config", {}))
+    try:
+        config = container.from_plain(NetworkConfig, obj.get("config")).validate()
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     try:
         weights = [container.decode_array(w, f"{path}: weights[{i}]")
                    for i, w in enumerate(obj["weights"])]

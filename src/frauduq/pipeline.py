@@ -11,7 +11,6 @@ timestamps, hostnames, or absolute paths are ever written.
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -80,77 +79,81 @@ class SynthSpec:
 
 
 @dataclass(frozen=True)
+class CsvSource:
+    """A raw CSV file and the schema file that describes its columns."""
+
+    path: str
+    schema: str
+
+
+@dataclass(frozen=True)
+class DataSource:
+    """Where the rows come from: one CSV source or the built-in generator.
+
+    A config file names exactly one; naming neither means the generator
+    with its defaults.
+    """
+
+    csv: CsvSource | None = None
+    synth: SynthSpec | None = None
+
+    def __post_init__(self):
+        if self.csv is None and self.synth is None:
+            object.__setattr__(self, "synth", SynthSpec())
+
+    def validate(self) -> "DataSource":
+        if self.csv is not None and self.synth is not None:
+            raise ValidationError("config must name exactly one data source, found csv and synth")
+        if self.csv is None:
+            self.synth.validate()
+        else:
+            for p in (self.csv.path, self.csv.schema):
+                if not os.path.isfile(p):
+                    raise ValidationError(f"data file not found: {p}")
+        return self
+
+
+@dataclass(frozen=True)
 class NetworkParams:
     """NetworkConfig minus the data-dependent input width."""
 
-    hidden_units: tuple[int, int, int] = (256, 64, 16)
+    hidden_units: tuple[int, int, int] = (32, 16, 8)
     dropout_rate: float = 0.3
-    epochs: int = 50
-    batch_size: int = 128
+    epochs: int = 20
+    batch_size: int = 64
     learning_rate: float = 1e-3
 
     def to_config(self, input_units: int, seed: int) -> NetworkConfig:
-        return NetworkConfig(
-            input_units=input_units,
-            hidden_units=tuple(self.hidden_units),
-            dropout_rate=self.dropout_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=seed,
-        )
+        return NetworkConfig(input_units=input_units, seed=seed, **vars(self))
 
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    members: int = 30
-    width_ranges: tuple = ((256, 385), (64, 256), (16, 32))
+    """EnsembleSpec minus the base network and the master seed."""
 
-    def validate(self) -> "EnsembleParams":
-        if self.members < 2:
-            raise ValidationError(f"ensemble members must be >= 2, got {self.members}")
-        if len(self.width_ranges) != 3:
-            raise ValidationError("ensemble width_ranges must cover the 3 hidden layers")
-        for r in self.width_ranges:
-            if len(r) != 2 or not 1 <= r[0] < r[1]:
-                raise ValidationError(f"width range {list(r)} must be [low, high] "
-                                      f"with 1 <= low < high")
-        return self
-
-
-# Profile defaults. "paper" mirrors the published experiment scale
-# (256/64/16 network, 30-member ensemble, 1000 MC passes); "desk" is the
-# same shape shrunk until the full chain runs in CI minutes.
-PROFILES = {
-    PROFILE_PAPER: {
-        "network": NetworkParams(),
-        "ensemble": EnsembleParams(),
-        "mc_passes": 1000,
-    },
-    PROFILE_DESK: {
-        "network": NetworkParams(hidden_units=(32, 16, 8), epochs=20, batch_size=64),
-        "ensemble": EnsembleParams(members=5, width_ranges=((24, 48), (12, 24), (6, 12))),
-        "mc_passes": 100,
-    },
-}
+    members: int = 5
+    width_ranges: tuple[tuple[int, int], ...] = ((24, 48), (12, 24), (6, 12))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a command needs, resolved from profile + file + flags."""
+    """Everything a command needs, resolved from profile + file + flags.
+
+    The fields are the config file's schema: the file has the same keys
+    and nesting (``format`` and ``version`` aside), and the defaults are
+    the desk profile.
+    """
 
     profile: str = PROFILE_DESK
     seed: int = 7
-    out_dir: str = "frauduq-out"
+    out: str = "frauduq-out"
     method: str = METHOD_MCD
     mc_passes: int = 100
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     m_bins: int = 10
     report_threshold: float = 0.4
     train_fraction: float = 0.7
-    csv_path: str | None = None
-    schema_path: str | None = None
-    synth: SynthSpec = field(default_factory=SynthSpec)
+    data: DataSource = field(default_factory=DataSource)
     network: NetworkParams = field(default_factory=NetworkParams)
     ensemble: EnsembleParams = field(default_factory=EnsembleParams)
 
@@ -175,89 +178,43 @@ class RunConfig:
             )
         if not 0.0 < self.train_fraction < 1.0:
             raise ValidationError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if (self.csv_path is None) != (self.schema_path is None):
-            raise ValidationError("csv data needs both 'path' and 'schema'")
-        if self.csv_path is not None:
-            for p in (self.csv_path, self.schema_path):
-                if not os.path.isfile(p):
-                    raise ValidationError(f"data file not found: {p}")
+        self.data.validate()
         # hidden-unit / rate / epoch sanity via the real config validator
         self.network.to_config(input_units=1, seed=0).validate()
-        self.ensemble.validate()
-        self.synth.validate()
+        self.ensemble_spec(input_units=1).validate()
         return self
 
     @property
     def uses_csv(self) -> bool:
-        return self.csv_path is not None
+        return self.data.csv is not None
+
+    def ensemble_spec(self, input_units: int) -> EnsembleSpec:
+        """The ensemble this config trains on tables of ``input_units`` features."""
+        return EnsembleSpec(members=self.ensemble.members,
+                            width_ranges=self.ensemble.width_ranges,
+                            base=self.network.to_config(input_units, seed=0),
+                            master_seed=self.seed)
 
     def to_dict(self) -> dict:
         """Snapshot for config.json and digests; deliberately excludes
-        out_dir so artifacts are identical wherever the run lands."""
-        data = ({"csv": {"path": self.csv_path, "schema": self.schema_path}}
-                if self.uses_csv else {"synth": vars(self.synth)})
-        return {
-            "format": CONFIG_FORMAT,
-            "version": PIPELINE_VERSION,
-            "profile": self.profile,
-            "seed": self.seed,
-            "method": self.method,
-            "mc_passes": self.mc_passes,
-            "thresholds": list(self.thresholds),
-            "m_bins": self.m_bins,
-            "report_threshold": self.report_threshold,
-            "train_fraction": self.train_fraction,
-            "data": data,
-            "network": {**vars(self.network), "hidden_units": list(self.network.hidden_units)},
-            "ensemble": {"members": self.ensemble.members,
-                         "width_ranges": [list(r) for r in self.ensemble.width_ranges]},
-        }
+        out so artifacts are identical wherever the run lands."""
+        plain = container.to_plain(self)
+        del plain["out"]
+        return {**plain, "format": CONFIG_FORMAT, "version": PIPELINE_VERSION}
 
 
-# Allowed keys per config section with the type of each value: int, float
-# or str, [kind] for a list of that kind, or None for a sub-object (or the
-# unused "format"/"version" that config.json carries).
-_TOP_SCHEMA = {"format": None, "version": None, "data": None, "network": None,
-               "ensemble": None, "profile": str, "seed": int, "out": str, "method": str,
-               "mc_passes": int, "thresholds": [float], "m_bins": int,
-               "report_threshold": float, "train_fraction": float}
-_DATA_SCHEMA = {"csv": None, "synth": None}
-_CSV_SCHEMA = {"path": str, "schema": str}
-_SYNTH_SCHEMA = {"n_per_class": int, "n_features": int, "separation": float}
-_NETWORK_SCHEMA = {"hidden_units": [int], "dropout_rate": float, "epochs": int,
-                   "batch_size": int, "learning_rate": float}
-_ENSEMBLE_SCHEMA = {"members": int, "width_ranges": [[int]]}
-_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
-
-
-def _typed(value, kind, where: str):
-    """Check one config value strictly; lists come back as tuples.
-
-    An int is not a bool; a float field takes an int or a finite float
-    but not a bool.
-    """
-    if kind is None:
-        return value
-    if isinstance(kind, list):
-        if not isinstance(value, list):
-            raise ValidationError(f"{where} must be a list, got {value!r}")
-        return tuple(_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value))
-    accepted = (int, float) if kind is float else kind
-    if (isinstance(value, bool) or not isinstance(value, accepted)
-            or (kind is float and not abs(value) <= sys.float_info.max)):  # NaN fails too
-        raise ValidationError(f"{where} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return value
-
-
-def _take(section, schema: dict, where: str) -> dict:
-    """Check a config section against its schema: an object with known
-    keys and strictly typed values."""
-    if not isinstance(section, dict):
-        raise ValidationError(f"config {where} must be an object, got {section!r}")
-    unknown = set(section) - set(schema)
-    if unknown:
-        raise ValidationError(f"unknown config key(s) in {where}: {sorted(unknown)}")
-    return {k: _typed(v, schema[k], f"{where}.{k}") for k, v in section.items()}
+# Profiles: "desk" (the RunConfig defaults) is the paper's experiment
+# shrunk until the full chain runs in CI minutes; "paper" mirrors the
+# published scale (256/64/16 network, 30-member ensemble, 1000 MC passes).
+PROFILES = {
+    PROFILE_PAPER: RunConfig(
+        profile=PROFILE_PAPER,
+        mc_passes=1000,
+        network=NetworkParams(hidden_units=(256, 64, 16), epochs=50, batch_size=128),
+        ensemble=EnsembleParams(members=30, width_ranges=((256, 385), (64, 256), (16, 32))),
+    ),
+    PROFILE_DESK: RunConfig(),
+}
 
 
 def load_run_config(path=None, profile: str | None = None, seed: int | None = None,
@@ -265,8 +222,9 @@ def load_run_config(path=None, profile: str | None = None, seed: int | None = No
                     mc_passes: int | None = None) -> RunConfig:
     """Resolve a RunConfig: profile defaults <- config file <- CLI flags.
 
-    The file is JSON with the same nesting as RunConfig.to_dict; every
-    invariant is checked here, before any command does work.
+    The file is JSON with the same nesting as RunConfig.to_dict; its
+    ``format`` and ``version`` may be left out but must match when given.
+    Every invariant is checked here, before any command does work.
     """
     raw: dict = {}
     if path is not None:
@@ -277,47 +235,19 @@ def load_run_config(path=None, profile: str | None = None, seed: int | None = No
             raise ValidationError(f"{path}: config is not valid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: config must be a JSON object")
-        raw = _take(raw, _TOP_SCHEMA, "config")
+        fmt, version = raw.pop("format", CONFIG_FORMAT), raw.pop("version", PIPELINE_VERSION)
+        if fmt != CONFIG_FORMAT or type(version) is not int or version != PIPELINE_VERSION:
+            raise ValidationError(f"{path}: not a {CONFIG_FORMAT} v{PIPELINE_VERSION} file "
+                                  f"(format {fmt!r}, version {version!r})")
 
-    name = profile or raw.get("profile") or PROFILE_DESK
-    if name not in PROFILES:
-        raise ValidationError(f"unknown profile {name!r}")
-    base = PROFILES[name]
-
-    data = _take(raw.get("data", {}), _DATA_SCHEMA, "data")
-    if "csv" in data and "synth" in data:
-        raise ValidationError("config must name exactly one data source, found csv and synth")
-    csv_path = schema_path = None
-    synth = SynthSpec()
-    if "csv" in data:
-        csv = _take(data["csv"], _CSV_SCHEMA, "data.csv")
-        csv_path, schema_path = csv.get("path"), csv.get("schema")
-    elif "synth" in data:
-        synth = SynthSpec(**_take(data["synth"], _SYNTH_SCHEMA, "data.synth"))
-
-    network = replace(base["network"],
-                      **_take(raw.get("network", {}), _NETWORK_SCHEMA, "network"))
-    ensemble = replace(base["ensemble"],
-                       **_take(raw.get("ensemble", {}), _ENSEMBLE_SCHEMA, "ensemble"))
-
-    config = RunConfig(
-        profile=name,
-        seed=int(seed if seed is not None else raw.get("seed", 7)),
-        out_dir=str(out if out is not None else raw.get("out", "frauduq-out")),
-        method=str(method if method is not None else raw.get("method", METHOD_MCD)),
-        mc_passes=int(mc_passes if mc_passes is not None
-                      else raw.get("mc_passes", base["mc_passes"])),
-        thresholds=tuple(float(t) for t in raw.get("thresholds", DEFAULT_THRESHOLDS)),
-        m_bins=int(raw.get("m_bins", 10)),
-        report_threshold=float(raw.get("report_threshold", 0.4)),
-        train_fraction=float(raw.get("train_fraction", 0.7)),
-        csv_path=csv_path,
-        schema_path=schema_path,
-        synth=synth,
-        network=network,
-        ensemble=ensemble,
-    )
-    return config.validate()
+    name = profile or raw.get("profile", PROFILE_DESK)
+    # An unknown or mistyped name merges over the defaults; validate() or
+    # the type check then rejects it.
+    base = PROFILES.get(name, RunConfig()) if isinstance(name, str) else RunConfig()
+    config = container.from_plain(RunConfig, raw, base)
+    flags = {"profile": profile, "seed": seed, "out": out, "method": method,
+             "mc_passes": mc_passes}
+    return replace(config, **{k: v for k, v in flags.items() if v is not None}).validate()
 
 
 # --- stage machinery ------------------------------------------------------
@@ -388,7 +318,7 @@ def _require_file(path: Path, hint: str) -> Path:
 
 
 def _write_config_snapshot(config: RunConfig) -> None:
-    out = Path(config.out_dir)
+    out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     container.write_json(config.to_dict(), out / "config.json")
 
@@ -402,16 +332,16 @@ def stage_data(config: RunConfig, log=print) -> StageResult:
     if config.uses_csv:
         stage_config = {"source": "csv", "train_fraction": config.train_fraction,
                         "seed": config.seed}
-        inputs = {"csv": Path(config.csv_path), "schema": Path(config.schema_path)}
+        inputs = {"csv": Path(config.data.csv.path), "schema": Path(config.data.csv.schema)}
     else:
-        stage_config = {"source": "synth", "synth": vars(config.synth),
+        stage_config = {"source": "synth", "synth": vars(config.data.synth),
                         "train_fraction": config.train_fraction, "seed": config.seed}
         inputs = {}
 
     def build(stage_dir: Path):
         if config.uses_csv:
-            schema = CsvSchema.from_file(config.schema_path)
-            raw = load_csv(config.csv_path, schema)
+            schema = CsvSchema.from_file(config.data.csv.schema)
+            raw = load_csv(config.data.csv.path, schema)
             log(f"[data] loaded {raw.n_rows} rows x {len(raw.column_names)} columns")
             train_raw, test_raw = split_train_test(
                 raw, config.train_fraction, stratified=True, seed=config.seed)
@@ -421,7 +351,7 @@ def stage_data(config: RunConfig, log=print) -> StageResult:
             state.save(stage_dir / "preprocessor.json")
             extra = [stage_dir / "preprocessor.json"]
         else:
-            s = config.synth
+            s = config.data.synth
             table = synth_generate(s.n_per_class, s.n_features, s.separation,
                                    noise_seed=config.seed)
             log(f"[data] synthesized {table.n_rows} rows of {s.n_features} features "
@@ -434,7 +364,7 @@ def stage_data(config: RunConfig, log=print) -> StageResult:
         log(f"[data] split {train_t.n_rows} train / {test_t.n_rows} test rows")
         return [stage_dir / "train.json", stage_dir / "test.json", *extra]
 
-    return run_stage(config.out_dir, "data", stage_config, inputs, build, log)
+    return run_stage(config.out, "data", stage_config, inputs, build, log)
 
 
 def _needed_models(method: str) -> tuple[str, ...]:
@@ -443,12 +373,12 @@ def _needed_models(method: str) -> tuple[str, ...]:
 
 def stage_train(config: RunConfig, needs: tuple[str, ...], log=print) -> StageResult:
     """Train the single network and/or the ensemble under <out>/models."""
-    train_path = _require_file(Path(config.out_dir) / "data" / "train.json",
+    train_path = _require_file(Path(config.out) / "data" / "train.json",
                                "run the preprocess command first")
     stage_config = {"needs": sorted(needs), "seed": config.seed,
-                    "network": config.to_dict()["network"]}
+                    "network": container.to_plain(config.network)}
     if "ensemble" in needs:
-        stage_config["ensemble"] = config.to_dict()["ensemble"]
+        stage_config["ensemble"] = container.to_plain(config.ensemble)
 
     def build(stage_dir: Path):
         data = load_features(train_path)
@@ -465,12 +395,7 @@ def stage_train(config: RunConfig, needs: tuple[str, ...], log=print) -> StageRe
             save_network(net, stage_dir / "single.json")
             produced.append(stage_dir / "single.json")
         if "ensemble" in needs:
-            spec = EnsembleSpec(
-                members=config.ensemble.members,
-                width_ranges=config.ensemble.width_ranges,
-                base=config.network.to_config(input_units, seed=0),
-                master_seed=config.seed,
-            )
+            spec = config.ensemble_spec(input_units)
             ens_dir = stage_dir / "ensemble"
             ens_dir.mkdir(exist_ok=True)
 
@@ -496,7 +421,7 @@ def stage_train(config: RunConfig, needs: tuple[str, ...], log=print) -> StageRe
             produced.append(ens_dir / "spec.json")
         return produced
 
-    return run_stage(config.out_dir, "models", stage_config,
+    return run_stage(config.out, "models", stage_config,
                      {"train": train_path}, build, log)
 
 
@@ -536,7 +461,7 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
                   data_path=None, log=print) -> StageResult:
     """Predict the test table with one UQ method; dump under
     <out>/predictions/<method>."""
-    out = Path(config.out_dir)
+    out = Path(config.out)
     if data_path is None:
         data_path = _require_file(out / "data" / "test.json",
                                   "run the preprocess command first")
@@ -567,14 +492,14 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
                    method, estimates, table.labels, meta=meta)
         return [stage_dir / "dump.jsonl", stage_dir / "dump.csv"]
 
-    return run_stage(config.out_dir, f"predictions/{method}", stage_config, inputs, build, log)
+    return run_stage(config.out, f"predictions/{method}", stage_config, inputs, build, log)
 
 
 def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print) -> StageResult:
     """Score one prediction dump: report JSON/CSVs + reliability SVG
     under <out>/reports/<method>."""
     if dump_path is None:
-        dump_path = Path(config.out_dir) / "predictions" / method / "dump.jsonl"
+        dump_path = Path(config.out) / "predictions" / method / "dump.jsonl"
     dump_path = _require_file(Path(dump_path), "run the predict command first")
     stage_config = {"method": method, "thresholds": list(config.thresholds),
                     "m_bins": config.m_bins, "report_threshold": config.report_threshold,
@@ -603,7 +528,7 @@ def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print) ->
         return [stage_dir / "report.json", stage_dir / "thresholds.csv",
                 stage_dir / "entropy_histogram.csv", stage_dir / "reliability.svg"]
 
-    return run_stage(config.out_dir, f"reports/{method}", stage_config,
+    return run_stage(config.out, f"reports/{method}", stage_config,
                      {"dump": dump_path}, build, log)
 
 
@@ -620,7 +545,7 @@ def _threshold_row(report_obj: dict, threshold: float, where) -> dict:
 
 def stage_summary(config: RunConfig, methods=METHODS, log=print) -> StageResult:
     """Side-by-side UQ metrics of all methods at the report threshold."""
-    out = Path(config.out_dir)
+    out = Path(config.out)
     report_paths = {m: _require_file(out / "reports" / m / "report.json",
                                      "run the evaluate command first")
                     for m in methods}
@@ -664,7 +589,7 @@ def stage_summary(config: RunConfig, methods=METHODS, log=print) -> StageResult:
                 f"{_fmt(r['uspe']):>8}{_fmt(r['upre']):>8}")
         return [stage_dir / "summary.json", stage_dir / "summary.csv"]
 
-    return run_stage(config.out_dir, "summary", stage_config, report_paths, build, log)
+    return run_stage(config.out, "summary", stage_config, report_paths, build, log)
 
 
 # --- commands -------------------------------------------------------------
@@ -673,9 +598,9 @@ def stage_summary(config: RunConfig, methods=METHODS, log=print) -> StageResult:
 def cmd_synth(config: RunConfig, log=print) -> Path:
     """Write the full (unsplit) synthetic FeatureTable to <out>/synth.json."""
     _write_config_snapshot(config)
-    s = config.synth
+    s = config.data.synth or SynthSpec()  # a csv config synthesizes the defaults
     table = synth_generate(s.n_per_class, s.n_features, s.separation, noise_seed=config.seed)
-    path = Path(config.out_dir) / "synth.json"
+    path = Path(config.out) / "synth.json"
     save_features(table, path)
     log(f"[synth] wrote {table.n_rows} rows x {s.n_features} features to {path}")
     return path

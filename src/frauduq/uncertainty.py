@@ -60,12 +60,13 @@ class EnsembleSpec:
 
     def validate(self) -> "EnsembleSpec":
         if self.members < 2:
-            raise ValidationError(f"an ensemble needs at least 2 members, got {self.members}")
+            raise ValidationError(f"ensemble members must be >= 2, got {self.members}")
         if len(self.width_ranges) != 3:
-            raise ValidationError("width_ranges must cover the 3 hidden layers")
-        for lo, hi in self.width_ranges:
-            if not 1 <= lo < hi:
-                raise ValidationError(f"width range ({lo}, {hi}) must satisfy 1 <= low < high")
+            raise ValidationError("ensemble width_ranges must cover the 3 hidden layers")
+        for r in self.width_ranges:
+            if len(r) != 2 or not 1 <= r[0] < r[1]:
+                raise ValidationError(f"width range {list(r)} must be [low, high] "
+                                      f"with 1 <= low < high")
         return self
 
 

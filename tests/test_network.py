@@ -332,3 +332,13 @@ def test_load_rejects_truncated_and_mismatched_files(tmp_path):
     twisted.write_text(json.dumps(obj))
     with pytest.raises(FormatError):
         load_network(twisted)
+
+    # a stored config that is malformed or out of range fails as the file's fault
+    for key, value in [("dropout_rate", -0.5), ("dropout_rate", 1.0),
+                       ("learning_rate", -1), ("hidden_units", "ab")]:
+        obj = json.loads(path.read_text())
+        obj["config"][key] = value
+        doctored = tmp_path / "doctored.json"
+        doctored.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match=f"doctored.json: .*{key}"):
+            load_network(doctored)

@@ -5,11 +5,14 @@ Runs use deliberately tiny synthetic settings so the whole file stays in
 seconds; the full desk-profile checks live in the acceptance suite.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +103,33 @@ def test_config_validation_rejections(tmp_path):
     broken.write_text("{nope")
     with pytest.raises(ValidationError, match="not valid JSON"):
         pipeline.load_run_config(broken)
+
+    # format and version may be left out, but a foreign file is refused
+    for i, tag in enumerate([{"format": "not-a-config"}, {"version": 99}, {"version": "1"},
+                             {"version": True}]):
+        foreign = write_config(tmp_path, tag, name=f"foreign{i}.json")
+        with pytest.raises(ValidationError, match=f"foreign{i}.json: not a frauduq-config"):
+            pipeline.load_run_config(foreign)
+
+
+@pytest.mark.parametrize("source", ["desk", "paper", "csv"])
+def test_config_json_round_trips(tmp_path, source):
+    """A run's config.json, fed back with --config, resolves to the same
+    RunConfig and is rewritten byte for byte."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    if source == "csv":
+        for name in ("rows.csv", "rows.schema.json"):
+            (tmp_path / name).write_text("")  # synth only checks that they exist
+        given = {"path": write_config(tmp_path, {"data": {"csv": {
+            "path": str(tmp_path / "rows.csv"), "schema": str(tmp_path / "rows.schema.json")}}})}
+        argv = ["--config", str(given["path"])]
+    else:
+        given = {"profile": source}
+        argv = ["--profile", source]
+    assert cli_run("synth", *argv, "--out", str(first)) == 0
+    assert cli_run("synth", "--config", str(first / "config.json"), "--out", str(second)) == 0
+    assert pipeline.load_run_config(first / "config.json") == pipeline.load_run_config(**given)
+    assert (second / "config.json").read_bytes() == (first / "config.json").read_bytes()
 
 
 # --- pipeline stages --------------------------------------------------------------
@@ -222,6 +252,37 @@ def test_cli_validation_errors_exit_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def config_fields(cls, path=()):
+    """(key path, annotation) of every field under a config class, the
+    sections' own fields included."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if isinstance(kind, types.UnionType):  # X | None: an optional section
+            (kind,) = [a for a in typing.get_args(kind) if a is not type(None)]
+        yield (*path, f.name), kind
+        if dataclasses.is_dataclass(kind):
+            yield from config_fields(kind, (*path, f.name))
+
+
+def every_field_mistyped():
+    """A wrong-kind value, a bool and null for every RunConfig leaf, and
+    null for every section, so a field added later is checked too."""
+    wrong_kind = {int: "1", float: "0.5", str: 3}
+    for path, kind in config_fields(pipeline.RunConfig):
+        if dataclasses.is_dataclass(kind):
+            named, values = f"config {'.'.join(path)}", [None]
+        else:
+            named = ".".join(path) if len(path) > 1 else f"config.{path[0]}"
+            wrong = "x" if typing.get_origin(kind) is tuple else wrong_kind[kind]
+            values = [wrong, True, None]
+        for value in values:
+            overrides = value
+            for key in reversed(path):
+                overrides = {key: overrides}
+            yield pytest.param(overrides, named, id=f"{'.'.join(path)}={json.dumps(value)}")
+
+
 @pytest.mark.parametrize("overrides, named", [
     ({"mc_passes": "abc"}, "config.mc_passes"),
     ({"mc_passes": True}, "config.mc_passes"),
@@ -239,6 +300,7 @@ def test_cli_validation_errors_exit_2(tmp_path, capsys):
     ({"network": {"hidden_units": [8, 6.0, 4]}}, "network.hidden_units[1]"),
     ({"ensemble": {"members": True}}, "ensemble.members"),
     ({"ensemble": {"width_ranges": [[6, 10], [4, 8], [3, 5, 7]]}}, "[3, 5, 7]"),
+    *every_field_mistyped(),
 ])
 def test_cli_mistyped_config_values_exit_2(tmp_path, capsys, overrides, named):
     """A wrong-typed value exits 2, names the field and writes nothing."""
@@ -308,6 +370,19 @@ def test_cli_data_errors_exit_3(tmp_path, capsys):
                    "--dump", str(truncated)) == 3
     err = capsys.readouterr().err
     assert "truncated.jsonl" in err and "n=2" in err
+
+    # a model file whose stored config is out of range
+    assert cli_run("preprocess", "--config", str(config_path), "--out", out) == 0
+    assert cli_run("train", "--config", str(config_path), "--out", out) == 0
+    model = json.loads((tmp_path / "out" / "models" / "single.json").read_text())
+    model["config"]["dropout_rate"] = -0.5
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(model))
+    capsys.readouterr()
+    assert cli_run("predict", "--config", str(config_path), "--out", out,
+                   "--model", str(doctored)) == 3
+    err = capsys.readouterr().err
+    assert "doctored.json" in err and "dropout_rate" in err
 
 
 def test_cli_shape_error_names_both_widths(tmp_path, capsys):

@@ -1,13 +1,20 @@
-"""The README's library example must keep running against the package."""
+"""The README's examples and tables must keep matching the package."""
 
+import re
+from dataclasses import replace
 from pathlib import Path
+
+from frauduq import pipeline
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def section(title: str) -> str:
+    return README.read_text(encoding="utf-8").split(title, 1)[1].split("\n## ", 1)[0]
+
+
 def library_example() -> str:
-    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
-    return section.split("```python\n", 1)[1].split("```", 1)[0]
+    return section("## Library use").split("```python\n", 1)[1].split("```", 1)[0]
 
 
 def test_readme_library_example_runs(capsys):
@@ -18,3 +25,26 @@ def test_readme_library_example_runs(capsys):
     assert estimates.mean_probs.shape == (test_t.n_rows, 2)
     assert len(namespace["confusions"]) == 9
     assert "ClassicMetrics" in capsys.readouterr().out
+
+
+def test_readme_config_example_is_the_desk_profile(tmp_path):
+    example = section("## Config file").split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "example.json"
+    path.write_text(example, encoding="utf-8")
+    config = pipeline.load_run_config(path)
+    assert config == replace(pipeline.PROFILES["desk"], seed=21)
+
+
+def test_readme_profiles_table_matches_the_code():
+    rows = [line.split("|")[1:-1] for line in section("### Profiles").splitlines()
+            if line.startswith("| `")]
+    table = {}
+    for name, hidden, epochs, batch, members, widths, passes in rows:
+        ranges = re.findall(r"\((\d+)–(\d+)\)", widths)
+        table[name.strip().strip("`")] = (
+            tuple(int(h) for h in hidden.split("/")), int(epochs), int(batch), int(members),
+            tuple((int(lo), int(hi)) for lo, hi in ranges), int(passes))
+    assert table == {
+        name: (c.network.hidden_units, c.network.epochs, c.network.batch_size,
+               c.ensemble.members, c.ensemble.width_ranges, c.mc_passes)
+        for name, c in pipeline.PROFILES.items()}

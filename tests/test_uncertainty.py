@@ -209,6 +209,11 @@ def test_ensemble_needs_two_members_and_equal_widths():
     with pytest.raises(ShapeError):
         predict_table("ensemble", [biased_network(1.0), wrong], np.zeros((1, 3)), passes=1)
 
+    base = NetworkConfig(input_units=3, hidden_units=(4, 3, 2))
+    three_ends = EnsembleSpec(members=2, width_ranges=((4, 6), (3, 5), (2, 3, 4)), base=base)
+    with pytest.raises(ValidationError, match=r"\[2, 3, 4\]"):
+        train_ensemble(three_ends, None)
+
 
 # --- certainty flagging -------------------------------------------------------------
 
