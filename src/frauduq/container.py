@@ -1,14 +1,18 @@
-"""Deterministic JSON containers for models, tables, and reports.
+"""Deterministic artifact containers for models, tables, and reports.
 
-Arrays are stored as base64 of little-endian row-major float64 (or int64)
-bytes, so a save/load round trip is bitwise lossless and serializing the
-same object twice produces identical bytes.
+Every artifact names its format and the one ``VERSION`` (:func:`header`,
+:func:`stamp`), is checked by :func:`check_header`, and is written whole
+by :func:`open_atomic`. Arrays are stored as base64 of little-endian
+row-major float64 (or int64) bytes, so a save/load round trip is bitwise
+lossless and serializing the same object twice produces identical bytes.
 """
 
 import base64
+import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import types
 import typing
@@ -18,7 +22,33 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 
+VERSION = 1
+
 _DTYPES = {"float64": "<f8", "int64": "<i8"}
+
+
+def header(fmt: str, **meta) -> dict:
+    """A JSON artifact's (or the dump's JSONL) header: ``meta`` plus the
+    format name and the container version."""
+    return {**meta, "format": fmt, "version": VERSION}
+
+
+def stamp(fmt: str, meta: dict) -> str:
+    """The first line of a text artifact (CSV, SVG), without its comment
+    marker: the :func:`header` fields as sorted ``key=value`` pairs."""
+    return " ".join(f"{k}={v}" for k, v in sorted(header(fmt, **meta).items()))
+
+
+def check_header(obj, fmt: str, path) -> dict:
+    """Return ``obj`` if it names format ``fmt`` and version ``VERSION``
+    (the int, so neither ``true`` nor ``1.0``); otherwise raise a
+    FormatError naming ``path``."""
+    fields = obj if isinstance(obj, dict) else {}
+    found, version = fields.get("format"), fields.get("version")
+    if found != fmt or type(version) is not int or version != VERSION:
+        raise FormatError(f"{path}: not a {fmt} v{VERSION} file "
+                          f"(format {found!r}, version {version!r})")
+    return obj
 
 
 def encode_array(a: np.ndarray) -> dict:
@@ -59,8 +89,27 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
+@contextlib.contextmanager
+def open_atomic(path):
+    """A text file written to ``<path>.tmp`` and moved over ``path`` with
+    ``os.replace`` when the block ends; if the block raises, the temp file
+    is removed and ``path`` is untouched. So a failed or killed process
+    never leaves a half-written artifact; there is no fsync, so a crash of
+    the machine still can."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(obj, path) -> None:
-    Path(path).write_text(dumps_canonical(obj), encoding="utf-8")
+    with open_atomic(path) as fh:
+        fh.write(dumps_canonical(obj))
 
 
 def read_json(path) -> dict:
@@ -72,18 +121,15 @@ def read_json(path) -> dict:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from exc
+        raise FormatError(f"{path}: not valid JSON at offset {exc.pos}: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: expected a JSON object at top level")
     return obj
 
 
-def expect_format(obj: dict, fmt: str, version: int, path) -> None:
-    """Check the container's self-description before trusting its contents."""
-    if obj.get("format") != fmt:
-        raise FormatError(f"{path}: format tag {obj.get('format')!r}, expected {fmt!r}")
-    if obj.get("version") != version:
-        raise FormatError(f"{path}: unsupported version {obj.get('version')!r}")
+def read_artifact(path, fmt: str) -> dict:
+    """Read a JSON artifact and check that it is a ``fmt`` file."""
+    return check_header(read_json(path), fmt, path)
 
 
 def sha256_file(path) -> str:

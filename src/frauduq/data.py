@@ -24,7 +24,6 @@ DEFAULT_MISSING = ("", "NA", "NaN")
 FEATURES_FORMAT = "frauduq-features"
 PREPROCESSOR_FORMAT = "frauduq-preprocessor"
 SCHEMA_FORMAT = "frauduq-schema"
-CONTAINER_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,7 @@ class CsvSchema:
 
     @classmethod
     def from_file(cls, path) -> "CsvSchema":
-        obj = container.read_json(path)
-        container.expect_format(obj, SCHEMA_FORMAT, CONTAINER_VERSION, path)
+        obj = container.read_artifact(path, SCHEMA_FORMAT)
         if "label" not in obj:
             raise FormatError(f"{path}: schema must name a 'label' column")
         kinds = obj.get("kinds", {})
@@ -232,8 +230,7 @@ class PreprocessorState:
                 cols.append({"name": p.name, "kind": kind, "impute_value": p.impute_value,
                              "categories": list(p.mapping.keys()),
                              "unknown_index": p.unknown_index})
-        return {"format": PREPROCESSOR_FORMAT, "version": CONTAINER_VERSION,
-                "fitted": self.fitted, "columns": cols}
+        return container.header(PREPROCESSOR_FORMAT, fitted=self.fitted, columns=cols)
 
     @classmethod
     def from_dict(cls, obj: dict, context: str = "preprocessor") -> "PreprocessorState":
@@ -261,8 +258,7 @@ class PreprocessorState:
 
     @classmethod
     def load(cls, path) -> "PreprocessorState":
-        obj = container.read_json(path)
-        container.expect_format(obj, PREPROCESSOR_FORMAT, CONTAINER_VERSION, path)
+        obj = container.read_artifact(path, PREPROCESSOR_FORMAT)
         return cls.from_dict(obj, context=str(path))
 
 
@@ -328,8 +324,9 @@ def apply_preprocessor(state: PreprocessorState, table: RawTable) -> FeatureTabl
                         provenance=table.source).validate()
 
 
-def split_train_test(table, train_fraction: float = 0.7, stratified: bool = True, seed: int = 0):
-    """Disjoint, exhaustive row split; stratified keeps per-class counts within 1.
+def split_train_test(table, train_fraction: float = 0.7, seed: int = 0):
+    """Disjoint, exhaustive row split, stratified: each class is split at
+    ``train_fraction`` on its own, so per-class counts stay within 1.
 
     Works on any table with ``labels`` and ``take`` (RawTable before
     preprocessing, FeatureTable after).
@@ -341,22 +338,17 @@ def split_train_test(table, train_fraction: float = 0.7, stratified: bool = True
     if n == 0:
         raise DataError("cannot split an empty table")
     rng = substream(seed, STREAM_SPLIT)
-    if stratified:
-        classes = np.unique(labels)
-        if len(classes) < 2:
-            raise DataError("stratified split needs both classes present")
-        train_idx = []
-        for cls in classes:
-            members = np.flatnonzero(labels == cls)
-            members = members[rng.permutation(len(members))]
-            take = int(round(train_fraction * len(members)))
-            train_idx.append(members[:take])
-        train_mask = np.zeros(n, dtype=bool)
-        train_mask[np.concatenate(train_idx)] = True
-    else:
-        order = rng.permutation(n)
-        train_mask = np.zeros(n, dtype=bool)
-        train_mask[order[: int(round(train_fraction * n))]] = True
+    classes = np.unique(labels)
+    if len(classes) < 2:
+        raise DataError("stratified split needs both classes present")
+    train_idx = []
+    for cls in classes:
+        members = np.flatnonzero(labels == cls)
+        members = members[rng.permutation(len(members))]
+        take = int(round(train_fraction * len(members)))
+        train_idx.append(members[:take])
+    train_mask = np.zeros(n, dtype=bool)
+    train_mask[np.concatenate(train_idx)] = True
     return table.take(np.flatnonzero(train_mask)), table.take(np.flatnonzero(~train_mask))
 
 
@@ -384,19 +376,14 @@ def synth_generate(n_per_class: int, d: int, class_separation: float, noise_seed
 
 
 def save_features(table: FeatureTable, path) -> None:
-    obj = {
-        "format": FEATURES_FORMAT,
-        "version": CONTAINER_VERSION,
-        "provenance": table.provenance,
-        "features": container.encode_array(table.features),
-        "labels": container.encode_array(table.labels),
-    }
+    obj = container.header(FEATURES_FORMAT, provenance=table.provenance,
+                           features=container.encode_array(table.features),
+                           labels=container.encode_array(table.labels))
     container.write_json(obj, path)
 
 
 def load_features(path) -> FeatureTable:
-    obj = container.read_json(path)
-    container.expect_format(obj, FEATURES_FORMAT, CONTAINER_VERSION, path)
+    obj = container.read_artifact(path, FEATURES_FORMAT)
     try:
         features = container.decode_array(obj["features"], f"{path}: features")
         labels = container.decode_array(obj["labels"], f"{path}: labels")

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .errors import DataError, ValidationError
 from .uncertainty import Estimates
 
 DEFAULT_THRESHOLDS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 REPORT_FORMAT = "frauduq-report"
-REPORT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -244,31 +244,30 @@ def build_report(method: str, estimates: Estimates, labels,
 
 def report_to_dict(report: UqReport, meta: dict | None = None) -> dict:
     cal = report.calibration
-    return {
-        "format": REPORT_FORMAT,
-        "version": REPORT_VERSION,
+    return container.header(
+        REPORT_FORMAT,
         **(meta or {}),
-        "method": report.method,
-        "n": report.n,
-        "classic": vars(report.classic),
-        "calibration": {
+        method=report.method,
+        n=report.n,
+        classic=vars(report.classic),
+        calibration={
             "ece": cal.ece,
             "bin_count": len(cal.bins),
             "bins": [vars(b) for b in cal.bins],
         },
-        "thresholds": [
+        thresholds=[
             {"threshold": c.threshold, "tc": c.tc, "tu": c.tu, "fu": c.fu, "fc": c.fc,
              "uacc": m.uacc, "usen": m.usen, "uspe": m.uspe, "upre": m.upre}
             for c, m in zip(report.confusions, report.metrics)
         ],
-        "entropy_histogram": {
+        entropy_histogram={
             "bin_edges": list(report.entropy_histogram.bin_edges),
             "correct_counts": list(report.entropy_histogram.correct_counts),
             "incorrect_counts": list(report.entropy_histogram.incorrect_counts),
             "mean_entropy_correct": report.entropy_histogram.mean_entropy_correct,
             "mean_entropy_incorrect": report.entropy_histogram.mean_entropy_incorrect,
         },
-    }
+    )
 
 
 def _csv_cell(value) -> str:
@@ -281,9 +280,8 @@ def _csv_cell(value) -> str:
 
 def threshold_table_csv(report: UqReport, meta: dict | None = None) -> str:
     """Flat per-threshold CSV; a leading # line carries the metadata."""
-    meta_bits = " ".join(f"{k}={v}" for k, v in sorted({
-        "format": f"{REPORT_FORMAT}-thresholds", "version": REPORT_VERSION,
-        "method": report.method, **(meta or {})}.items()))
+    meta_bits = container.stamp(f"{REPORT_FORMAT}-thresholds",
+                                {"method": report.method, **(meta or {})})
     lines = [f"# {meta_bits}", "threshold,tc,tu,fu,fc,uacc,usen,uspe,upre"]
     for c, m in zip(report.confusions, report.metrics):
         lines.append(",".join(_csv_cell(v) for v in
@@ -294,12 +292,11 @@ def threshold_table_csv(report: UqReport, meta: dict | None = None) -> str:
 
 def entropy_histogram_csv(report: UqReport, meta: dict | None = None) -> str:
     hist = report.entropy_histogram
-    meta_bits = " ".join(f"{k}={v}" for k, v in sorted({
-        "format": f"{REPORT_FORMAT}-entropy-histogram", "version": REPORT_VERSION,
+    meta_bits = container.stamp(f"{REPORT_FORMAT}-entropy-histogram", {
         "method": report.method,
         "mean_entropy_correct": _csv_cell(hist.mean_entropy_correct),
         "mean_entropy_incorrect": _csv_cell(hist.mean_entropy_incorrect),
-        **(meta or {})}.items()))
+        **(meta or {})})
     lines = [f"# {meta_bits}", "bin_lower,bin_upper,correct_count,incorrect_count"]
     for i in range(len(hist.correct_counts)):
         lines.append(",".join(_csv_cell(v) for v in
@@ -330,10 +327,8 @@ def render_reliability_svg(bins: CalibrationBins, path, meta: dict | None = None
     ``meta`` pairs (seed, config digest, ...) are embedded in a leading
     comment so the file records what produced it.
     """
-    tags = " ".join(f"{k}={v}" for k, v in sorted((meta or {}).items()))
-    stamp = f"format=frauduq-reliability version=1{' ' + tags if tags else ''}"
     parts = [
-        f"<!-- {stamp} -->",
+        f"<!-- {container.stamp('frauduq-reliability', meta or {})} -->",
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
         f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
         f'<rect x="{_sx(0)}" y="{_sy(1)}" width="{float(_sx(1)) - float(_sx(0)):.2f}" '
@@ -371,5 +366,5 @@ def render_reliability_svg(bins: CalibrationBins, path, meta: dict | None = None
     parts.append(f'<text x="{_sx(0.04)}" y="{_sy(0.95)}" font-size="13">'
                  f'ECE = {bins.ece:.6f} (n = {bins.total})</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with container.open_atomic(path) as fh:
         fh.write("\n".join(parts) + "\n")

@@ -19,7 +19,6 @@ N_HIDDEN_LAYERS = 3
 PROB_FLOOR = 1e-12  # clamp before log so saturated outputs cannot yield -inf
 
 MODEL_FORMAT = "frauduq-network"
-MODEL_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -79,10 +78,6 @@ class Network:
     biases: list[np.ndarray]
     config: NetworkConfig
 
-    @property
-    def hidden_widths(self) -> tuple[int, ...]:
-        return self.config.hidden_units
-
 
 @dataclass
 class DropoutMask:
@@ -95,7 +90,6 @@ class DropoutMask:
     """
 
     layer_masks: list[np.ndarray]
-    rate: float
 
 
 @dataclass
@@ -168,7 +162,7 @@ def sample_dropout_mask(
             np.greater_equal(u, rate, out=u)  # 1.0 kept, 0.0 dropped
             u *= scale  # 1.0 * scale is exactly 1.0 / (1 - rate), and cheaper than dividing
             masks.append(u)
-    return DropoutMask(layer_masks=masks, rate=rate)
+    return DropoutMask(layer_masks=masks)
 
 
 def _check_input_width(net: Network, x: np.ndarray) -> None:
@@ -355,19 +349,14 @@ def train(config: NetworkConfig, data, seed: int | None = None) -> tuple[Network
 
 def save_network(net: Network, path) -> None:
     """Write the self-describing JSON model file (bitwise round-trip safe)."""
-    obj = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "config": container.to_plain(net.config),
-        "weights": [container.encode_array(w) for w in net.weights],
-        "biases": [container.encode_array(b) for b in net.biases],
-    }
+    obj = container.header(MODEL_FORMAT, config=container.to_plain(net.config),
+                           weights=[container.encode_array(w) for w in net.weights],
+                           biases=[container.encode_array(b) for b in net.biases])
     container.write_json(obj, path)
 
 
 def load_network(path) -> Network:
-    obj = container.read_json(path)
-    container.expect_format(obj, MODEL_FORMAT, MODEL_VERSION, path)
+    obj = container.read_artifact(path, MODEL_FORMAT)
     try:
         config = container.from_plain(NetworkConfig, obj.get("config")).validate()
     except ValidationError as exc:

@@ -8,7 +8,6 @@ it stopped. Every artifact is a pure function of (config, seed): no
 timestamps, hostnames, or absolute paths are ever written.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -30,6 +29,7 @@ from .data import (
 from .errors import DataError, FormatError, ValidationError
 from .evaluation import (
     DEFAULT_THRESHOLDS,
+    REPORT_FORMAT,
     build_report,
     entropy_histogram_csv,
     render_reliability_svg,
@@ -54,7 +54,6 @@ MANIFEST_FORMAT = "frauduq-manifest"
 ENSEMBLE_FORMAT = "frauduq-ensemble"
 SUMMARY_FORMAT = "frauduq-summary"
 CONFIG_FORMAT = "frauduq-config"
-PIPELINE_VERSION = 1
 
 PROFILE_PAPER = "paper"
 PROFILE_DESK = "desk"
@@ -200,7 +199,7 @@ class RunConfig:
         out so artifacts are identical wherever the run lands."""
         plain = container.to_plain(self)
         del plain["out"]
-        return {**plain, "format": CONFIG_FORMAT, "version": PIPELINE_VERSION}
+        return container.header(CONFIG_FORMAT, **plain)
 
 
 # Profiles: "desk" (the RunConfig defaults) is the paper's experiment
@@ -229,16 +228,11 @@ def load_run_config(path=None, profile: str | None = None, seed: int | None = No
     raw: dict = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: config is not valid JSON ({exc})") from exc
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{path}: config must be a JSON object")
-        fmt, version = raw.pop("format", CONFIG_FORMAT), raw.pop("version", PIPELINE_VERSION)
-        if fmt != CONFIG_FORMAT or type(version) is not int or version != PIPELINE_VERSION:
-            raise ValidationError(f"{path}: not a {CONFIG_FORMAT} v{PIPELINE_VERSION} file "
-                                  f"(format {fmt!r}, version {version!r})")
+            raw = container.read_json(path)
+            stated = {k: raw.pop(k) for k in ("format", "version") if k in raw}
+            container.check_header(container.header(CONFIG_FORMAT) | stated, CONFIG_FORMAT, path)
+        except FormatError as exc:  # a bad config file is bad input: exit 2, not 3
+            raise ValidationError(str(exc)) from exc
 
     name = profile or raw.get("profile", PROFILE_DESK)
     # An unknown or mistyped name merges over the defaults; validate() or
@@ -285,11 +279,10 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
 
     if manifest_path.is_file():
         try:
-            manifest = container.read_json(manifest_path)
+            manifest = container.read_artifact(manifest_path, MANIFEST_FORMAT)
         except (FormatError, OSError):
             manifest = {}
-        if (manifest.get("format") == MANIFEST_FORMAT
-                and manifest.get("config_digest") == config_digest
+        if (manifest.get("config_digest") == config_digest
                 and manifest.get("inputs") == input_digests
                 and all((stage_dir / rel).is_file()
                         and container.sha256_file(stage_dir / rel) == digest
@@ -300,14 +293,9 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
     stage_dir.mkdir(parents=True, exist_ok=True)
     produced = build(stage_dir)
     outputs = _relative_outputs(stage_dir, [Path(p) for p in produced])
-    container.write_json({
-        "format": MANIFEST_FORMAT,
-        "version": PIPELINE_VERSION,
-        "stage": name,
-        "config_digest": config_digest,
-        "inputs": input_digests,
-        "outputs": outputs,
-    }, manifest_path)
+    container.write_json(container.header(
+        MANIFEST_FORMAT, stage=name, config_digest=config_digest,
+        inputs=input_digests, outputs=outputs), manifest_path)
     return StageResult(name, stage_dir, False, outputs)
 
 
@@ -343,8 +331,7 @@ def stage_data(config: RunConfig, log=print) -> StageResult:
             schema = CsvSchema.from_file(config.data.csv.schema)
             raw = load_csv(config.data.csv.path, schema)
             log(f"[data] loaded {raw.n_rows} rows x {len(raw.column_names)} columns")
-            train_raw, test_raw = split_train_test(
-                raw, config.train_fraction, stratified=True, seed=config.seed)
+            train_raw, test_raw = split_train_test(raw, config.train_fraction, seed=config.seed)
             state = fit_preprocessor(train_raw)
             train_t = apply_preprocessor(state, train_raw)
             test_t = apply_preprocessor(state, test_raw)
@@ -356,8 +343,7 @@ def stage_data(config: RunConfig, log=print) -> StageResult:
                                    noise_seed=config.seed)
             log(f"[data] synthesized {table.n_rows} rows of {s.n_features} features "
                 f"(separation {s.separation})")
-            train_t, test_t = split_train_test(
-                table, config.train_fraction, stratified=True, seed=config.seed)
+            train_t, test_t = split_train_test(table, config.train_fraction, seed=config.seed)
             extra = []
         save_features(train_t, stage_dir / "train.json")
         save_features(test_t, stage_dir / "test.json")
@@ -410,14 +396,10 @@ def stage_train(config: RunConfig, needs: tuple[str, ...], log=print) -> StageRe
                 save_network(net, member_path)
                 files.append(member_path.name)
                 produced.append(member_path)
-            container.write_json({
-                "format": ENSEMBLE_FORMAT,
-                "version": PIPELINE_VERSION,
-                "members": spec.members,
-                "master_seed": spec.master_seed,
-                "width_ranges": [list(r) for r in spec.width_ranges],
-                "files": files,
-            }, ens_dir / "spec.json")
+            container.write_json(container.header(
+                ENSEMBLE_FORMAT, members=spec.members, master_seed=spec.master_seed,
+                width_ranges=[list(r) for r in spec.width_ranges], files=files),
+                ens_dir / "spec.json")
             produced.append(ens_dir / "spec.json")
         return produced
 
@@ -428,8 +410,7 @@ def stage_train(config: RunConfig, needs: tuple[str, ...], log=print) -> StageRe
 def _ensemble_files(ens_dir: Path) -> list[Path]:
     """spec.json plus every member file, all verified to exist."""
     spec_path = _require_file(ens_dir / "spec.json", "train an ensemble first")
-    spec = container.read_json(spec_path)
-    container.expect_format(spec, ENSEMBLE_FORMAT, PIPELINE_VERSION, spec_path)
+    spec = container.read_artifact(spec_path, ENSEMBLE_FORMAT)
     return [spec_path,
             *(_require_file(ens_dir / name, "the ensemble directory is incomplete")
               for name in spec["files"])]
@@ -515,10 +496,10 @@ def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print) ->
                               thresholds=config.thresholds, m_bins=config.m_bins)
         meta = {"seed": config.seed, "config_digest": _digest_of(stage_config)}
         container.write_json(report_to_dict(report, meta), stage_dir / "report.json")
-        (stage_dir / "thresholds.csv").write_text(
-            threshold_table_csv(report, meta), encoding="utf-8")
-        (stage_dir / "entropy_histogram.csv").write_text(
-            entropy_histogram_csv(report, meta), encoding="utf-8")
+        for name, text in (("thresholds.csv", threshold_table_csv(report, meta)),
+                           ("entropy_histogram.csv", entropy_histogram_csv(report, meta))):
+            with container.open_atomic(stage_dir / name) as fh:
+                fh.write(text)
         render_reliability_svg(report.calibration, stage_dir / "reliability.svg", meta)
         row = _threshold_row(report_to_dict(report), config.report_threshold, dump_path)
         log(f"[evaluate] {report.method}: n={report.n} acc={report.classic.accuracy:.4f} "
@@ -555,7 +536,7 @@ def stage_summary(config: RunConfig, methods=METHODS, log=print) -> StageResult:
     def build(stage_dir: Path):
         rows = {}
         for m, path in report_paths.items():
-            report_obj = container.read_json(path)
+            report_obj = container.read_artifact(path, REPORT_FORMAT)
             row = _threshold_row(report_obj, config.report_threshold, path)
             rows[m] = {
                 "uacc": row["uacc"], "usen": row["usen"],
@@ -564,22 +545,18 @@ def stage_summary(config: RunConfig, methods=METHODS, log=print) -> StageResult:
                 "ece": report_obj["calibration"]["ece"],
                 "n": report_obj["n"],
             }
-        container.write_json({
-            "format": SUMMARY_FORMAT,
-            "version": PIPELINE_VERSION,
-            "seed": config.seed,
-            "threshold": config.report_threshold,
-            "methods": rows,
-        }, stage_dir / "summary.json")
+        container.write_json(container.header(
+            SUMMARY_FORMAT, seed=config.seed, threshold=config.report_threshold,
+            methods=rows), stage_dir / "summary.json")
 
-        lines = [f"# format={SUMMARY_FORMAT}-table version={PIPELINE_VERSION} "
-                 f"seed={config.seed} threshold={config.report_threshold:g}",
-                 "method,uacc,usen,uspe,upre"]
-        for m in methods:
-            r = rows[m]
-            lines.append(",".join([m] + [("NA" if r[k] is None else repr(r[k]))
-                                         for k in ("uacc", "usen", "uspe", "upre")]))
-        (stage_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with container.open_atomic(stage_dir / "summary.csv") as fh:
+            stamp = container.stamp(f"{SUMMARY_FORMAT}-table", {
+                "seed": config.seed, "threshold": f"{config.report_threshold:g}"})
+            fh.write(f"# {stamp}\nmethod,uacc,usen,uspe,upre\n")
+            for m in methods:
+                cells = ["NA" if rows[m][k] is None else repr(rows[m][k])
+                         for k in ("uacc", "usen", "uspe", "upre")]
+                fh.write(",".join([m, *cells]) + "\n")
 
         log(f"[summary] threshold {config.report_threshold:g}")
         log("  method    uacc    usen    uspe    upre")
@@ -598,10 +575,13 @@ def stage_summary(config: RunConfig, methods=METHODS, log=print) -> StageResult:
 def cmd_synth(config: RunConfig, log=print) -> Path:
     """Write the full (unsplit) synthetic FeatureTable to <out>/synth.json."""
     _write_config_snapshot(config)
-    s = config.data.synth or SynthSpec()  # a csv config synthesizes the defaults
+    s = config.data.synth or SynthSpec()
     table = synth_generate(s.n_per_class, s.n_features, s.separation, noise_seed=config.seed)
     path = Path(config.out) / "synth.json"
     save_features(table, path)
+    if config.uses_csv:
+        log(f"[synth] data.csv ({config.data.csv.path}) is ignored: synth writes the "
+            f"built-in generator's table with its default settings")
     log(f"[synth] wrote {table.n_rows} rows x {s.n_features} features to {path}")
     return path
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import container
 from .errors import DataError, FormatError, ShapeError, ValidationError
 from .network import Network, NetworkConfig, first_hidden, forward, sample_dropout_mask, train
 from .seeding import STREAM_MEMBER, STREAM_PREDICT, derive_seed, substream
@@ -219,7 +220,6 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
 
 
 DUMP_FORMAT = "frauduq-predictions"
-DUMP_VERSION = 1
 DUMP_COLUMNS = ("index", "method", "mean_prob_genuine", "mean_prob_fraud",
                 "predicted_class", "entropy_raw", "entropy_norm", "label")
 
@@ -229,12 +229,12 @@ def write_dump(path_jsonl, path_csv, method: str, estimates: Estimates,
     """Write the per-input prediction dump as JSON lines and CSV.
 
     The first JSONL line and a leading ``#`` CSV line carry the metadata
-    (format version, method, seed, config digest). Column order follows
-    DUMP_COLUMNS; floats use shortest round-trip formatting.
+    (format, version, method, seed, config digest). Rows stream into each
+    file, which replaces the old one only when complete. Column order
+    follows DUMP_COLUMNS; floats use shortest round-trip formatting.
     """
     n = len(estimates)
-    header = {"format": DUMP_FORMAT, "version": DUMP_VERSION, "method": method,
-              "n": n, **(meta or {})}
+    header = container.header(DUMP_FORMAT, method=method, n=n, **(meta or {}))
     labels = [None] * n if labels is None else [None if y is None else int(y) for y in labels]
     if len(labels) != n:
         raise DataError("labels and estimates are misaligned")
@@ -242,16 +242,15 @@ def write_dump(path_jsonl, path_csv, method: str, estimates: Estimates,
                               estimates.entropy_raw.tolist(), estimates.entropy_norm.tolist(),
                               labels)))
 
-    with open(path_jsonl, "w", encoding="utf-8") as fh:
+    with container.open_atomic(path_jsonl) as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         fh.writelines(json.dumps({
             "index": i, "mean_probs": probs, "predicted_class": pred,
             "entropy_raw": raw, "entropy_norm": norm, "label": label,
         }, sort_keys=True) + "\n" for i, (probs, pred, raw, norm, label) in rows)
 
-    meta_bits = " ".join(f"{k}={v}" for k, v in sorted(header.items()))
-    with open(path_csv, "w", encoding="utf-8") as fh:
-        fh.write(f"# {meta_bits}\n")
+    with container.open_atomic(path_csv) as fh:
+        fh.write(f"# {container.stamp(DUMP_FORMAT, header)}\n")
         fh.write(",".join(DUMP_COLUMNS) + "\n")
         fh.writelines(",".join([
             str(i), method, repr(probs[0]), repr(probs[1]), str(pred), repr(raw), repr(norm),
@@ -271,9 +270,7 @@ def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
             header = json.loads(fh.readline())
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path_jsonl}: invalid JSONL header at offset {exc.pos}") from exc
-        if (not isinstance(header, dict) or header.get("format") != DUMP_FORMAT
-                or header.get("version") != DUMP_VERSION):
-            raise FormatError(f"{path_jsonl}: not a {DUMP_FORMAT} v{DUMP_VERSION} file")
+        container.check_header(header, DUMP_FORMAT, path_jsonl)
         records = []
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():

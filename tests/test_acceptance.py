@@ -261,7 +261,7 @@ def entropy_gap_holds(seed: int) -> dict:
     """One desk-profile run; True per method iff mean entropy_norm of
     misclassified test points exceeds that of the correctly classified."""
     table = synth_generate(500, 8, 2.0, noise_seed=seed)
-    train_t, test_t = split_train_test(table, 0.7, stratified=True, seed=seed)
+    train_t, test_t = split_train_test(table, 0.7, seed=seed)
 
     single_config = NetworkConfig(input_units=8, hidden_units=(32, 16, 8),
                                   epochs=20, batch_size=64,
@@ -328,7 +328,7 @@ def test_criterion_7_paper_numbers_on_real_data():
 
     accuracies = []
     for seed in range(10):
-        train_raw, test_raw = split_train_test(raw, 0.7, stratified=True, seed=seed)
+        train_raw, test_raw = split_train_test(raw, 0.7, seed=seed)
         state = fit_preprocessor(train_raw)
         train_t, test_t = apply_preprocessor(state, train_raw), apply_preprocessor(state, test_raw)
         config = NetworkConfig(input_units=train_t.features.shape[1],
@@ -345,7 +345,7 @@ def test_criterion_7_paper_numbers_on_real_data():
                 "emcd": (0.84, 0.69, 0.86, 0.32)}
     rankings = []
     for master_seed in range(3):
-        train_raw, test_raw = split_train_test(raw, 0.7, stratified=True, seed=master_seed)
+        train_raw, test_raw = split_train_test(raw, 0.7, seed=master_seed)
         state = fit_preprocessor(train_raw)
         train_t, test_t = apply_preprocessor(state, train_raw), apply_preprocessor(state, test_raw)
         input_units = train_t.features.shape[1]

@@ -158,7 +158,7 @@ def balanced_table(n_per_class):
 def test_split_reproduces_published_row_counts():
     """41,326 balanced rows at 70/30 -> 28,928 train / 12,398 test."""
     table = balanced_table(20663)
-    train, test = split_train_test(table, 0.7, stratified=True, seed=1)
+    train, test = split_train_test(table, 0.7, seed=1)
     assert train.n_rows == 28928
     assert test.n_rows == 12398
     assert int(train.labels.sum()) == 14464
@@ -173,8 +173,8 @@ def test_split_disjoint_exhaustive_deterministic():
         seed = int(rng.integers(0, 1000))
         table = balanced_table(n_per_class)
 
-        tr_a, te_a = split_train_test(table, frac, stratified=True, seed=seed)
-        tr_b, te_b = split_train_test(table, frac, stratified=True, seed=seed)
+        tr_a, te_a = split_train_test(table, frac, seed=seed)
+        tr_b, te_b = split_train_test(table, frac, seed=seed)
         assert np.array_equal(tr_a.features, tr_b.features)
 
         ids = np.concatenate([tr_a.features[:, 0], te_a.features[:, 0]])
@@ -190,7 +190,7 @@ def test_split_rejects_bad_fraction_and_single_class():
         split_train_test(table, 1.0)
     lone = FeatureTable(features=np.zeros((4, 1)), labels=np.zeros(4, dtype=np.int64))
     with pytest.raises(DataError):
-        split_train_test(lone, 0.5, stratified=True)
+        split_train_test(lone, 0.5)
 
 
 # --- synthetic data ----------------------------------------------------------------
@@ -267,3 +267,10 @@ def test_load_features_rejects_wrong_format(tmp_path):
     path.write_text('{"format": "something-else", "version": 1}')
     with pytest.raises(FormatError):
         load_features(path)
+
+    # the version must be the int 1, not a value that merely compares equal
+    for i, version in enumerate(["true", "1.0"]):
+        path = tmp_path / f"loose{i}.json"
+        path.write_text(f'{{"format": "frauduq-features", "version": {version}}}')
+        with pytest.raises(FormatError, match=f"loose{i}.json: not a frauduq-features v1"):
+            load_features(path)

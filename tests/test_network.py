@@ -342,3 +342,12 @@ def test_load_rejects_truncated_and_mismatched_files(tmp_path):
         doctored.write_text(json.dumps(obj))
         with pytest.raises(FormatError, match=f"doctored.json: .*{key}"):
             load_network(doctored)
+
+    # the version must be the int 1, not a value that merely compares equal
+    for i, version in enumerate([True, 1.0]):
+        obj = json.loads(path.read_text())
+        obj["version"] = version
+        loose = tmp_path / f"loose{i}.json"
+        loose.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match=f"loose{i}.json: not a frauduq-network v1"):
+            load_network(loose)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from frauduq import cli, pipeline
-from frauduq.container import read_json
+from frauduq.container import check_header, read_json
 from frauduq.errors import ValidationError
 
 TINY = {
@@ -103,6 +103,12 @@ def test_config_validation_rejections(tmp_path):
     broken.write_text("{nope")
     with pytest.raises(ValidationError, match="not valid JSON"):
         pipeline.load_run_config(broken)
+    broken.write_bytes(b'{"seed": "\xff"}')
+    with pytest.raises(ValidationError, match="broken.json: not valid UTF-8"):
+        pipeline.load_run_config(broken)
+    broken.write_text("[7]")
+    with pytest.raises(ValidationError, match="broken.json: expected a JSON object"):
+        pipeline.load_run_config(broken)
 
     # format and version may be left out, but a foreign file is refused
     for i, tag in enumerate([{"format": "not-a-config"}, {"version": 99}, {"version": "1"},
@@ -156,6 +162,25 @@ def test_reproduce_chain_writes_everything(tmp_path):
     header = (out / "summary/summary.csv").read_text().splitlines()[1]
     assert header == "method,uacc,usen,uspe,upre"
 
+    # every file names its format and version 1, and no temp file is left
+    json_formats = {"config.json": "frauduq-config", "train.json": "frauduq-features",
+                    "test.json": "frauduq-features", "single.json": "frauduq-network",
+                    "spec.json": "frauduq-ensemble", "manifest.json": "frauduq-manifest",
+                    "report.json": "frauduq-report", "summary.json": "frauduq-summary"}
+    assert not list(out.rglob("*.tmp"))
+    for path in (p for p in sorted(out.rglob("*")) if p.is_file()):
+        if path.suffix == ".json":
+            fmt = "frauduq-network" if path.name.startswith("member_") else json_formats[path.name]
+            check_header(read_json(path), fmt, path)
+        elif path.suffix == ".jsonl":
+            check_header(json.loads(path.read_text().splitlines()[0]),
+                         "frauduq-predictions", path)
+        else:
+            assert path.suffix in (".csv", ".svg"), path
+            first = path.read_text().splitlines()[0].split()
+            assert any(w.startswith("format=frauduq-") for w in first), path
+            assert "version=1" in first, path
+
 
 def test_reproduce_is_deterministic_across_directories(tmp_path):
     pipeline.cmd_reproduce(run_config(tmp_path, "a"), log=quiet)
@@ -190,12 +215,15 @@ def test_unreadable_manifest_reruns_the_stage(tmp_path):
     pipeline.cmd_preprocess(config, log=quiet)
     manifest = tmp_path / "out" / "data" / "manifest.json"
     good = manifest.read_bytes()
-    manifest.write_text("{not json")
-
-    messages = []
-    pipeline.stage_data(config, log=messages.append)
-    assert not any("skipping" in m for m in messages)
-    assert manifest.read_bytes() == good
+    # unparsable, then intact but for a version this code does not write
+    newer = good.decode().replace('"version": 1', '"version": 2')
+    assert newer != good.decode()
+    for doctored in ("{not json", newer):
+        manifest.write_text(doctored)
+        messages = []
+        pipeline.stage_data(config, log=messages.append)
+        assert not any("skipping" in m for m in messages)
+        assert manifest.read_bytes() == good
 
 
 def test_predict_requires_matching_feature_width(tmp_path):
@@ -220,6 +248,17 @@ def test_cmd_synth_writes_feature_table(tmp_path):
     table = load_features(path)
     assert table.n_rows == 80
     assert table.features.shape[1] == 4
+
+    # a csv source does not apply to synth, and synth says so
+    for name in ("rows.csv", "rows.schema.json"):
+        (tmp_path / name).write_text("")
+    csv_config = dataclasses.replace(config, data=pipeline.DataSource(csv=pipeline.CsvSource(
+        str(tmp_path / "rows.csv"), str(tmp_path / "rows.schema.json"))))
+    messages = []
+    path = pipeline.cmd_synth(csv_config, log=messages.append)
+    assert load_features(path).n_rows == 1000
+    assert any("rows.csv" in m and "is ignored" in m and "default settings" in m
+               for m in messages), messages
 
 
 # --- CLI ------------------------------------------------------------------------

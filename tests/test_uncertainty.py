@@ -1,12 +1,14 @@
 """Tests for the sampling engine, the entropy summary, ensemble
 construction, and the prediction dump files."""
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
+from frauduq import container
 from frauduq.data import FeatureTable
 from frauduq.errors import DataError, FormatError, ShapeError, ValidationError
 from frauduq.evaluation import uq_confusion
@@ -347,11 +349,49 @@ def test_dump_round_trip(tmp_path):
                        "predicted_class,entropy_raw,entropy_norm,label"
 
 
+def test_failed_writes_leave_old_files_whole(tmp_path):
+    """A write that raises partway leaves the previous file byte for byte
+    and no temp file beside it."""
+    target = tmp_path / "note.txt"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with container.open_atomic(target) as fh:
+            fh.write("new, but never finished\n")
+            raise RuntimeError("killed mid-write")
+    with pytest.raises(TypeError):
+        container.write_json({"ok": 1, "not json": object()}, target)
+    assert target.read_text() == "old\n"
+
+    net = init_network(BASE, seed=6)
+    estimates = predict_table("mcd", [net], np.random.default_rng(47).normal(size=(5, 3)), 4)
+    jsonl, csv = tmp_path / "d.jsonl", tmp_path / "d.csv"
+    write_dump(jsonl, csv, "mcd", estimates, None)
+    old = {p: p.read_bytes() for p in (jsonl, csv)}
+    # row 3 cannot be written: as JSON (both files keep their bytes), then
+    # as CSV (the JSONL is complete and replaced, the CSV keeps its bytes)
+    for bad_row, error, kept in (([object(), 0.5], TypeError, (jsonl, csv)),
+                                 ([0.5], IndexError, (csv,))):
+        probs = np.empty(5, dtype=object)
+        for i, row in enumerate(estimates.mean_probs.tolist()):
+            probs[i] = bad_row if i == 3 else row
+        with pytest.raises(error):
+            write_dump(jsonl, csv, "mcd", dataclasses.replace(estimates, mean_probs=probs), None)
+        assert all(p.read_bytes() == old[p] for p in kept)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.jsonl", "note.txt"]
+
+
 def test_read_dump_rejects_foreign_and_truncated(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"format": "other", "version": 1}\n')
     with pytest.raises(FormatError):
         read_dump(bad)
+
+    # the version must be the int 1, not a value that merely compares equal
+    for i, version in enumerate(["true", "1.0"]):
+        loose = tmp_path / f"loose{i}.jsonl"
+        loose.write_text(f'{{"format": "frauduq-predictions", "n": 0, "version": {version}}}\n')
+        with pytest.raises(FormatError, match=f"loose{i}.jsonl: not a frauduq-predictions v1"):
+            read_dump(loose)
 
     chopped = tmp_path / "chopped.jsonl"
     chopped.write_text('{"format": "frauduq-predictions", "version": 1}\n{"index": 0,')
