@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import DataError, FormatError, ValidationError
 
 VERSION = 1
 
@@ -112,12 +112,19 @@ def write_json(obj, path) -> None:
         fh.write(dumps_canonical(obj))
 
 
+@contextlib.contextmanager
+def utf8_text(path):
+    """A block reading ``path`` as text: a non-UTF-8 byte is a FormatError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+
+
 def read_json(path) -> dict:
     """Parse a JSON file; FormatError carries the byte offset on parse failure."""
-    try:
+    with utf8_text(path):
         text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -127,9 +134,25 @@ def read_json(path) -> dict:
     return obj
 
 
-def read_artifact(path, fmt: str) -> dict:
-    """Read a JSON artifact and check that it is a ``fmt`` file."""
-    return check_header(read_json(path), fmt, path)
+def read_artifact(path, fmt: str, cls=None):
+    """Read a JSON artifact and check that it is a ``fmt`` file; given a
+    dataclass ``cls``, return the file's other keys as one, built by
+    :func:`from_plain` and checked by its ``validate()`` if it has one.
+    Any fault is a FormatError naming the file and the key."""
+    obj = check_header(read_json(path), fmt, path)
+    if cls is None:
+        return obj
+    fields = {k: v for k, v in obj.items() if k not in ("format", "version")}
+    try:
+        artifact = from_plain(cls, fields, noun=fmt)
+        return artifact.validate() if hasattr(artifact, "validate") else artifact
+    except (ValidationError, DataError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def write_artifact(obj, fmt: str, path) -> None:
+    """Write the dataclass ``obj`` as a ``fmt`` file (see read_artifact)."""
+    write_json(header(fmt, **to_plain(obj)), path)
 
 
 def sha256_file(path) -> str:
@@ -145,21 +168,25 @@ def sha256_text(text: str) -> str:
 
 
 def to_plain(obj):
-    """A config dataclass as plain JSON values: an object of its fields,
-    tuples as lists. Fields that are None are left out, so None means
-    "absent" and never reaches a file."""
+    """A dataclass as plain JSON values: an object of its fields, arrays
+    as :func:`encode_array` records, tuples as lists. Fields that are None
+    are left out, so None means "absent" and never reaches a file."""
     if dataclasses.is_dataclass(obj):
         return {f.name: to_plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)
                 if getattr(obj, f.name) is not None}
-    if isinstance(obj, tuple):
+    if isinstance(obj, (tuple, list)):
         return [to_plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_plain(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return encode_array(obj)
     return obj
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
-def from_plain(cls, obj, base=None, where: str = ""):
+def from_plain(cls, obj, base=None, where: str = "", noun: str = "config"):
     """Build the dataclass ``cls`` from a parsed JSON object, checked
     against the field annotations; the inverse of :func:`to_plain`.
 
@@ -172,25 +199,27 @@ def from_plain(cls, obj, base=None, where: str = ""):
 
     Types are strict: an int field takes an int but not a bool, a float
     field takes an int or a finite float (stored as a float) but not a
-    bool, a tuple field takes a list of its first argument's type, and no
-    field takes null. A ValidationError names the offending key by its
-    path; ``where`` is the path of ``obj`` itself, empty at the top.
+    bool, a tuple or list field takes a list of its first argument's type,
+    a dict field an object, an array field an array record, and no field
+    takes null. A ValidationError (FormatError for an array) names the
+    offending key by its path: ``where`` is the path of ``obj`` itself,
+    empty at the top, which messages call ``noun``.
     """
-    name, label = where or "config", f"config {where}".rstrip()
+    name, label = where or noun, f"{noun} {where}".rstrip()
     if not isinstance(obj, dict):
         raise ValidationError(f"{label} must be an object, got {obj!r}")
     hints = typing.get_type_hints(cls)
     unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ValidationError(f"unknown config key(s) in {name}: {sorted(unknown)}")
-    if _is_choice(cls):
+        raise ValidationError(f"unknown {noun} key(s) in {name}: {sorted(unknown)}")
+    if all(f.default is None for f in dataclasses.fields(cls)):  # a choice: built afresh
         base = None
     values = {}
     for key, value in obj.items():
         kind = _strip_none(hints[key])
         if dataclasses.is_dataclass(kind):
             values[key] = from_plain(kind, value, None if base is None else getattr(base, key),
-                                     f"{where}.{key}" if where else key)
+                                     f"{where}.{key}" if where else key, noun)
         else:
             values[key] = _typed(value, kind, f"{name}.{key}")
     if base is not None:
@@ -209,18 +238,21 @@ def _strip_none(kind):
     return kind
 
 
-def _is_choice(cls) -> bool:
-    """Whether every field of ``cls`` defaults to None (see from_plain)."""
-    return all(f.default is None for f in dataclasses.fields(cls))
-
-
 def _typed(value, kind, where: str):
-    """Check one leaf value strictly; lists come back as tuples."""
-    if typing.get_origin(kind) is tuple:
+    """Check one leaf value strictly; lists come back as the field's type."""
+    origin = typing.get_origin(kind)
+    if kind is np.ndarray:
+        return decode_array(value, where)
+    if origin in (tuple, list):
         if not isinstance(value, list):
             raise ValidationError(f"{where} must be a list, got {value!r}")
         item = typing.get_args(kind)[0]
-        return tuple(_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+        return origin(_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ValidationError(f"{where} must be an object, got {value!r}")
+        item = typing.get_args(kind)[1]
+        return {k: _typed(v, item, f"{where}.{k}") for k, v in value.items()}
     accepted = (int, float) if kind is float else kind
     if (isinstance(value, bool) or not isinstance(value, accepted)
             or (kind is float and not abs(value) <= sys.float_info.max)):  # NaN fails too

@@ -28,30 +28,25 @@ SCHEMA_FORMAT = "frauduq-schema"
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """Names the label column and optionally pins per-column kinds.
+    """A schema file: names the label column and optionally pins kinds.
 
     Columns not listed in ``kinds`` are inferred: numeric if every
     observed cell parses as a float, categorical otherwise.
     """
 
-    label_column: str
-    kinds: dict = field(default_factory=dict)
+    label: str
+    kinds: dict[str, str] = field(default_factory=dict)
     missing_values: tuple[str, ...] = DEFAULT_MISSING
+
+    def validate(self) -> "CsvSchema":
+        for col, kind in self.kinds.items():
+            if kind not in (NUMERIC, CATEGORICAL):
+                raise ValidationError(f"column {col!r} has unknown kind {kind!r}")
+        return self
 
     @classmethod
     def from_file(cls, path) -> "CsvSchema":
-        obj = container.read_artifact(path, SCHEMA_FORMAT)
-        if "label" not in obj:
-            raise FormatError(f"{path}: schema must name a 'label' column")
-        kinds = obj.get("kinds", {})
-        for col, kind in kinds.items():
-            if kind not in (NUMERIC, CATEGORICAL):
-                raise FormatError(f"{path}: column {col!r} has unknown kind {kind!r}")
-        return cls(
-            label_column=obj["label"],
-            kinds=kinds,
-            missing_values=tuple(obj.get("missing_values", DEFAULT_MISSING)),
-        )
+        return container.read_artifact(path, SCHEMA_FORMAT, cls)
 
 
 @dataclass
@@ -127,15 +122,15 @@ def load_csv(path, schema: CsvSchema) -> RawTable:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
+    with fh, container.utf8_text(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: file is empty, no header row") from None
-        if schema.label_column not in header:
-            raise DataError(f"{path}: label column {schema.label_column!r} not in header")
-        label_pos = header.index(schema.label_column)
+        if schema.label not in header:
+            raise DataError(f"{path}: label column {schema.label!r} not in header")
+        label_pos = header.index(schema.label)
         feature_names = [h for i, h in enumerate(header) if i != label_pos]
 
         missing = set(schema.missing_values)
@@ -376,18 +371,8 @@ def synth_generate(n_per_class: int, d: int, class_separation: float, noise_seed
 
 
 def save_features(table: FeatureTable, path) -> None:
-    obj = container.header(FEATURES_FORMAT, provenance=table.provenance,
-                           features=container.encode_array(table.features),
-                           labels=container.encode_array(table.labels))
-    container.write_json(obj, path)
+    container.write_artifact(table, FEATURES_FORMAT, path)
 
 
 def load_features(path) -> FeatureTable:
-    obj = container.read_artifact(path, FEATURES_FORMAT)
-    try:
-        features = container.decode_array(obj["features"], f"{path}: features")
-        labels = container.decode_array(obj["labels"], f"{path}: labels")
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing {exc} array") from exc
-    return FeatureTable(features=features, labels=labels,
-                        provenance=obj.get("provenance", "")).validate()
+    return container.read_artifact(path, FEATURES_FORMAT, FeatureTable)

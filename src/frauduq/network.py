@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import container
-from .errors import DataError, FormatError, NumericError, ShapeError, ValidationError
+from .errors import DataError, NumericError, ShapeError, ValidationError
 from .seeding import STREAM_INIT, STREAM_TRAIN, substream
 
 N_HIDDEN_LAYERS = 3
@@ -77,6 +77,15 @@ class Network:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     config: NetworkConfig
+
+    def validate(self) -> "Network":
+        """Check the config and that every array has its layer's shape."""
+        dims = self.config.validate().layer_dims
+        shapes = [w.shape for w in self.weights] + [b.shape for b in self.biases]
+        declared = dims + [(out_units,) for out_units, _ in dims]
+        if shapes != declared:
+            raise ShapeError(f"array shapes {shapes} do not match the config's {declared}")
+        return self
 
 
 @dataclass
@@ -349,37 +358,8 @@ def train(config: NetworkConfig, data, seed: int | None = None) -> tuple[Network
 
 def save_network(net: Network, path) -> None:
     """Write the self-describing JSON model file (bitwise round-trip safe)."""
-    obj = container.header(MODEL_FORMAT, config=container.to_plain(net.config),
-                           weights=[container.encode_array(w) for w in net.weights],
-                           biases=[container.encode_array(b) for b in net.biases])
-    container.write_json(obj, path)
+    container.write_artifact(net, MODEL_FORMAT, path)
 
 
 def load_network(path) -> Network:
-    obj = container.read_artifact(path, MODEL_FORMAT)
-    try:
-        config = container.from_plain(NetworkConfig, obj.get("config")).validate()
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    try:
-        weights = [container.decode_array(w, f"{path}: weights[{i}]")
-                   for i, w in enumerate(obj["weights"])]
-        biases = [container.decode_array(b, f"{path}: biases[{i}]")
-                  for i, b in enumerate(obj["biases"])]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: missing parameter arrays ({exc})") from exc
-
-    dims = config.layer_dims
-    if len(weights) != len(dims) or len(biases) != len(dims):
-        raise FormatError(f"{path}: expected {len(dims)} layers")
-    for i, (out_units, in_units) in enumerate(dims):
-        if weights[i].shape != (out_units, in_units):
-            raise FormatError(
-                f"{path}: weights[{i}] shape {weights[i].shape} does not match "
-                f"declared dims ({out_units}, {in_units})"
-            )
-        if biases[i].shape != (out_units,):
-            raise FormatError(
-                f"{path}: biases[{i}] shape {biases[i].shape} does not match ({out_units},)"
-            )
-    return Network(weights=weights, biases=biases, config=config)
+    return container.read_artifact(path, MODEL_FORMAT, Network)

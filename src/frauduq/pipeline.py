@@ -247,6 +247,31 @@ def load_run_config(path=None, profile: str | None = None, seed: int | None = No
 # --- stage machinery ------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Manifest:
+    """A stage's ``manifest.json``: the digests that prove it ran."""
+
+    stage: str
+    config_digest: str
+    inputs: dict[str, str]  # input label -> sha256
+    outputs: dict[str, str]  # path relative to the stage dir -> sha256
+
+
+@dataclass(frozen=True)
+class EnsembleFile:
+    """An ensemble directory's ``spec.json``; ``files`` in member order."""
+
+    members: int
+    master_seed: int
+    width_ranges: tuple[tuple[int, int], ...]
+    files: tuple[str, ...]
+
+    def validate(self) -> "EnsembleFile":
+        if len(self.files) != self.members:
+            raise ValidationError(f"{len(self.files)} files listed for {self.members} members")
+        return self
+
+
 @dataclass
 class StageResult:
     name: str
@@ -257,10 +282,6 @@ class StageResult:
 
 def _digest_of(obj) -> str:
     return container.sha256_text(container.dumps_canonical(obj))
-
-
-def _relative_outputs(stage_dir: Path, paths) -> dict:
-    return {p.relative_to(stage_dir).as_posix(): container.sha256_file(p) for p in paths}
 
 
 def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
@@ -279,23 +300,23 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
 
     if manifest_path.is_file():
         try:
-            manifest = container.read_artifact(manifest_path, MANIFEST_FORMAT)
+            manifest = container.read_artifact(manifest_path, MANIFEST_FORMAT, Manifest)
         except (FormatError, OSError):
-            manifest = {}
-        if (manifest.get("config_digest") == config_digest
-                and manifest.get("inputs") == input_digests
+            manifest = None
+        if (manifest is not None and manifest.config_digest == config_digest
+                and manifest.inputs == input_digests
                 and all((stage_dir / rel).is_file()
                         and container.sha256_file(stage_dir / rel) == digest
-                        for rel, digest in manifest.get("outputs", {}).items())):
+                        for rel, digest in manifest.outputs.items())):
             log(f"[{name}] up to date, skipping")
-            return StageResult(name, stage_dir, True, manifest["outputs"])
+            return StageResult(name, stage_dir, True, manifest.outputs)
 
     stage_dir.mkdir(parents=True, exist_ok=True)
     produced = build(stage_dir)
-    outputs = _relative_outputs(stage_dir, [Path(p) for p in produced])
-    container.write_json(container.header(
-        MANIFEST_FORMAT, stage=name, config_digest=config_digest,
-        inputs=input_digests, outputs=outputs), manifest_path)
+    outputs = {Path(p).relative_to(stage_dir).as_posix(): container.sha256_file(p)
+               for p in produced}
+    container.write_artifact(Manifest(name, config_digest, input_digests, outputs),
+                             MANIFEST_FORMAT, manifest_path)
     return StageResult(name, stage_dir, False, outputs)
 
 
@@ -390,16 +411,13 @@ def stage_train(config: RunConfig, needs: tuple[str, ...], log=print) -> StageRe
                     f"{list(member_cfg.hidden_units)} final loss {history[-1]:.6f}")
 
             members = train_ensemble(spec, data, log=member_log)
-            files = []
-            for i, net in enumerate(members):
-                member_path = ens_dir / f"member_{i:03d}.json"
-                save_network(net, member_path)
-                files.append(member_path.name)
-                produced.append(member_path)
-            container.write_json(container.header(
-                ENSEMBLE_FORMAT, members=spec.members, master_seed=spec.master_seed,
-                width_ranges=[list(r) for r in spec.width_ranges], files=files),
-                ens_dir / "spec.json")
+            files = tuple(f"member_{i:03d}.json" for i in range(len(members)))
+            for net, name in zip(members, files):
+                save_network(net, ens_dir / name)
+                produced.append(ens_dir / name)
+            container.write_artifact(EnsembleFile(spec.members, spec.master_seed,
+                                                  spec.width_ranges, files),
+                                     ENSEMBLE_FORMAT, ens_dir / "spec.json")
             produced.append(ens_dir / "spec.json")
         return produced
 
@@ -407,18 +425,10 @@ def stage_train(config: RunConfig, needs: tuple[str, ...], log=print) -> StageRe
                      {"train": train_path}, build, log)
 
 
-def _ensemble_files(ens_dir: Path) -> list[Path]:
-    """spec.json plus every member file, all verified to exist."""
-    spec_path = _require_file(ens_dir / "spec.json", "train an ensemble first")
-    spec = container.read_artifact(spec_path, ENSEMBLE_FORMAT)
-    return [spec_path,
-            *(_require_file(ens_dir / name, "the ensemble directory is incomplete")
-              for name in spec["files"])]
-
-
 def _model_files(method: str, model_path: Path) -> list[Path]:
-    """Every file making up the model artifact, with mismatches rejected
-    before anything is read."""
+    """Every file making up the model artifact (for an ensemble, spec.json
+    and then its member files), all verified to exist, with mismatches
+    rejected before any network is read."""
     if method == METHOD_MCD:
         if model_path.is_dir():
             raise ValidationError(
@@ -427,15 +437,10 @@ def _model_files(method: str, model_path: Path) -> list[Path]:
     if model_path.is_file():
         raise ValidationError(
             f"method {method} expects an ensemble directory, got single network file {model_path}")
-    return _ensemble_files(model_path)
-
-
-def load_models(method: str, model_path) -> list:
-    """Load the model artifact a method expects."""
-    files = _model_files(method, Path(model_path))
-    if method == METHOD_MCD:
-        return [load_network(files[0])]
-    return [load_network(p) for p in files[1:]]
+    spec_path = _require_file(model_path / "spec.json", "train an ensemble first")
+    spec = container.read_artifact(spec_path, ENSEMBLE_FORMAT, EnsembleFile)
+    return [spec_path, *(_require_file(model_path / name, "the ensemble directory is incomplete")
+                         for name in spec.files)]
 
 
 def stage_predict(config: RunConfig, method: str, model_path=None,
@@ -461,7 +466,8 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
     inputs.update({f"model_{i}": Path(p) for i, p in enumerate(model_files)})
 
     def build(stage_dir: Path):
-        models = load_models(method, model_path)
+        models = [load_network(p) for p in
+                  (model_files if method == METHOD_MCD else model_files[1:])]
         table = load_features(data_path)
         log(f"[predict] {method} on {table.n_rows} rows "
             f"({len(models)} model(s), T={passes if passes else '-'})")

@@ -80,7 +80,7 @@ def predictive_entropy(mean_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     probability distribution rather than returning a meaningless number.
     """
     p = np.asarray(mean_probs, dtype=np.float64)
-    bad = (p.min(axis=-1) < -1e-9) | (np.abs(p.sum(axis=-1) - 1.0) > 1e-6)
+    bad = ~((p.min(axis=-1) >= -1e-9) & (np.abs(p.sum(axis=-1) - 1.0) <= 1e-6))  # NaN is bad
     if bad.any():
         raise DataError(f"not a probability distribution: {p[bad][0].tolist()}")
     terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
@@ -261,11 +261,13 @@ def write_dump(path_jsonl, path_csv, method: str, estimates: Estimates,
 def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
     """Read a JSONL prediction dump back; labels may contain None.
 
-    Rejects, naming the file, a record count that differs from the
-    header's ``n``, indices that are not 0..n-1 in order, and records
-    whose ``mean_probs`` does not hold one entry per class.
+    Rejects, naming the file, a record count other than the header's
+    ``n``, indices other than 0..n-1 in order, a ``mean_probs`` that is
+    not a distribution over two classes, a ``predicted_class`` or entropy
+    other than what argmax and :func:`predictive_entropy` give for it,
+    and a label other than 0, 1 or null.
     """
-    with open(path_jsonl, encoding="utf-8") as fh:
+    with open(path_jsonl, encoding="utf-8") as fh, container.utf8_text(path_jsonl):
         try:
             header = json.loads(fh.readline())
         except json.JSONDecodeError as exc:
@@ -278,9 +280,9 @@ def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
             try:
                 rec = json.loads(line)
                 probs = [float(p) for p in rec["mean_probs"]]
-                records.append((int(rec["index"]), probs, int(rec["predicted_class"]),
+                records.append((int(rec["index"]), probs, float(rec["predicted_class"]),
                                 float(rec["entropy_raw"]), float(rec["entropy_norm"]),
-                                None if rec.get("label") is None else int(rec["label"])))
+                                rec.get("label")))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path_jsonl}: bad record on line {line_no} ({exc})") from exc
             if len(probs) != 2:
@@ -293,10 +295,20 @@ def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
     index, probs, pred, raw, norm, labels = list(zip(*records)) or [()] * 6
     if not np.array_equal(index, np.arange(n)):
         raise FormatError(f"{path_jsonl}: record indices are not 0..{n - 1} in order")
-    estimates = Estimates(
-        mean_probs=np.array(probs, dtype=np.float64).reshape(n, 2),
-        predicted_class=np.array(pred, dtype=np.int64),
-        entropy_raw=np.array(raw, dtype=np.float64),
-        entropy_norm=np.array(norm, dtype=np.float64),
-    )
+    stray = set(map(repr, labels)) - {"0", "1", "None"}
+    if stray:
+        raise FormatError(f"{path_jsonl}: labels must be 0, 1 or null, got {sorted(stray)}")
+    mean_probs = np.array(probs, dtype=np.float64).reshape(n, 2)
+    try:
+        estimates = Estimates(mean_probs, mean_probs.argmax(axis=1),
+                              *predictive_entropy(mean_probs))
+    except DataError as exc:
+        raise FormatError(f"{path_jsonl}: mean_probs {exc}") from exc
+    recorded = np.array([pred, raw, norm]).reshape(3, n)
+    wrong = (recorded != [estimates.predicted_class, estimates.entropy_raw,
+                          estimates.entropy_norm]).any(axis=0)
+    if wrong.any():
+        raise FormatError(f"{path_jsonl}: record {np.flatnonzero(wrong)[0]} disagrees with its "
+                          f"mean_probs: predicted_class, entropy_raw and entropy_norm must "
+                          f"be their argmax and predictive entropy")
     return header, estimates, list(labels)

@@ -322,7 +322,7 @@ def test_criterion_7_paper_numbers_on_real_data():
     The ensemble-over-MCD UAcc ranking must hold for 2 of 3 master seeds.
     """
     schema = (CsvSchema.from_file(VESTA_SCHEMA) if VESTA_SCHEMA
-              else CsvSchema(label_column="isFraud"))
+              else CsvSchema(label="isFraud"))
     raw = load_csv(VESTA_CSV, schema)
     assert raw.n_rows == 41326, f"expected the 41,326-row balanced sample, got {raw.n_rows}"
 

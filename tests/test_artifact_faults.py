@@ -1,0 +1,139 @@
+"""Bad artifacts read back from disk exit 3 naming the file, never with a
+traceback: pinned faults, a non-UTF-8 CSV, and a sweep that breaks every
+leaf of every JSON artifact a command takes by path.
+
+One tiny run tree (1 epoch, 2 MC passes) is built once for the module;
+each test edits copies of its files.
+"""
+
+import copy
+import json
+import shutil
+
+import pytest
+
+from frauduq import cli
+
+TINY = {
+    "data": {"synth": {"n_per_class": 20, "n_features": 3, "separation": 2.5}},
+    "network": {"hidden_units": [6, 5, 4], "epochs": 1, "batch_size": 16},
+    "ensemble": {"members": 3, "width_ranges": [[4, 8], [3, 6], [2, 4]]},
+    "mc_passes": 2,
+    "seed": 5,
+}
+
+CSV_ROWS = "amount,colour,y\n" + "".join(
+    f"{i * 1.5},{('red', 'blue', 'NA')[i % 3]},{i % 2}\n" for i in range(24))
+SCHEMA = {"format": "frauduq-schema", "version": 1, "label": "y",
+          "kinds": {"colour": "categorical"}, "missing_values": ["", "NA"]}
+
+
+@pytest.fixture(scope="module")
+def tree(tmp_path_factory):
+    """A reproduced run and its config."""
+    root = tmp_path_factory.mktemp("tree")
+    (root / "tiny.json").write_text(json.dumps(TINY))
+    assert cli.main(["reproduce", "--config", str(root / "tiny.json"),
+                     "--out", str(root / "out")]) == 0
+    return root
+
+
+@pytest.fixture
+def work(tree, tmp_path):
+    """A private copy of the tree, so a test can break its files, plus a
+    CSV, its schema and a config naming them."""
+    shutil.copytree(tree, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "rows.csv").write_text(CSV_ROWS)
+    (tmp_path / "rows.schema.json").write_text(json.dumps(SCHEMA))
+    (tmp_path / "csv.json").write_text(json.dumps({**TINY, "data": {"csv": {
+        "path": str(tmp_path / "rows.csv"), "schema": str(tmp_path / "rows.schema.json")}}}))
+    return tmp_path
+
+
+def commands(root):
+    """The file a command takes by path -> that command's argv."""
+    run = ["--config", str(root / "tiny.json"), "--out", str(root / "again"),
+           "--data", str(root / "out/data/test.json")]
+    single = ["predict", *run, "--model", str(root / "out/models/single.json")]
+    ensemble = ["predict", *run, "--model", str(root / "out/models/ensemble"),
+                "--method", "ensemble"]
+    return {
+        "out/data/test.json": single,
+        "out/models/single.json": single,
+        "out/models/ensemble/member_000.json": ensemble,
+        "out/models/ensemble/spec.json": ensemble,
+        "rows.schema.json": ["preprocess", "--config", str(root / "csv.json"),
+                             "--out", str(root / "again")],
+    }
+
+
+@pytest.mark.parametrize("rel, change, key", [
+    ("out/models/ensemble/spec.json", {"files": 5}, "files must be a list"),
+    ("rows.schema.json", {"kinds": [1]}, "kinds must be an object"),
+    ("rows.schema.json", {"missing_values": 5}, "missing_values must be a list"),
+    ("rows.schema.json", {"colour": "red"}, "unknown frauduq-schema key(s)"),
+    ("rows.schema.json", {"kinds": {"colour": "ordinal"}}, "unknown kind 'ordinal'"),
+    ("out/data/test.json", {"provenance": [1]}, "provenance must be a string"),
+], ids=["spec-files-5", "schema-kinds-list", "schema-missing-5", "schema-unknown-key",
+        "schema-unknown-kind", "features-provenance-list"])
+def test_malformed_artifact_exits_3_naming_file_and_key(work, capsys, rel, change, key):
+    path = work / rel
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    assert cli.main(commands(work)[rel]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err, err
+
+
+def test_non_utf8_csv_exits_3_naming_the_file(work, capsys):
+    rows = work / "rows.csv"
+    rows.write_bytes(rows.read_bytes().replace(b",1\n", b",\xff\n", 1))
+    assert cli.main(commands(work)["rows.schema.json"]) == 3
+    err = capsys.readouterr().err
+    assert f"{rows}: not valid UTF-8" in err, err
+
+
+def leaf_paths(node, path=()):
+    """The key path of every leaf (non-container value) under ``node``."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from leaf_paths(child, (*path, key))
+    else:
+        yield path
+
+
+def faults(obj):
+    """(label, broken copy) for every leaf: the key deleted, set to null,
+    and given a value of the wrong kind."""
+    for path in leaf_paths(obj):
+        *parents, last = path
+        for fault in ("deleted", "null", "wrong kind"):
+            doc = copy.deepcopy(obj)
+            node = doc
+            for key in parents:
+                node = node[key]
+            if fault == "deleted":
+                del node[last]
+            else:
+                node[last] = None if fault == "null" else [1] if isinstance(node[last], str) else "x"
+            yield f"{'.'.join(map(str, path))} {fault}", json.dumps(doc).encode()
+
+
+def test_every_artifact_leaf_fault_exits_0_or_3_naming_the_file(work, capsys):
+    """Each faulted file either still works or is refused with exit 3 and
+    its name on stderr; no fault raises out of the CLI."""
+    bad = []
+    for rel, argv in commands(work).items():
+        path = work / rel
+        good = path.read_bytes()
+        for label, text in [*faults(json.loads(good)), ("non-UTF-8 byte", good + b"\xff")]:
+            path.write_bytes(text)
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # noqa: BLE001 - the sweep reports every escape
+                bad.append(f"{rel} {label}: raised {exc!r}")
+                continue
+            err = capsys.readouterr().err
+            if code not in (0, 3) or (code == 3 and str(path) not in err):
+                bad.append(f"{rel} {label}: exit {code}, stderr {err!r}")
+        path.write_bytes(good)
+    assert not bad, "\n".join(bad)

@@ -26,7 +26,7 @@ def write_csv(tmp_path, text, name="data.csv"):
     return path
 
 
-SCHEMA = CsvSchema(label_column="y")
+SCHEMA = CsvSchema(label="y")
 
 
 # --- ingestion ---------------------------------------------------------------

@@ -215,10 +215,12 @@ def test_unreadable_manifest_reruns_the_stage(tmp_path):
     pipeline.cmd_preprocess(config, log=quiet)
     manifest = tmp_path / "out" / "data" / "manifest.json"
     good = manifest.read_bytes()
-    # unparsable, then intact but for a version this code does not write
+    # unparsable, then intact but for a version this code does not write,
+    # then outputs that are not an object of digests
     newer = good.decode().replace('"version": 1', '"version": 2')
     assert newer != good.decode()
-    for doctored in ("{not json", newer):
+    mistyped = [json.dumps({**json.loads(good), "outputs": v}) for v in (5, "x", [1])]
+    for doctored in ("{not json", newer, *mistyped):
         manifest.write_text(doctored)
         messages = []
         pipeline.stage_data(config, log=messages.append)
@@ -395,7 +397,8 @@ def test_cli_data_errors_exit_3(tmp_path, capsys):
     unlabeled.write_text(
         '{"format": "frauduq-predictions", "version": 1, "method": "mcd", "n": 1}\n'
         '{"index": 0, "mean_probs": [0.6, 0.4], "predicted_class": 0, '
-        '"entropy_raw": 0.67, "entropy_norm": 0.97, "label": null}\n')
+        '"entropy_raw": 0.6730116670092565, "entropy_norm": 0.9709505944546688, '
+        '"label": null}\n')
     assert cli_run("evaluate", "--config", str(config_path), "--out", out,
                    "--dump", str(unlabeled)) == 3
     assert "labels" in capsys.readouterr().err
@@ -409,6 +412,12 @@ def test_cli_data_errors_exit_3(tmp_path, capsys):
                    "--dump", str(truncated)) == 3
     err = capsys.readouterr().err
     assert "truncated.jsonl" in err and "n=2" in err
+
+    not_utf8 = tmp_path / "not_utf8.jsonl"
+    not_utf8.write_bytes(unlabeled.read_bytes() + b"\xff")
+    assert cli_run("evaluate", "--config", str(config_path), "--out", out,
+                   "--dump", str(not_utf8)) == 3
+    assert f"{not_utf8}: not valid UTF-8" in capsys.readouterr().err
 
     # a model file whose stored config is out of range
     assert cli_run("preprocess", "--config", str(config_path), "--out", out) == 0

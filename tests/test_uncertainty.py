@@ -65,6 +65,8 @@ def test_entropy_rejects_garbage():
         predictive_entropy(np.array([0.7, 0.7]))  # doesn't sum to 1
     with pytest.raises(DataError):
         predictive_entropy(np.array([1.2, -0.2]))
+    with pytest.raises(DataError):
+        predictive_entropy(np.array([np.nan, np.nan]))
 
 
 # --- summarize: the tensor reduction --------------------------------------------------
@@ -405,6 +407,12 @@ def test_read_dump_rejects_foreign_and_truncated(tmp_path):
     header, *records = jsonl.read_text().splitlines()
     one_prob = re.sub(r'"mean_probs": \[[^]]*\]', '"mean_probs": [0.9]', records[0])
     three_probs = records[0].replace('"mean_probs": [', '"mean_probs": [0.5, ')
+    over_one = re.sub(r'"mean_probs": \[[^]]*\]', '"mean_probs": [0.5, 0.7]', records[0])
+    nan_probs = re.sub(r'"mean_probs": \[[^]]*\]', '"mean_probs": [NaN, NaN]', records[0])
+    flipped = re.sub(r'"predicted_class": (\d)',
+                     lambda m: f'"predicted_class": {1 - int(m[1])}', records[0])
+    raw_off = re.sub(r'"entropy_raw": [^,}]*', '"entropy_raw": 0.5', records[3])
+    norm_off = re.sub(r'"entropy_norm": [^,}]*', '"entropy_norm": 0.5', records[0])
     for name, lines, message in (
         ("short.jsonl", [header, *records[:2]], "n=6 but 2 records"),
         ("long.jsonl", [header, *records, records[-1]], "n=6 but 7 records"),
@@ -413,6 +421,14 @@ def test_read_dump_rejects_foreign_and_truncated(tmp_path):
         ("swapped.jsonl", [header, records[1], records[0], *records[2:]], "indices"),
         ("one_prob.jsonl", [header, one_prob, *records[1:]], "1 mean_probs"),
         ("three_probs.jsonl", [header, three_probs, *records[1:]], "3 mean_probs"),
+        ("over_one.jsonl", [header, over_one, *records[1:]], "not a probability distribution"),
+        ("nan_probs.jsonl", [header, nan_probs, *records[1:]], "not a probability distribution"),
+        ("flipped.jsonl", [header, flipped, *records[1:]], "record 0 disagrees"),
+        ("raw_off.jsonl", [header, *records[:3], raw_off, *records[4:]], "record 3 disagrees"),
+        ("norm_off.jsonl", [header, norm_off, *records[1:]], "record 0 disagrees"),
+        *((f"label_{i}.jsonl", [header, records[0].replace('"label": null', f'"label": {label}'),
+                                *records[1:]], "labels must be 0, 1 or null")
+          for i, label in enumerate(["2", "-1", "0.5", "1.0", "true", '"1"', "[1]"])),
     ):
         path = tmp_path / name
         path.write_text("\n".join(lines) + "\n")
