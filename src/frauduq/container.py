@@ -134,14 +134,12 @@ def read_json(path) -> dict:
     return obj
 
 
-def read_artifact(path, fmt: str, cls=None):
-    """Read a JSON artifact and check that it is a ``fmt`` file; given a
-    dataclass ``cls``, return the file's other keys as one, built by
-    :func:`from_plain` and checked by its ``validate()`` if it has one.
-    Any fault is a FormatError naming the file and the key."""
+def read_artifact(path, fmt: str, cls):
+    """Read a ``fmt`` file as the dataclass ``cls``: its keys other than
+    the header's, built by :func:`from_plain` and checked by the class's
+    ``validate()`` if it has one. Any fault is a FormatError naming the
+    file and the key."""
     obj = check_header(read_json(path), fmt, path)
-    if cls is None:
-        return obj
     fields = {k: v for k, v in obj.items() if k not in ("format", "version")}
     try:
         artifact = from_plain(cls, fields, noun=fmt)
@@ -212,7 +210,7 @@ def from_plain(cls, obj, base=None, where: str = "", noun: str = "config"):
     unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValidationError(f"unknown {noun} key(s) in {name}: {sorted(unknown)}")
-    if all(f.default is None for f in dataclasses.fields(cls)):  # a choice: built afresh
+    if _is_choice(cls):
         base = None
     values = {}
     for key, value in obj.items():
@@ -236,6 +234,11 @@ def _strip_none(kind):
     if isinstance(kind, types.UnionType):
         (kind,) = [a for a in typing.get_args(kind) if a is not type(None)]
     return kind
+
+
+def _is_choice(cls) -> bool:
+    """Whether every field of ``cls`` defaults to None (see from_plain)."""
+    return all(f.default is None for f in dataclasses.fields(cls))
 
 
 def _typed(value, kind, where: str):

@@ -253,7 +253,7 @@ class PreprocessorState:
 
     @classmethod
     def load(cls, path) -> "PreprocessorState":
-        obj = container.read_artifact(path, PREPROCESSOR_FORMAT)
+        obj = container.check_header(container.read_json(path), PREPROCESSOR_FORMAT, path)
         return cls.from_dict(obj, context=str(path))
 
 

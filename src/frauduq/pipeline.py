@@ -258,13 +258,12 @@ class Manifest:
 
 
 @dataclass(frozen=True)
-class EnsembleFile:
-    """An ensemble directory's ``spec.json``; ``files`` in member order."""
+class EnsembleFile(EnsembleParams):
+    """An ensemble directory's ``spec.json``: the config's ensemble
+    section plus the master seed and the member files, in member order."""
 
-    members: int
-    master_seed: int
-    width_ranges: tuple[tuple[int, int], ...]
-    files: tuple[str, ...]
+    master_seed: int = 0
+    files: tuple[str, ...] = ()
 
     def validate(self) -> "EnsembleFile":
         if len(self.files) != self.members:
@@ -282,6 +281,10 @@ class StageResult:
 
 def _digest_of(obj) -> str:
     return container.sha256_text(container.dumps_canonical(obj))
+
+
+def _relative_outputs(stage_dir: Path, paths) -> dict:
+    return {p.relative_to(stage_dir).as_posix(): container.sha256_file(p) for p in paths}
 
 
 def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
@@ -313,8 +316,7 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
 
     stage_dir.mkdir(parents=True, exist_ok=True)
     produced = build(stage_dir)
-    outputs = {Path(p).relative_to(stage_dir).as_posix(): container.sha256_file(p)
-               for p in produced}
+    outputs = _relative_outputs(stage_dir, [Path(p) for p in produced])
     container.write_artifact(Manifest(name, config_digest, input_digests, outputs),
                              MANIFEST_FORMAT, manifest_path)
     return StageResult(name, stage_dir, False, outputs)
@@ -415,8 +417,8 @@ def stage_train(config: RunConfig, needs: tuple[str, ...], log=print) -> StageRe
             for net, name in zip(members, files):
                 save_network(net, ens_dir / name)
                 produced.append(ens_dir / name)
-            container.write_artifact(EnsembleFile(spec.members, spec.master_seed,
-                                                  spec.width_ranges, files),
+            container.write_artifact(EnsembleFile(spec.members, spec.width_ranges,
+                                                  spec.master_seed, files),
                                      ENSEMBLE_FORMAT, ens_dir / "spec.json")
             produced.append(ens_dir / "spec.json")
         return produced
@@ -542,7 +544,7 @@ def stage_summary(config: RunConfig, methods=METHODS, log=print) -> StageResult:
     def build(stage_dir: Path):
         rows = {}
         for m, path in report_paths.items():
-            report_obj = container.read_artifact(path, REPORT_FORMAT)
+            report_obj = container.check_header(container.read_json(path), REPORT_FORMAT, path)
             row = _threshold_row(report_obj, config.report_threshold, path)
             rows[m] = {
                 "uacc": row["uacc"], "usen": row["usen"],

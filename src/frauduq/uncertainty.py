@@ -220,6 +220,9 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
 
 
 DUMP_FORMAT = "frauduq-predictions"
+# How far a dump's stored entropies may sit from the ones recomputed on
+# reading: np.log may differ in the last ulp between numpy builds and CPUs.
+ENTROPY_TOLERANCE = 1e-12
 DUMP_COLUMNS = ("index", "method", "mean_prob_genuine", "mean_prob_fraud",
                 "predicted_class", "entropy_raw", "entropy_norm", "label")
 
@@ -263,9 +266,10 @@ def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
 
     Rejects, naming the file, a record count other than the header's
     ``n``, indices other than 0..n-1 in order, a ``mean_probs`` that is
-    not a distribution over two classes, a ``predicted_class`` or entropy
-    other than what argmax and :func:`predictive_entropy` give for it,
-    and a label other than 0, 1 or null.
+    not a distribution over two classes, a ``predicted_class`` other than
+    its argmax, entropies more than ``ENTROPY_TOLERANCE`` from what
+    :func:`predictive_entropy` gives for it, and a class or label other
+    than the ints 0 and 1 (a label may also be null).
     """
     with open(path_jsonl, encoding="utf-8") as fh, container.utf8_text(path_jsonl):
         try:
@@ -280,7 +284,7 @@ def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
             try:
                 rec = json.loads(line)
                 probs = [float(p) for p in rec["mean_probs"]]
-                records.append((int(rec["index"]), probs, float(rec["predicted_class"]),
+                records.append((int(rec["index"]), probs, rec["predicted_class"],
                                 float(rec["entropy_raw"]), float(rec["entropy_norm"]),
                                 rec.get("label")))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -295,20 +299,26 @@ def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
     index, probs, pred, raw, norm, labels = list(zip(*records)) or [()] * 6
     if not np.array_equal(index, np.arange(n)):
         raise FormatError(f"{path_jsonl}: record indices are not 0..{n - 1} in order")
-    stray = set(map(repr, labels)) - {"0", "1", "None"}
-    if stray:
-        raise FormatError(f"{path_jsonl}: labels must be 0, 1 or null, got {sorted(stray)}")
-    mean_probs = np.array(probs, dtype=np.float64).reshape(n, 2)
+    for name, values, allowed, wording in (("predicted_class", pred, {"0", "1"}, "0 or 1"),
+                                           ("labels", labels, {"0", "1", "None"}, "0, 1 or null")):
+        stray = set(map(repr, values)) - allowed
+        if stray:
+            raise FormatError(f"{path_jsonl}: {name} must be {wording}, got {sorted(stray)}")
+    estimates = Estimates(
+        mean_probs=np.array(probs, dtype=np.float64).reshape(n, 2),
+        predicted_class=np.array(pred, dtype=np.int64),
+        entropy_raw=np.array(raw, dtype=np.float64),
+        entropy_norm=np.array(norm, dtype=np.float64),
+    )
     try:
-        estimates = Estimates(mean_probs, mean_probs.argmax(axis=1),
-                              *predictive_entropy(mean_probs))
+        expected = predictive_entropy(estimates.mean_probs)
     except DataError as exc:
         raise FormatError(f"{path_jsonl}: mean_probs {exc}") from exc
-    recorded = np.array([pred, raw, norm]).reshape(3, n)
-    wrong = (recorded != [estimates.predicted_class, estimates.entropy_raw,
-                          estimates.entropy_norm]).any(axis=0)
+    wrong = estimates.predicted_class != estimates.mean_probs.argmax(axis=1)
+    for stored, recomputed in zip((estimates.entropy_raw, estimates.entropy_norm), expected):
+        wrong |= ~(np.abs(stored - recomputed) <= ENTROPY_TOLERANCE)  # NaN is wrong too
     if wrong.any():
         raise FormatError(f"{path_jsonl}: record {np.flatnonzero(wrong)[0]} disagrees with its "
-                          f"mean_probs: predicted_class, entropy_raw and entropy_norm must "
-                          f"be their argmax and predictive entropy")
+                          f"mean_probs: predicted_class must be their argmax, entropy_raw and "
+                          f"entropy_norm their predictive entropy")
     return header, estimates, list(labels)

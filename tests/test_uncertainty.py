@@ -2,6 +2,7 @@
 construction, and the prediction dump files."""
 
 import dataclasses
+import json
 import math
 import re
 
@@ -429,8 +430,23 @@ def test_read_dump_rejects_foreign_and_truncated(tmp_path):
         *((f"label_{i}.jsonl", [header, records[0].replace('"label": null', f'"label": {label}'),
                                 *records[1:]], "labels must be 0, 1 or null")
           for i, label in enumerate(["2", "-1", "0.5", "1.0", "true", '"1"', "[1]"])),
+        *((f"class_{i}.jsonl", [header, re.sub(r'"predicted_class": \d',
+                                              f'"predicted_class": {cls}', records[0]),
+                                *records[1:]], "predicted_class must be 0 or 1")
+          for i, cls in enumerate(["true", "false", '"1"', '"0"', "1.0", "0.0", "null"])),
     ):
         path = tmp_path / name
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=f"{name}.*{message}"):
             read_dump(path)
+
+    # np.log may differ in the last ulp across numpy builds and CPUs, so
+    # stored entropies one ulp off are read back as stored
+    stored = json.loads(records[0])
+    nudged = {**stored, "entropy_raw": float(np.nextafter(stored["entropy_raw"], 1.0)),
+              "entropy_norm": float(np.nextafter(stored["entropy_norm"], -1.0))}
+    path = tmp_path / "ulp.jsonl"
+    path.write_text("\n".join([header, json.dumps(nudged), *records[1:]]) + "\n")
+    _, estimates, _ = read_dump(path)
+    assert estimates.entropy_raw[0] == nudged["entropy_raw"]
+    assert estimates.entropy_norm[0] == nudged["entropy_norm"]
