@@ -10,6 +10,7 @@ lossless and serializing the same object twice produces identical bytes.
 import base64
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -182,6 +183,7 @@ def to_plain(obj):
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+_type_hints = functools.cache(typing.get_type_hints)  # resolved once per class: resumes read many
 
 
 def from_plain(cls, obj, base=None, where: str = "", noun: str = "config"):
@@ -206,7 +208,7 @@ def from_plain(cls, obj, base=None, where: str = "", noun: str = "config"):
     name, label = where or noun, f"{noun} {where}".rstrip()
     if not isinstance(obj, dict):
         raise ValidationError(f"{label} must be an object, got {obj!r}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValidationError(f"unknown {noun} key(s) in {name}: {sorted(unknown)}")
