@@ -135,15 +135,17 @@ def read_json(path) -> dict:
     return obj
 
 
-def read_artifact(path, fmt: str, cls):
+def read_artifact(path, fmt: str, cls, defaults: bool = False):
     """Read a ``fmt`` file as the dataclass ``cls``: its keys other than
     the header's, built by :func:`from_plain` and checked by the class's
     ``validate()`` if it has one. Any fault is a FormatError naming the
-    file and the key."""
+    file and the key. A file that frauduq writes holds every key, so a
+    missing one is a fault; only a user-written file (``defaults``) may
+    leave a key out for its field's default."""
     obj = check_header(read_json(path), fmt, path)
     fields = {k: v for k, v in obj.items() if k not in ("format", "version")}
     try:
-        artifact = from_plain(cls, fields, noun=fmt)
+        artifact = from_plain(cls, fields, noun=fmt, defaults=defaults)
         return artifact.validate() if hasattr(artifact, "validate") else artifact
     except (ValidationError, DataError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -186,12 +188,14 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 _type_hints = functools.cache(typing.get_type_hints)  # resolved once per class: resumes read many
 
 
-def from_plain(cls, obj, base=None, where: str = "", noun: str = "config"):
+def from_plain(cls, obj, base=None, where: str = "", noun: str = "config",
+               defaults: bool = True):
     """Build the dataclass ``cls`` from a parsed JSON object, checked
     against the field annotations; the inverse of :func:`to_plain`.
 
     A key the object leaves out keeps its value in ``base``, or the
-    field's default when there is no base. A nested object merges the
+    field's default when there is no base; without ``defaults`` it is a
+    fault even when the field has a default. A nested object merges the
     same way into the base's value, so a config file lists only what it
     changes. The exception is a class whose fields all default to None:
     it is a choice between them, so its object is built afresh and does
@@ -199,11 +203,13 @@ def from_plain(cls, obj, base=None, where: str = "", noun: str = "config"):
 
     Types are strict: an int field takes an int but not a bool, a float
     field takes an int or a finite float (stored as a float) but not a
-    bool, a tuple or list field takes a list of its first argument's type,
-    a dict field an object, an array field an array record, and no field
-    takes null. A ValidationError (FormatError for an array) names the
-    offending key by its path: ``where`` is the path of ``obj`` itself,
-    empty at the top, which messages call ``noun``.
+    bool, a list or ``tuple[X, ...]`` field takes a list of X, a
+    fixed-length tuple field (``tuple[int, int]``) a list of that length
+    with each item of its position's type, a dict field an object, an
+    array field an array record, and no field takes null. A
+    ValidationError (FormatError for an array) names the offending key by
+    its path: ``where`` is the path of ``obj`` itself, empty at the top,
+    which messages call ``noun``.
     """
     name, label = where or noun, f"{noun} {where}".rstrip()
     if not isinstance(obj, dict):
@@ -219,13 +225,14 @@ def from_plain(cls, obj, base=None, where: str = "", noun: str = "config"):
         kind = _strip_none(hints[key])
         if dataclasses.is_dataclass(kind):
             values[key] = from_plain(kind, value, None if base is None else getattr(base, key),
-                                     f"{where}.{key}" if where else key, noun)
+                                     f"{where}.{key}" if where else key, noun, defaults)
         else:
             values[key] = _typed(value, kind, f"{name}.{key}")
     if base is not None:
         return dataclasses.replace(base, **values)
-    missing = [f.name for f in dataclasses.fields(cls) if f.name not in values
-               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in values and (
+        not defaults
+        or f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)]
     if missing:
         raise ValidationError(f"{label} lacks key(s) {missing}")
     return cls(**values)
@@ -251,8 +258,13 @@ def _typed(value, kind, where: str):
     if origin in (tuple, list):
         if not isinstance(value, list):
             raise ValidationError(f"{where} must be a list, got {value!r}")
-        item = typing.get_args(kind)[0]
-        return origin(_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+        items = typing.get_args(kind)
+        if origin is list or items[1:] == (Ellipsis,):
+            items = items[:1] * len(value)
+        elif len(value) != len(items):
+            raise ValidationError(f"{where} must be a list of {len(items)} items, got {value!r}")
+        return origin(_typed(v, item, f"{where}[{i}]")
+                      for i, (v, item) in enumerate(zip(value, items)))
     if origin is dict:
         if not isinstance(value, dict):
             raise ValidationError(f"{where} must be an object, got {value!r}")

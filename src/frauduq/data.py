@@ -46,7 +46,8 @@ class CsvSchema:
 
     @classmethod
     def from_file(cls, path) -> "CsvSchema":
-        return container.read_artifact(path, SCHEMA_FORMAT, cls)
+        # the user writes the schema, so a key left out takes its default
+        return container.read_artifact(path, SCHEMA_FORMAT, cls, defaults=True)
 
 
 @dataclass

@@ -283,23 +283,35 @@ def _digest_of(obj) -> str:
     return container.sha256_text(container.dumps_canonical(obj))
 
 
-def _relative_outputs(stage_dir: Path, paths) -> dict:
-    return {p.relative_to(stage_dir).as_posix(): container.sha256_file(p) for p in paths}
+def _file_digest(path, digests: dict) -> str:
+    """The sha256 of ``path``, hashed only if ``digests`` holds none for
+    this very file: the same absolute path, inode, size and mtime. A
+    stage that reruns replaces its files (see ``open_atomic``), which
+    gives them new inodes, so a digest of the old file is never reused."""
+    st = os.stat(path)
+    key = (os.path.abspath(path), st.st_ino, st.st_size, st.st_mtime_ns)
+    if key not in digests:
+        digests[key] = container.sha256_file(path)
+    return digests[key]
 
 
 def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
-              build, log=print) -> StageResult:
+              build, log=print, digests: dict | None = None) -> StageResult:
     """Run one stage unless its manifest proves it already ran.
 
     ``inputs`` maps labels to existing files whose digests gate the
     resume; ``build(stage_dir)`` writes the artifacts and returns their
     paths. The manifest is written last, so a crash mid-stage simply
-    reruns it.
+    reruns it. ``digests`` holds the file digests already taken by the
+    command that runs this stage (see :func:`_file_digest`); a chain of
+    stages shares one, so a file that one stage wrote or checked is not
+    hashed again by the next.
     """
+    digests = {} if digests is None else digests
     stage_dir = Path(out_dir) / name
     manifest_path = stage_dir / "manifest.json"
     config_digest = _digest_of(stage_config)
-    input_digests = {label: container.sha256_file(p) for label, p in sorted(inputs.items())}
+    input_digests = {label: _file_digest(p, digests) for label, p in sorted(inputs.items())}
 
     if manifest_path.is_file():
         try:
@@ -309,14 +321,15 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
         if (manifest is not None and manifest.config_digest == config_digest
                 and manifest.inputs == input_digests
                 and all((stage_dir / rel).is_file()
-                        and container.sha256_file(stage_dir / rel) == digest
+                        and _file_digest(stage_dir / rel, digests) == digest
                         for rel, digest in manifest.outputs.items())):
             log(f"[{name}] up to date, skipping")
             return StageResult(name, stage_dir, True, manifest.outputs)
 
     stage_dir.mkdir(parents=True, exist_ok=True)
     produced = build(stage_dir)
-    outputs = _relative_outputs(stage_dir, [Path(p) for p in produced])
+    outputs = {Path(p).relative_to(stage_dir).as_posix(): _file_digest(p, digests)
+               for p in produced}
     container.write_artifact(Manifest(name, config_digest, input_digests, outputs),
                              MANIFEST_FORMAT, manifest_path)
     return StageResult(name, stage_dir, False, outputs)
@@ -337,7 +350,7 @@ def _write_config_snapshot(config: RunConfig) -> None:
 # --- stages ---------------------------------------------------------------
 
 
-def stage_data(config: RunConfig, log=print) -> StageResult:
+def stage_data(config: RunConfig, log=print, digests: dict | None = None) -> StageResult:
     """Materialize train/test FeatureTables (and, for CSV data, the
     fitted preprocessor) under <out>/data."""
     if config.uses_csv:
@@ -373,14 +386,15 @@ def stage_data(config: RunConfig, log=print) -> StageResult:
         log(f"[data] split {train_t.n_rows} train / {test_t.n_rows} test rows")
         return [stage_dir / "train.json", stage_dir / "test.json", *extra]
 
-    return run_stage(config.out, "data", stage_config, inputs, build, log)
+    return run_stage(config.out, "data", stage_config, inputs, build, log, digests)
 
 
 def _needed_models(method: str) -> tuple[str, ...]:
     return ("single",) if method == METHOD_MCD else ("ensemble",)
 
 
-def stage_train(config: RunConfig, needs: tuple[str, ...], log=print) -> StageResult:
+def stage_train(config: RunConfig, needs: tuple[str, ...], log=print,
+                digests: dict | None = None) -> StageResult:
     """Train the single network and/or the ensemble under <out>/models."""
     train_path = _require_file(Path(config.out) / "data" / "train.json",
                                "run the preprocess command first")
@@ -424,7 +438,7 @@ def stage_train(config: RunConfig, needs: tuple[str, ...], log=print) -> StageRe
         return produced
 
     return run_stage(config.out, "models", stage_config,
-                     {"train": train_path}, build, log)
+                     {"train": train_path}, build, log, digests)
 
 
 def _model_files(method: str, model_path: Path) -> list[Path]:
@@ -446,7 +460,7 @@ def _model_files(method: str, model_path: Path) -> list[Path]:
 
 
 def stage_predict(config: RunConfig, method: str, model_path=None,
-                  data_path=None, log=print) -> StageResult:
+                  data_path=None, log=print, digests: dict | None = None) -> StageResult:
     """Predict the test table with one UQ method; dump under
     <out>/predictions/<method>."""
     out = Path(config.out)
@@ -481,10 +495,12 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
                    method, estimates, table.labels, meta=meta)
         return [stage_dir / "dump.jsonl", stage_dir / "dump.csv"]
 
-    return run_stage(config.out, f"predictions/{method}", stage_config, inputs, build, log)
+    return run_stage(config.out, f"predictions/{method}", stage_config, inputs, build, log,
+                     digests)
 
 
-def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print) -> StageResult:
+def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print,
+                   digests: dict | None = None) -> StageResult:
     """Score one prediction dump: report JSON/CSVs + reliability SVG
     under <out>/reports/<method>."""
     if dump_path is None:
@@ -518,7 +534,7 @@ def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print) ->
                 stage_dir / "entropy_histogram.csv", stage_dir / "reliability.svg"]
 
     return run_stage(config.out, f"reports/{method}", stage_config,
-                     {"dump": dump_path}, build, log)
+                     {"dump": dump_path}, build, log, digests)
 
 
 def _fmt(value) -> str:
@@ -532,7 +548,8 @@ def _threshold_row(report_obj: dict, threshold: float, where) -> dict:
     raise DataError(f"{where}: no threshold row at {threshold}")
 
 
-def stage_summary(config: RunConfig, methods=METHODS, log=print) -> StageResult:
+def stage_summary(config: RunConfig, methods=METHODS, log=print,
+                  digests: dict | None = None) -> StageResult:
     """Side-by-side UQ metrics of all methods at the report threshold."""
     out = Path(config.out)
     report_paths = {m: _require_file(out / "reports" / m / "report.json",
@@ -574,7 +591,7 @@ def stage_summary(config: RunConfig, methods=METHODS, log=print) -> StageResult:
                 f"{_fmt(r['uspe']):>8}{_fmt(r['upre']):>8}")
         return [stage_dir / "summary.json", stage_dir / "summary.csv"]
 
-    return run_stage(config.out, "summary", stage_config, report_paths, build, log)
+    return run_stage(config.out, "summary", stage_config, report_paths, build, log, digests)
 
 
 # --- commands -------------------------------------------------------------
@@ -626,14 +643,20 @@ def cmd_reproduce(config: RunConfig, log=print) -> StageResult:
     """The full chain: data -> train both model kinds -> predict with all
     three methods (EMCD reuses the ensemble members) -> evaluate each ->
     summary. Finished stages are skipped on rerun.
+
+    The stages share one digest memo, so the command hashes each file at
+    most once. It lives only as long as the command: a file edited in
+    place between two commands is hashed afresh by the next, even if its
+    size and mtime were kept.
     """
     _write_config_snapshot(config)
     if not config.uses_csv:
         log("[reproduce] no csv data source configured; using the built-in "
             "synthetic generator")
-    stage_data(config, log)
-    stage_train(config, ("single", "ensemble"), log)
+    digests: dict = {}
+    stage_data(config, log, digests)
+    stage_train(config, ("single", "ensemble"), log, digests)
     for method in METHODS:
-        stage_predict(config, method, log=log)
-        stage_evaluate(config, method, log=log)
-    return stage_summary(config, METHODS, log)
+        stage_predict(config, method, log=log, digests=digests)
+        stage_evaluate(config, method, log=log, digests=digests)
+    return stage_summary(config, METHODS, log, digests)

@@ -15,6 +15,7 @@ normalized by ln(num classes) so the certainty threshold lives on a
 [0, 1] axis.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -225,6 +226,8 @@ DUMP_FORMAT = "frauduq-predictions"
 ENTROPY_TOLERANCE = 1e-12
 DUMP_COLUMNS = ("index", "method", "mean_prob_genuine", "mean_prob_fraud",
                 "predicted_class", "entropy_raw", "entropy_norm", "label")
+_RECORD_KEYS = frozenset(("index", "mean_probs", "predicted_class", "entropy_raw",
+                          "entropy_norm", "label"))
 
 
 def write_dump(path_jsonl, path_csv, method: str, estimates: Estimates,
@@ -264,12 +267,15 @@ def write_dump(path_jsonl, path_csv, method: str, estimates: Estimates,
 def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
     """Read a JSONL prediction dump back; labels may contain None.
 
-    Rejects, naming the file, a record count other than the header's
-    ``n``, indices other than 0..n-1 in order, a ``mean_probs`` that is
-    not a distribution over two classes, a ``predicted_class`` other than
-    its argmax, entropies more than ``ENTROPY_TOLERANCE`` from what
+    Rejects, naming the file, a record key that :func:`write_dump` does
+    not write, a record count other than the header's ``n``, indices
+    other than the ints 0..n-1 in order, a ``mean_probs`` that is not a
+    distribution over two classes, a ``predicted_class`` other than its
+    argmax, entropies more than ``ENTROPY_TOLERANCE`` from what
     :func:`predictive_entropy` gives for it, and a class or label other
-    than the ints 0 and 1 (a label may also be null).
+    than the ints 0 and 1 (a label may also be null). As in
+    ``container.from_plain``, a number is an int or a float, never a bool
+    or a string.
     """
     with open(path_jsonl, encoding="utf-8") as fh, container.utf8_text(path_jsonl):
         try:
@@ -283,12 +289,17 @@ def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
                 continue
             try:
                 rec = json.loads(line)
-                probs = [float(p) for p in rec["mean_probs"]]
-                records.append((int(rec["index"]), probs, rec["predicted_class"],
-                                float(rec["entropy_raw"]), float(rec["entropy_norm"]),
-                                rec.get("label")))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                probs = rec["mean_probs"]
+                records.append((rec["index"], probs, rec["predicted_class"],
+                                rec["entropy_raw"], rec["entropy_norm"], rec.get("label")))
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path_jsonl}: bad record on line {line_no} ({exc})") from exc
+            if not rec.keys() <= _RECORD_KEYS:
+                raise FormatError(f"{path_jsonl}: line {line_no} has unknown key(s) "
+                                  f"{sorted(rec.keys() - _RECORD_KEYS)}")
+            if not isinstance(probs, list):
+                raise FormatError(f"{path_jsonl}: line {line_no} has mean_probs {probs!r}, "
+                                  f"expected a list")
             if len(probs) != 2:
                 raise FormatError(f"{path_jsonl}: line {line_no} has {len(probs)} "
                                   f"mean_probs entries, expected 2")
@@ -297,13 +308,20 @@ def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
         raise FormatError(f"{path_jsonl}: header says n={header.get('n')!r} but "
                           f"{n} records follow")
     index, probs, pred, raw, norm, labels = list(zip(*records)) or [()] * 6
+    number = {int, float}
+    for name, values, key, allowed, wording in (
+            ("index", index, type, {int}, "integers"),
+            ("mean_probs", itertools.chain.from_iterable(probs), type, number, "numbers"),
+            ("entropy_raw", raw, type, number, "numbers"),
+            ("entropy_norm", norm, type, number, "numbers"),
+            ("predicted_class", pred, repr, {"0", "1"}, "0 or 1"),
+            ("labels", labels, repr, {"0", "1", "None"}, "0, 1 or null")):
+        stray = set(map(key, values)) - allowed
+        if stray:
+            raise FormatError(f"{path_jsonl}: {name} must be {wording}, got "
+                              f"{sorted(getattr(s, '__name__', s) for s in stray)}")
     if not np.array_equal(index, np.arange(n)):
         raise FormatError(f"{path_jsonl}: record indices are not 0..{n - 1} in order")
-    for name, values, allowed, wording in (("predicted_class", pred, {"0", "1"}, "0 or 1"),
-                                           ("labels", labels, {"0", "1", "None"}, "0, 1 or null")):
-        stray = set(map(repr, values)) - allowed
-        if stray:
-            raise FormatError(f"{path_jsonl}: {name} must be {wording}, got {sorted(stray)}")
     estimates = Estimates(
         mean_probs=np.array(probs, dtype=np.float64).reshape(n, 2),
         predicted_class=np.array(pred, dtype=np.int64),

@@ -69,12 +69,14 @@ def commands(root):
 
 @pytest.mark.parametrize("rel, change, key", [
     ("out/models/ensemble/spec.json", {"files": 5}, "files must be a list"),
+    ("out/models/ensemble/spec.json", {"width_ranges": [[8], [3, 6], [2, 4]]},
+     "width_ranges[0] must be a list of 2 items"),
     ("rows.schema.json", {"kinds": [1]}, "kinds must be an object"),
     ("rows.schema.json", {"missing_values": 5}, "missing_values must be a list"),
     ("rows.schema.json", {"colour": "red"}, "unknown frauduq-schema key(s)"),
     ("rows.schema.json", {"kinds": {"colour": "ordinal"}}, "unknown kind 'ordinal'"),
     ("out/data/test.json", {"provenance": [1]}, "provenance must be a string"),
-], ids=["spec-files-5", "schema-kinds-list", "schema-missing-5", "schema-unknown-key",
+], ids=["spec-files-5", "spec-width-range-short", "schema-kinds-list", "schema-missing-5", "schema-unknown-key",
         "schema-unknown-kind", "features-provenance-list"])
 def test_malformed_artifact_exits_3_naming_file_and_key(work, capsys, rel, change, key):
     path = work / rel
@@ -118,9 +120,16 @@ def faults(obj):
             yield f"{'.'.join(map(str, path))} {fault}", json.dumps(doc).encode()
 
 
+# Files frauduq writes hold every key, so deleting any of them is a fault;
+# the schema is written by the user, and a key it leaves out has a default.
+WRITTEN = {"out/data/test.json", "out/models/single.json",
+           "out/models/ensemble/member_000.json", "out/models/ensemble/spec.json"}
+
+
 def test_every_artifact_leaf_fault_exits_0_or_3_naming_the_file(work, capsys):
     """Each faulted file either still works or is refused with exit 3 and
-    its name on stderr; no fault raises out of the CLI."""
+    its name on stderr; no fault raises out of the CLI. A deleted key in a
+    file frauduq writes is always refused."""
     bad = []
     for rel, argv in commands(work).items():
         path = work / rel
@@ -133,7 +142,8 @@ def test_every_artifact_leaf_fault_exits_0_or_3_naming_the_file(work, capsys):
                 bad.append(f"{rel} {label}: raised {exc!r}")
                 continue
             err = capsys.readouterr().err
-            if code not in (0, 3) or (code == 3 and str(path) not in err):
+            refused = (3,) if rel in WRITTEN and label.endswith(" deleted") else (0, 3)
+            if code not in refused or (code == 3 and str(path) not in err):
                 bad.append(f"{rel} {label}: exit {code}, stderr {err!r}")
         path.write_bytes(good)
     assert not bad, "\n".join(bad)

@@ -13,12 +13,13 @@ import subprocess
 import sys
 import types
 import typing
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frauduq import cli, pipeline
+from frauduq import cli, container, pipeline
 from frauduq.container import check_header, read_json
 from frauduq.errors import ValidationError
 
@@ -197,6 +198,68 @@ def test_rerun_skips_completed_stages(tmp_path):
     assert len(skipped) == 9  # data, models, 3 predicts, 3 evaluates, summary
 
 
+def hash_counter(monkeypatch):
+    """Every file container.sha256_file hashes, in call order. Stages must
+    hash through that module attribute: perfbench's tracer wraps it."""
+    hashed = []
+    real = container.sha256_file
+
+    def counted(path):
+        hashed.append(Path(path).resolve())
+        return real(path)
+
+    monkeypatch.setattr(container, "sha256_file", counted)
+    return hashed
+
+
+def test_reproduce_hashes_each_file_once_per_command(tmp_path, monkeypatch):
+    """Cold or resumed, a reproduce hashes each file of its run tree once:
+    a stage reuses the digests that the stages before it took."""
+    hashed = hash_counter(monkeypatch)
+    out = tmp_path / "out"
+    config = pipeline.load_run_config(profile="desk", out=str(out))
+    for phase in ("cold", "resumed"):
+        hashed.clear()
+        messages = []
+        pipeline.cmd_reproduce(config, log=messages.append)
+        digested = sorted(p.resolve() for p in out.rglob("*") if p.is_file()
+                          and p.name not in ("manifest.json", "config.json"))
+        assert sorted(hashed) == digested, phase
+    assert sum("skipping" in m for m in messages) == 9
+
+
+def test_reproduce_rehashes_a_file_edited_between_commands(tmp_path, monkeypatch):
+    """Digests do not outlive a command: a byte flipped in place between
+    two runs, with size and mtime kept, still reruns the stage that wrote
+    the file, which writes it back byte for byte; the rest skip."""
+    out = tmp_path / "out"
+    config = pipeline.load_run_config(profile="desk", out=str(out))
+    pipeline.cmd_reproduce(config, log=quiet)
+    before = tree_digests(out)
+    test_json = out / "data" / "test.json"
+    stat = test_json.stat()
+    with open(test_json, "r+b") as fh:
+        fh.seek(stat.st_size // 2)
+        byte = fh.read(1)
+        fh.seek(stat.st_size // 2)
+        fh.write(b"A" if byte != b"A" else b"B")
+    os.utime(test_json, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    edited = test_json.stat()
+    assert (edited.st_ino, edited.st_size, edited.st_mtime_ns) == (
+        stat.st_ino, stat.st_size, stat.st_mtime_ns)
+    assert tree_digests(out) != before
+
+    hashed = hash_counter(monkeypatch)
+    messages = []
+    pipeline.cmd_reproduce(config, log=messages.append)
+    skipped = {m.split("]")[0] + "]" for m in messages if m.endswith("up to date, skipping")}
+    assert "[data]" not in skipped and len(skipped) == 8
+    assert tree_digests(out) == before
+    counts = Counter(hashed)
+    assert counts.pop(test_json.resolve()) == 2  # the edited file, then the one written over it
+    assert set(counts.values()) == {1}
+
+
 def test_stage_reruns_when_config_changes(tmp_path):
     config = run_config(tmp_path)
     pipeline.cmd_preprocess(config, log=quiet)
@@ -220,7 +283,9 @@ def test_unreadable_manifest_reruns_the_stage(tmp_path):
     newer = good.decode().replace('"version": 1', '"version": 2')
     assert newer != good.decode()
     mistyped = [json.dumps({**json.loads(good), "outputs": v}) for v in (5, "x", [1])]
-    for doctored in ("{not json", newer, *mistyped):
+    lacking = [json.dumps({k: v for k, v in json.loads(good).items() if k != key})
+               for key in ("stage", "inputs", "outputs")]
+    for doctored in ("{not json", newer, *mistyped, *lacking):
         manifest.write_text(doctored)
         messages = []
         pipeline.stage_data(config, log=messages.append)
@@ -341,6 +406,8 @@ def every_field_mistyped():
     ({"network": {"hidden_units": [8, 6.0, 4]}}, "network.hidden_units[1]"),
     ({"ensemble": {"members": True}}, "ensemble.members"),
     ({"ensemble": {"width_ranges": [[6, 10], [4, 8], [3, 5, 7]]}}, "[3, 5, 7]"),
+    ({"ensemble": {"width_ranges": [[8], [4, 8], [3, 5]]}}, "ensemble.width_ranges[0]"),
+    ({"network": {"hidden_units": [8, 6]}}, "network.hidden_units must be a list of 3"),
     *every_field_mistyped(),
 ])
 def test_cli_mistyped_config_values_exit_2(tmp_path, capsys, overrides, named):

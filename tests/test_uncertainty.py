@@ -440,6 +440,30 @@ def test_read_dump_rejects_foreign_and_truncated(tmp_path):
         with pytest.raises(FormatError, match=f"{name}.*{message}"):
             read_dump(path)
 
+    # As in from_plain, numbers are ints or floats but not bools, and
+    # indices are ints: each probe agrees with itself in every other way.
+    one = {"index": 0, "mean_probs": [1.0, 0.0], "predicted_class": 0,
+           "entropy_raw": 0.0, "entropy_norm": 0.0, "label": None}
+    for i, (change, message) in enumerate([
+        ({}, None),
+        ({"mean_probs": [True, False]}, "mean_probs must be numbers"),
+        ({"mean_probs": ["1.0", "0"]}, "mean_probs must be numbers"),
+        ({"index": 0.7}, "index must be integers"),
+        ({"index": "0"}, "index must be integers"),
+        ({"index": False}, "index must be integers"),
+        ({"entropy_raw": "0"}, "entropy_raw must be numbers"),
+        ({"entropy_raw": False, "entropy_norm": False}, "entropy_raw must be numbers"),
+        ({"weight": 1.0}, r"unknown key\(s\) \['weight'\]"),
+    ]):
+        probe = tmp_path / f"probe_{i}.jsonl"
+        probe.write_text(json.dumps({"format": "frauduq-predictions", "version": 1, "n": 1})
+                         + "\n" + json.dumps({**one, **change}) + "\n")
+        if message is None:
+            assert read_dump(probe)[2] == [None]
+            continue
+        with pytest.raises(FormatError, match=f"probe_{i}.jsonl: .*{message}"):
+            read_dump(probe)
+
     # np.log may differ in the last ulp across numpy builds and CPUs, so
     # stored entropies one ulp off are read back as stored
     stored = json.loads(records[0])
