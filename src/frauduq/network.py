@@ -7,7 +7,7 @@ numpy and deterministic given a seed.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,27 +89,6 @@ class Network:
 
 
 @dataclass
-class DropoutMask:
-    """Inverted-dropout masks, one per hidden layer.
-
-    Entries are 0 (dropped) or 1/(1-rate) (kept, rescaled), so a masked
-    forward pass has the same expected activations as an unmasked one.
-    Each mask is either a vector (single input) or an (n, width) matrix
-    with an independent mask row per input.
-    """
-
-    layer_masks: list[np.ndarray]
-
-
-@dataclass
-class Gradients:
-    """Loss gradients, same shapes as the network parameters."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
-@dataclass
 class AdamState:
     """First/second moment accumulators and the step counter."""
 
@@ -153,9 +132,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def sample_dropout_mask(
     config: NetworkConfig, rng: np.random.Generator, n_rows: int | None = None
-) -> DropoutMask:
+) -> list[np.ndarray]:
     """Draw a fresh inverted-dropout mask for each hidden layer.
 
+    Entries are 0 (dropped) or 1/(1-rate) (kept, rescaled), so a masked
+    forward pass has the same expected activations as an unmasked one.
     With ``n_rows`` set, each mask is (n_rows, width) with independent
     rows, i.e. every sample in a batch gets its own mask.
     """
@@ -171,7 +152,7 @@ def sample_dropout_mask(
             np.greater_equal(u, rate, out=u)  # 1.0 kept, 0.0 dropped
             u *= scale  # 1.0 * scale is exactly 1.0 / (1 - rate), and cheaper than dividing
             masks.append(u)
-    return DropoutMask(layer_masks=masks)
+    return masks
 
 
 def _check_input_width(net: Network, x: np.ndarray) -> None:
@@ -198,7 +179,7 @@ def first_hidden(net: Network, x: np.ndarray) -> np.ndarray:
     return _hidden(net, 0, x)
 
 
-def _forward_cached(net: Network, x: np.ndarray, mask: DropoutMask | None,
+def _forward_cached(net: Network, x: np.ndarray, mask: list[np.ndarray] | None,
                     hidden1: np.ndarray | None = None):
     """Forward pass keeping the unmasked ReLU outputs (the backprop gates)
     and the masked activations. ``hidden1``, if given, must be
@@ -210,12 +191,12 @@ def _forward_cached(net: Network, x: np.ndarray, mask: DropoutMask | None,
         if i > 0:
             h = _hidden(net, i, acts[-1])
         relus.append(h)
-        acts.append(h if mask is None else h * mask.layer_masks[i])
+        acts.append(h if mask is None else h * mask[i])
     logits = acts[-1] @ net.weights[-1].T + net.biases[-1]
     return softmax(logits), relus, acts
 
 
-def forward(net: Network, x: np.ndarray, mask: DropoutMask | None = None,
+def forward(net: Network, x: np.ndarray, mask: list[np.ndarray] | None = None,
             hidden1: np.ndarray | None = None) -> np.ndarray:
     """Class probabilities for one input vector or an (n, d) batch.
 
@@ -225,31 +206,29 @@ def forward(net: Network, x: np.ndarray, mask: DropoutMask | None = None,
     return probs
 
 
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """-log p(label), with the probability clamped to PROB_FLOOR."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= label < probs.shape[-1]:
-        raise DataError(f"label {label} out of range for {probs.shape[-1]} classes")
-    return float(-np.log(max(probs[label], PROB_FLOOR)))
-
-
-def _mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean -log p(label) over (n, C) rows, each probability clamped to PROB_FLOOR."""
+    labels = np.asarray(labels)
+    bad = labels[(labels < 0) | (labels >= probs.shape[-1])]
+    if bad.size:
+        raise DataError(f"label {bad[0]} out of range for {probs.shape[-1]} classes")
     picked = probs[np.arange(len(labels)), labels]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
 def loss_on_batch(
-    net: Network, x: np.ndarray, labels: np.ndarray, masks: DropoutMask | None = None
+    net: Network, x: np.ndarray, labels: np.ndarray, masks: list[np.ndarray] | None = None
 ) -> float:
     """Mean cross-entropy over a batch; the quantity backward differentiates."""
     probs, _, _ = _forward_cached(net, np.atleast_2d(np.asarray(x, dtype=np.float64)), masks)
-    return _mean_cross_entropy(probs, np.asarray(labels))
+    return cross_entropy(probs, labels)
 
 
 def backward(
-    net: Network, x: np.ndarray, labels: np.ndarray, masks: DropoutMask | None = None
-) -> Gradients:
-    """Gradients of the mean cross-entropy w.r.t. every weight and bias."""
+    net: Network, x: np.ndarray, labels: np.ndarray, masks: list[np.ndarray] | None = None
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Gradients of the mean cross-entropy w.r.t. every weight and bias:
+    ``(weight_grads, bias_grads)``, shaped like the network's lists."""
     grads, _ = _loss_and_grads(net, np.atleast_2d(np.asarray(x, dtype=np.float64)),
                                np.asarray(labels), masks)
     return grads
@@ -260,7 +239,7 @@ def _loss_and_grads(net, x, labels, masks):
     if n == 0:
         raise DataError("cannot compute gradients on an empty batch")
     probs, relus, acts = _forward_cached(net, x, masks)
-    loss = _mean_cross_entropy(probs, labels)
+    loss = cross_entropy(probs, labels)
 
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(n), labels] = 1.0
@@ -274,15 +253,15 @@ def _loss_and_grads(net, x, labels, masks):
         if i > 0:
             d_act = delta @ net.weights[i]
             if masks is not None:
-                d_act = d_act * masks.layer_masks[i - 1]
+                d_act = d_act * masks[i - 1]
             delta = d_act * (relus[i - 1] > 0)  # ReLU(z) > 0 exactly where z > 0
-    return Gradients(weights=d_weights, biases=d_biases), loss
+    return (d_weights, d_biases), loss
 
 
-def adam_step(
-    net: Network, grads: Gradients, state: AdamState, lr: float | None = None
-) -> tuple[Network, AdamState]:
-    """One bias-corrected Adam update, in place; returns the pair for chaining."""
+def adam_step(net: Network, grads: tuple[list, list], state: AdamState,
+              lr: float | None = None) -> tuple[Network, AdamState]:
+    """One bias-corrected Adam update from :func:`backward`'s
+    ``(weight_grads, bias_grads)``, in place; returns the pair for chaining."""
     cfg = net.config
     lr = cfg.learning_rate if lr is None else lr
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
@@ -290,8 +269,8 @@ def adam_step(
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for params, gs, ms, vs in (
-        (net.weights, grads.weights, state.m_weights, state.v_weights),
-        (net.biases, grads.biases, state.m_biases, state.v_biases),
+        (net.weights, grads[0], state.m_weights, state.v_weights),
+        (net.biases, grads[1], state.m_biases, state.v_biases),
     ):
         for p, g, m, v in zip(params, gs, ms, vs):
             if g.shape != p.shape:

@@ -127,14 +127,6 @@ class NetworkParams:
 
 
 @dataclass(frozen=True)
-class EnsembleParams:
-    """EnsembleSpec minus the base network and the master seed."""
-
-    members: int = 5
-    width_ranges: tuple[tuple[int, int], ...] = ((24, 48), (12, 24), (6, 12))
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything a command needs, resolved from profile + file + flags.
 
@@ -154,7 +146,7 @@ class RunConfig:
     train_fraction: float = 0.7
     data: DataSource = field(default_factory=DataSource)
     network: NetworkParams = field(default_factory=NetworkParams)
-    ensemble: EnsembleParams = field(default_factory=EnsembleParams)
+    ensemble: EnsembleSpec = field(default_factory=EnsembleSpec)
 
     def validate(self) -> "RunConfig":
         if self.profile not in PROFILES:
@@ -180,19 +172,12 @@ class RunConfig:
         self.data.validate()
         # hidden-unit / rate / epoch sanity via the real config validator
         self.network.to_config(input_units=1, seed=0).validate()
-        self.ensemble_spec(input_units=1).validate()
+        self.ensemble.validate()
         return self
 
     @property
     def uses_csv(self) -> bool:
         return self.data.csv is not None
-
-    def ensemble_spec(self, input_units: int) -> EnsembleSpec:
-        """The ensemble this config trains on tables of ``input_units`` features."""
-        return EnsembleSpec(members=self.ensemble.members,
-                            width_ranges=self.ensemble.width_ranges,
-                            base=self.network.to_config(input_units, seed=0),
-                            master_seed=self.seed)
 
     def to_dict(self) -> dict:
         """Snapshot for config.json and digests; deliberately excludes
@@ -210,7 +195,7 @@ PROFILES = {
         profile=PROFILE_PAPER,
         mc_passes=1000,
         network=NetworkParams(hidden_units=(256, 64, 16), epochs=50, batch_size=128),
-        ensemble=EnsembleParams(members=30, width_ranges=((256, 385), (64, 256), (16, 32))),
+        ensemble=EnsembleSpec(members=30, width_ranges=((256, 385), (64, 256), (16, 32))),
     ),
     PROFILE_DESK: RunConfig(),
 }
@@ -258,14 +243,16 @@ class Manifest:
 
 
 @dataclass(frozen=True)
-class EnsembleFile(EnsembleParams):
+class EnsembleFile(EnsembleSpec):
     """An ensemble directory's ``spec.json``: the config's ensemble
-    section plus the master seed and the member files, in member order."""
+    section plus the master seed and the member files, in member order,
+    checked by the same rules as the config."""
 
     master_seed: int = 0
     files: tuple[str, ...] = ()
 
     def validate(self) -> "EnsembleFile":
+        super().validate()
         if len(self.files) != self.members:
             raise ValidationError(f"{len(self.files)} files listed for {self.members} members")
         return self
@@ -418,7 +405,7 @@ def stage_train(config: RunConfig, needs: tuple[str, ...], log=print,
             save_network(net, stage_dir / "single.json")
             produced.append(stage_dir / "single.json")
         if "ensemble" in needs:
-            spec = config.ensemble_spec(input_units)
+            spec = config.ensemble
             ens_dir = stage_dir / "ensemble"
             ens_dir.mkdir(exist_ok=True)
 
@@ -426,14 +413,14 @@ def stage_train(config: RunConfig, needs: tuple[str, ...], log=print,
                 log(f"[train] member {index + 1}/{spec.members} "
                     f"{list(member_cfg.hidden_units)} final loss {history[-1]:.6f}")
 
-            members = train_ensemble(spec, data, log=member_log)
+            members = train_ensemble(spec, config.network.to_config(input_units, seed=0), data,
+                                     config.seed, log=member_log)
             files = tuple(f"member_{i:03d}.json" for i in range(len(members)))
             for net, name in zip(members, files):
                 save_network(net, ens_dir / name)
                 produced.append(ens_dir / name)
-            container.write_artifact(EnsembleFile(spec.members, spec.width_ranges,
-                                                  spec.master_seed, files),
-                                     ENSEMBLE_FORMAT, ens_dir / "spec.json")
+            container.write_artifact(EnsembleFile(spec.members, spec.width_ranges, config.seed,
+                                                  files), ENSEMBLE_FORMAT, ens_dir / "spec.json")
             produced.append(ens_dir / "spec.json")
         return produced
 
@@ -516,16 +503,17 @@ def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print,
             raise DataError(f"{dump_path}: dump contains no predictions")
         if None in labels:
             raise DataError(f"{dump_path}: dump has no labels; evaluation needs them")
-        report = build_report(header.get("method", method), estimates, labels,
+        report = build_report(header["method"], estimates, labels,
                               thresholds=config.thresholds, m_bins=config.m_bins)
         meta = {"seed": config.seed, "config_digest": _digest_of(stage_config)}
-        container.write_json(report_to_dict(report, meta), stage_dir / "report.json")
+        report_obj = report_to_dict(report, meta)
+        container.write_json(report_obj, stage_dir / "report.json")
         for name, text in (("thresholds.csv", threshold_table_csv(report, meta)),
                            ("entropy_histogram.csv", entropy_histogram_csv(report, meta))):
             with container.open_atomic(stage_dir / name) as fh:
                 fh.write(text)
         render_reliability_svg(report.calibration, stage_dir / "reliability.svg", meta)
-        row = _threshold_row(report_to_dict(report), config.report_threshold, dump_path)
+        row = _threshold_row(report_obj, config.report_threshold, dump_path)
         log(f"[evaluate] {report.method}: n={report.n} acc={report.classic.accuracy:.4f} "
             f"ece={report.calibration.ece:.4f} | t={config.report_threshold:g} "
             f"uacc={_fmt(row['uacc'])} usen={_fmt(row['usen'])} "

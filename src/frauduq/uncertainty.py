@@ -52,13 +52,11 @@ class Estimates:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """How to build an ensemble: member count, per-layer width ranges
-    (inclusive), the shared base config, and the master seed."""
+    """How to build an ensemble: the member count and the per-layer width
+    ranges (inclusive). It is also the config's ``ensemble`` section."""
 
-    members: int
-    width_ranges: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-    base: NetworkConfig
-    master_seed: int = 0
+    members: int = 5
+    width_ranges: tuple[tuple[int, int], ...] = ((24, 48), (12, 24), (6, 12))
 
     def validate(self) -> "EnsembleSpec":
         if self.members < 2:
@@ -122,27 +120,28 @@ def summarize(samples: np.ndarray) -> Estimates:
                      entropy_raw=raw, entropy_norm=norm)
 
 
-def member_config(spec: EnsembleSpec, index: int) -> tuple[NetworkConfig, int]:
-    """Config and training seed of ensemble member ``index``.
+def member_config(spec: EnsembleSpec, base: NetworkConfig, index: int,
+                  master_seed: int = 0) -> NetworkConfig:
+    """``base`` as ensemble member ``index``: its widths and training seed.
 
     Widths are drawn uniformly (inclusive) from the spec ranges and the
-    training seed is derived from (master_seed, index), so members are
-    reproducible independently of training order.
+    training seed (the config's ``seed``) is derived from (master_seed,
+    index), so members are reproducible independently of training order.
     """
-    width_rng = substream(spec.master_seed, STREAM_MEMBER, index, 0)
+    width_rng = substream(master_seed, STREAM_MEMBER, index, 0)
     widths = tuple(int(width_rng.integers(lo, hi, endpoint=True)) for lo, hi in spec.width_ranges)
-    train_seed = derive_seed(spec.master_seed, STREAM_MEMBER, index, 1)
-    config = replace(spec.base, hidden_units=widths, seed=train_seed)
-    return config, train_seed
+    return replace(base, hidden_units=widths,
+                   seed=derive_seed(master_seed, STREAM_MEMBER, index, 1))
 
 
-def train_ensemble(spec: EnsembleSpec, data, log=None) -> list[Network]:
-    """Train all members independently on the identical training table."""
+def train_ensemble(spec: EnsembleSpec, base: NetworkConfig, data, master_seed: int = 0,
+                   log=None) -> list[Network]:
+    """Train all members of ``base`` independently on the identical training table."""
     spec.validate()
     members = []
     for i in range(spec.members):
-        config, train_seed = member_config(spec, i)
-        net, history = train(config, data, train_seed)
+        config = member_config(spec, base, i, master_seed)
+        net, history = train(config, data)
         if log is not None:
             log(i, config, history)
         members.append(net)
@@ -267,8 +266,9 @@ def write_dump(path_jsonl, path_csv, method: str, estimates: Estimates,
 def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
     """Read a JSONL prediction dump back; labels may contain None.
 
-    Rejects, naming the file, a record key that :func:`write_dump` does
-    not write, a record count other than the header's ``n``, indices
+    Rejects, naming the file, a header whose ``n`` is not an int or whose
+    ``method`` is not one of METHODS, a record key that :func:`write_dump`
+    does not write or leaves out, a record count other than ``n``, indices
     other than the ints 0..n-1 in order, a ``mean_probs`` that is not a
     distribution over two classes, a ``predicted_class`` other than its
     argmax, entropies more than ``ENTROPY_TOLERANCE`` from what
@@ -291,7 +291,7 @@ def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
                 rec = json.loads(line)
                 probs = rec["mean_probs"]
                 records.append((rec["index"], probs, rec["predicted_class"],
-                                rec["entropy_raw"], rec["entropy_norm"], rec.get("label")))
+                                rec["entropy_raw"], rec["entropy_norm"], rec["label"]))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path_jsonl}: bad record on line {line_no} ({exc})") from exc
             if not rec.keys() <= _RECORD_KEYS:
@@ -303,10 +303,12 @@ def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
             if len(probs) != 2:
                 raise FormatError(f"{path_jsonl}: line {line_no} has {len(probs)} "
                                   f"mean_probs entries, expected 2")
-    n = len(records)
-    if n != header.get("n"):
-        raise FormatError(f"{path_jsonl}: header says n={header.get('n')!r} but "
-                          f"{n} records follow")
+    n, method = header.get("n"), header.get("method")
+    if type(n) is not int or method not in METHODS:
+        raise FormatError(f"{path_jsonl}: header needs an integer n and a method in "
+                          f"{list(METHODS)}, got n={n!r}, method={method!r}")
+    if len(records) != n:
+        raise FormatError(f"{path_jsonl}: header says n={n} but {len(records)} records follow")
     index, probs, pred, raw, norm, labels = list(zip(*records)) or [()] * 6
     number = {int, float}
     for name, values, key, allowed, wording in (

@@ -102,7 +102,7 @@ def test_criterion_1_gradients_match_finite_differences():
                 config, np.random.default_rng(int(rng.integers(0, 2**31))), n_rows=n)
 
         grads = backward(net, x, labels, masks)
-        for analytic, param in zip(grads.weights + grads.biases,
+        for analytic, param in zip(grads[0] + grads[1],
                                    net.weights + net.biases):
             numeric = central_difference_gradient(net, x, labels, masks, param)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
@@ -267,12 +267,9 @@ def entropy_gap_holds(seed: int) -> dict:
                                   epochs=20, batch_size=64,
                                   seed=derive_seed(seed, STREAM_TRAIN))
     net, _ = train(single_config, train_t)
-    spec = EnsembleSpec(
-        members=5, width_ranges=DESK_WIDTHS,
-        base=NetworkConfig(input_units=8, hidden_units=(1, 1, 1),
-                           epochs=20, batch_size=64),
-        master_seed=seed)
-    members = train_ensemble(spec, train_t)
+    spec = EnsembleSpec(members=5, width_ranges=DESK_WIDTHS)
+    base = NetworkConfig(input_units=8, hidden_units=(1, 1, 1), epochs=20, batch_size=64)
+    members = train_ensemble(spec, base, train_t, master_seed=seed)
 
     results = {}
     for method, models, passes in (("mcd", [net], 100),
@@ -352,12 +349,9 @@ def test_criterion_7_paper_numbers_on_real_data():
 
         net, _ = train(NetworkConfig(input_units=input_units, hidden_units=(256, 64, 16),
                                      seed=derive_seed(master_seed, STREAM_TRAIN)), train_t)
-        spec = EnsembleSpec(members=30,
-                            width_ranges=((256, 385), (64, 256), (16, 32)),
-                            base=NetworkConfig(input_units=input_units,
-                                               hidden_units=(1, 1, 1)),
-                            master_seed=master_seed)
-        members = train_ensemble(spec, train_t)
+        spec = EnsembleSpec(members=30, width_ranges=((256, 385), (64, 256), (16, 32)))
+        base = NetworkConfig(input_units=input_units, hidden_units=(1, 1, 1))
+        members = train_ensemble(spec, base, train_t, master_seed=master_seed)
 
         uacc = {}
         for method, models, passes in (("mcd", [net], 1000),

@@ -76,8 +76,13 @@ def commands(root):
     ("rows.schema.json", {"colour": "red"}, "unknown frauduq-schema key(s)"),
     ("rows.schema.json", {"kinds": {"colour": "ordinal"}}, "unknown kind 'ordinal'"),
     ("out/data/test.json", {"provenance": [1]}, "provenance must be a string"),
+    ("out/models/ensemble/spec.json", {"members": 1, "files": ["member_000.json"]},
+     "members must be >= 2"),
+    ("out/models/ensemble/spec.json", {"width_ranges": [[8, 4], [3, 6], [2, 4]]},
+     "width range [8, 4]"),
 ], ids=["spec-files-5", "spec-width-range-short", "schema-kinds-list", "schema-missing-5", "schema-unknown-key",
-        "schema-unknown-kind", "features-provenance-list"])
+        "schema-unknown-kind", "features-provenance-list", "spec-one-member",
+        "spec-width-range-inverted"])
 def test_malformed_artifact_exits_3_naming_file_and_key(work, capsys, rel, change, key):
     path = work / rel
     path.write_text(json.dumps({**json.loads(path.read_text()), **change}))

@@ -215,9 +215,8 @@ def test_sweep_high_threshold_uacc_tracks_accuracy():
     train_t, test_t = split_train_test(table, 0.7, seed=11)
     base = NetworkConfig(input_units=6, hidden_units=(32, 16, 8), dropout_rate=0.3,
                          epochs=100, batch_size=64, learning_rate=5e-3, seed=0)
-    spec = EnsembleSpec(members=5, width_ranges=((24, 48), (12, 24), (6, 12)),
-                        base=base, master_seed=11)
-    members = train_ensemble(spec, train_t)
+    spec = EnsembleSpec(members=5, width_ranges=((24, 48), (12, 24), (6, 12)))
+    members = train_ensemble(spec, base, train_t, master_seed=11)
     estimates = predict_table("ensemble", members, test_t.features, 1, seed=11)
     confusions, metrics = threshold_sweep(estimates, list(test_t.labels))
     accuracy = classic_metrics(estimates, list(test_t.labels)).accuracy

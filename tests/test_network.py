@@ -62,22 +62,22 @@ def test_softmax_rejects_non_finite():
 
 
 def test_cross_entropy_hand_values():
-    probs = np.array([0.75, 0.25])
-    assert cross_entropy(probs, 0) == pytest.approx(-math.log(0.75), abs=1e-12)
-    assert cross_entropy(probs, 1) == pytest.approx(-math.log(0.25), abs=1e-12)
+    probs = np.array([[0.75, 0.25]])
+    assert cross_entropy(probs, [0]) == pytest.approx(-math.log(0.75), abs=1e-12)
+    assert cross_entropy(probs, [1]) == pytest.approx(-math.log(0.25), abs=1e-12)
 
 
 def test_cross_entropy_clamps_zero_probability():
-    loss = cross_entropy(np.array([1.0, 0.0]), 1)
+    loss = cross_entropy(np.array([[1.0, 0.0]]), [1])
     assert math.isfinite(loss)
     assert loss == pytest.approx(-math.log(1e-12))
 
 
 def test_cross_entropy_rejects_bad_label():
     with pytest.raises(DataError):
-        cross_entropy(np.array([0.5, 0.5]), 2)
+        cross_entropy(np.array([[0.5, 0.5]]), [2])
     with pytest.raises(DataError):
-        cross_entropy(np.array([0.5, 0.5]), -1)
+        cross_entropy(np.array([[0.5, 0.5]]), [-1])
 
 
 # --- gradients --------------------------------------------------------------
@@ -117,13 +117,13 @@ def test_gradient_matches_finite_differences_with_dropout_mask():
     labels = rng.integers(0, 2, size=5)
     masks = sample_dropout_mask(config, np.random.default_rng(1), n_rows=5)
 
-    grads = backward(net, x, labels, masks)
+    weight_grads, bias_grads = backward(net, x, labels, masks)
     worst = 0.0
     for i, w in enumerate(net.weights):
         worst = max(worst, max_relative_error(
-            grads.weights[i], numeric_gradient(net, x, labels, masks, w)))
+            weight_grads[i], numeric_gradient(net, x, labels, masks, w)))
         worst = max(worst, max_relative_error(
-            grads.biases[i], numeric_gradient(net, x, labels, masks, net.biases[i])))
+            bias_grads[i], numeric_gradient(net, x, labels, masks, net.biases[i])))
     assert worst < 1e-4
 
 
@@ -137,7 +137,7 @@ def test_gradient_of_duplicated_batch_is_unchanged():
 
     single = backward(net, x, labels)
     doubled = backward(net, np.vstack([x, x]), np.concatenate([labels, labels]))
-    for a, b in zip(single.weights + single.biases, doubled.weights + doubled.biases):
+    for a, b in zip(single[0] + single[1], doubled[0] + doubled[1]):
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -154,7 +154,7 @@ def test_adam_first_step_closed_form():
                      np.array([0, 1, 0]))
 
     adam_step(net, grads, AdamState.for_network(net))
-    for w0, w1, g in zip(before, net.weights, grads.weights):
+    for w0, w1, g in zip(before, net.weights, grads[0]):
         expected = w0 - config.learning_rate * g / (np.abs(g) + config.adam_epsilon)
         assert np.allclose(w1, expected, atol=1e-12)
 
@@ -175,7 +175,7 @@ def test_adam_step_matches_one_line_update_bitwise():
         lr = config.learning_rate if t % 2 else 0.05
         adam_step(net, grads, state, lr=lr)
         c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-        for p, m, v, g in zip(ref, ref_m, ref_v, grads.weights + grads.biases):
+        for p, m, v, g in zip(ref, ref_m, ref_v, grads[0] + grads[1]):
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -189,7 +189,7 @@ def test_adam_rejects_mismatched_shapes():
     rng = np.random.default_rng(5)
     net = init_network(small_config(rng))
     grads = backward(net, rng.normal(size=(2, net.config.input_units)), np.array([0, 1]))
-    grads.weights[0] = grads.weights[0][:, :-1]
+    grads[0][0] = grads[0][0][:, :-1]
     with pytest.raises(ShapeError):
         adam_step(net, grads, AdamState.for_network(net))
 
@@ -268,7 +268,7 @@ def test_dropout_mask_values_and_mean():
     config = NetworkConfig(input_units=4, hidden_units=(50, 40, 30), dropout_rate=0.3)
     mask = sample_dropout_mask(config, np.random.default_rng(0), n_rows=200)
     scale = 1.0 / 0.7
-    for layer in mask.layer_masks:
+    for layer in mask:
         assert set(np.unique(layer)) <= {0.0, scale}
         assert layer.mean() == pytest.approx(1.0, abs=0.05)
 
@@ -280,7 +280,7 @@ def test_dropout_mask_matches_reference_expression_bitwise(rate):
     for n_rows in (None, 1, 9):
         mask = sample_dropout_mask(config, np.random.default_rng(21), n_rows=n_rows)
         twin = np.random.default_rng(21)
-        for width, layer in zip(config.hidden_units, mask.layer_masks):
+        for width, layer in zip(config.hidden_units, mask):
             shape = (width,) if n_rows is None else (n_rows, width)
             want = (twin.random(shape) >= rate) / (1 - rate)
             assert layer.shape == shape and np.array_equal(layer, want)

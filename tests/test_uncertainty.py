@@ -215,9 +215,9 @@ def test_ensemble_needs_two_members_and_equal_widths():
         predict_table("ensemble", [biased_network(1.0), wrong], np.zeros((1, 3)), passes=1)
 
     base = NetworkConfig(input_units=3, hidden_units=(4, 3, 2))
-    three_ends = EnsembleSpec(members=2, width_ranges=((4, 6), (3, 5), (2, 3, 4)), base=base)
+    three_ends = EnsembleSpec(members=2, width_ranges=((4, 6), (3, 5), (2, 3, 4)))
     with pytest.raises(ValidationError, match=r"\[2, 3, 4\]"):
-        train_ensemble(three_ends, None)
+        train_ensemble(three_ends, base, None)
 
 
 # --- certainty flagging -------------------------------------------------------------
@@ -253,19 +253,15 @@ def test_flag_certainty_rejects_out_of_range_threshold():
 
 
 def test_member_config_widths_and_seeds():
-    spec = EnsembleSpec(
-        members=30,
-        width_ranges=((256, 385), (64, 256), (16, 32)),
-        base=NetworkConfig(input_units=10, hidden_units=(1, 1, 1)),
-        master_seed=5,
-    )
+    spec = EnsembleSpec(members=30, width_ranges=((256, 385), (64, 256), (16, 32)))
+    base = NetworkConfig(input_units=10, hidden_units=(1, 1, 1))
     seeds = set()
     for i in range(spec.members):
-        config, train_seed = member_config(spec, i)
+        config = member_config(spec, base, i, master_seed=5)
         for width, (lo, hi) in zip(config.hidden_units, spec.width_ranges):
             assert lo <= width <= hi
-        seeds.add(train_seed)
-        again, _ = member_config(spec, i)
+        seeds.add(config.seed)
+        again = member_config(spec, base, i, master_seed=5)
         assert again.hidden_units == config.hidden_units
     assert len(seeds) == 30  # member training streams never collide
 
@@ -275,11 +271,9 @@ def test_train_ensemble_members_differ():
     x = rng.normal(size=(40, 3))
     labels = (x.sum(axis=1) > 0).astype(np.int64)
     data = FeatureTable(features=x, labels=labels)
-    spec = EnsembleSpec(
-        members=3, width_ranges=((3, 6), (3, 5), (2, 4)),
-        base=NetworkConfig(input_units=3, hidden_units=(1, 1, 1), epochs=2, batch_size=16),
-        master_seed=8)
-    members = train_ensemble(spec, data)
+    spec = EnsembleSpec(members=3, width_ranges=((3, 6), (3, 5), (2, 4)))
+    base = NetworkConfig(input_units=3, hidden_units=(1, 1, 1), epochs=2, batch_size=16)
+    members = train_ensemble(spec, base, data, master_seed=8)
     assert len(members) == 3
     widths = {m.config.hidden_units for m in members}
     probs = {tuple(forward(m, x[0]).round(6)) for m in members}
@@ -442,6 +436,7 @@ def test_read_dump_rejects_foreign_and_truncated(tmp_path):
 
     # As in from_plain, numbers are ints or floats but not bools, and
     # indices are ints: each probe agrees with itself in every other way.
+    head = {"format": "frauduq-predictions", "version": 1, "method": "mcd", "n": 1}
     one = {"index": 0, "mean_probs": [1.0, 0.0], "predicted_class": 0,
            "entropy_raw": 0.0, "entropy_norm": 0.0, "label": None}
     for i, (change, message) in enumerate([
@@ -456,12 +451,28 @@ def test_read_dump_rejects_foreign_and_truncated(tmp_path):
         ({"weight": 1.0}, r"unknown key\(s\) \['weight'\]"),
     ]):
         probe = tmp_path / f"probe_{i}.jsonl"
-        probe.write_text(json.dumps({"format": "frauduq-predictions", "version": 1, "n": 1})
-                         + "\n" + json.dumps({**one, **change}) + "\n")
+        probe.write_text(json.dumps(head) + "\n" + json.dumps({**one, **change}) + "\n")
         if message is None:
             assert read_dump(probe)[2] == [None]
             continue
         with pytest.raises(FormatError, match=f"probe_{i}.jsonl: .*{message}"):
+            read_dump(probe)
+
+    # write_dump writes every header and record key, so none may be left
+    # out; the header's n is an int and its method one of the three.
+    no_method = {k: v for k, v in head.items() if k != "method"}
+    no_label = {k: v for k, v in one.items() if k != "label"}
+    header_fault = "header needs an integer n and a method in"
+    for i, (header_obj, record, message) in enumerate([
+        (head, no_label, r"bad record on line 2 \('label'\)"),
+        ({**head, "n": True}, one, f"{header_fault} .*got n=True"),
+        ({**head, "n": 1.0}, one, f"{header_fault} .*got n=1.0"),
+        (no_method, one, f"{header_fault} .*method=None"),
+        ({**head, "method": 5}, one, f"{header_fault} .*method=5"),
+    ]):
+        probe = tmp_path / f"required_{i}.jsonl"
+        probe.write_text(json.dumps(header_obj) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(FormatError, match=f"required_{i}.jsonl: {message}"):
             read_dump(probe)
 
     # np.log may differ in the last ulp across numpy builds and CPUs, so
