@@ -139,9 +139,10 @@ def read_artifact(path, fmt: str, cls, defaults: bool = False):
     """Read a ``fmt`` file as the dataclass ``cls``: its keys other than
     the header's, built by :func:`from_plain` and checked by the class's
     ``validate()`` if it has one. Any fault is a FormatError naming the
-    file and the key. A file that frauduq writes holds every key, so a
-    missing one is a fault; only a user-written file (``defaults``) may
-    leave a key out for its field's default."""
+    file and the key. A file that frauduq writes holds every key but
+    those of None fields, so any other missing key is a fault; only a
+    user-written file (``defaults``) may leave a key out for its field's
+    default."""
     obj = check_header(read_json(path), fmt, path)
     fields = {k: v for k, v in obj.items() if k not in ("format", "version")}
     try:
@@ -184,7 +185,8 @@ def to_plain(obj):
     return obj
 
 
-_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               bool: "true or false"}
 _type_hints = functools.cache(typing.get_type_hints)  # resolved once per class: resumes read many
 
 
@@ -195,15 +197,18 @@ def from_plain(cls, obj, base=None, where: str = "", noun: str = "config",
 
     A key the object leaves out keeps its value in ``base``, or the
     field's default when there is no base; without ``defaults`` it is a
-    fault even when the field has a default. A nested object merges the
-    same way into the base's value, so a config file lists only what it
-    changes. The exception is a class whose fields all default to None:
-    it is a choice between them, so its object is built afresh and does
-    not inherit the base's choice.
+    fault unless the field defaults to None, which is how :func:`to_plain`
+    writes None. A nested object merges the same way into the base's
+    value, so a config file lists only what it changes. The exception is
+    a class whose fields all default to None: it is a choice between
+    them, so its object is built afresh and does not inherit the base's
+    choice.
 
-    Types are strict: an int field takes an int but not a bool, a float
-    field takes an int or a finite float (stored as a float) but not a
-    bool, a list or ``tuple[X, ...]`` field takes a list of X, a
+    Types are strict: an int field takes an int but not a bool, a bool
+    field only true or false, a float field takes an int or a finite
+    float (stored as a float) but not a bool, a union of scalar kinds
+    (``float | str``) the first kind that fits, a list or
+    ``tuple[X, ...]`` field takes a list of X (X may be a dataclass), a
     fixed-length tuple field (``tuple[int, int]``) a list of that length
     with each item of its position's type, a dict field an object, an
     array field an array record, and no field takes null. A
@@ -220,29 +225,17 @@ def from_plain(cls, obj, base=None, where: str = "", noun: str = "config",
         raise ValidationError(f"unknown {noun} key(s) in {name}: {sorted(unknown)}")
     if _is_choice(cls):
         base = None
-    values = {}
-    for key, value in obj.items():
-        kind = _strip_none(hints[key])
-        if dataclasses.is_dataclass(kind):
-            values[key] = from_plain(kind, value, None if base is None else getattr(base, key),
-                                     f"{where}.{key}" if where else key, noun, defaults)
-        else:
-            values[key] = _typed(value, kind, f"{name}.{key}")
+    values = {key: _typed(value, hints[key], f"{name}.{key}", noun, defaults,
+                          None if base is None else getattr(base, key))
+              for key, value in obj.items()}
     if base is not None:
         return dataclasses.replace(base, **values)
     missing = [f.name for f in dataclasses.fields(cls) if f.name not in values and (
-        not defaults
+        not defaults and f.default is not None
         or f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)]
     if missing:
         raise ValidationError(f"{label} lacks key(s) {missing}")
     return cls(**values)
-
-
-def _strip_none(kind):
-    """``X`` from ``X | None``; the None only marks a field as optional."""
-    if isinstance(kind, types.UnionType):
-        (kind,) = [a for a in typing.get_args(kind) if a is not type(None)]
-    return kind
 
 
 def _is_choice(cls) -> bool:
@@ -250,11 +243,24 @@ def _is_choice(cls) -> bool:
     return all(f.default is None for f in dataclasses.fields(cls))
 
 
-def _typed(value, kind, where: str):
-    """Check one leaf value strictly; lists come back as the field's type."""
+def _typed(value, kind, where: str, noun: str, defaults: bool, base=None):
+    """Check one value strictly; lists come back as the field's type, and
+    a dataclass is built by :func:`from_plain` (merged into ``base``)."""
     origin = typing.get_origin(kind)
+    if dataclasses.is_dataclass(kind):
+        # a dataclass's own path leaves out the noun: messages put it in front
+        return from_plain(kind, value, base, where.removeprefix(f"{noun}."), noun, defaults)
     if kind is np.ndarray:
         return decode_array(value, where)
+    if isinstance(kind, types.UnionType):  # a None option only marks the field optional
+        options = [k for k in typing.get_args(kind) if k is not type(None)]
+        if len(options) == 1:
+            return _typed(value, options[0], where, noun, defaults, base)
+        for option in options:
+            with contextlib.suppress(ValidationError):
+                return _typed(value, option, where, noun, defaults)
+        raise ValidationError(
+            f"{where} must be {' or '.join(_KIND_NAMES[k] for k in options)}, got {value!r}")
     if origin in (tuple, list):
         if not isinstance(value, list):
             raise ValidationError(f"{where} must be a list, got {value!r}")
@@ -263,15 +269,15 @@ def _typed(value, kind, where: str):
             items = items[:1] * len(value)
         elif len(value) != len(items):
             raise ValidationError(f"{where} must be a list of {len(items)} items, got {value!r}")
-        return origin(_typed(v, item, f"{where}[{i}]")
+        return origin(_typed(v, item, f"{where}[{i}]", noun, defaults)
                       for i, (v, item) in enumerate(zip(value, items)))
     if origin is dict:
         if not isinstance(value, dict):
             raise ValidationError(f"{where} must be an object, got {value!r}")
         item = typing.get_args(kind)[1]
-        return {k: _typed(v, item, f"{where}.{k}") for k, v in value.items()}
+        return {k: _typed(v, item, f"{where}.{k}", noun, defaults) for k, v in value.items()}
     accepted = (int, float) if kind is float else kind
-    if (isinstance(value, bool) or not isinstance(value, accepted)
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)
             or (kind is float and not abs(value) <= sys.float_info.max)):  # NaN fails too
         raise ValidationError(f"{where} must be {_KIND_NAMES[kind]}, got {value!r}")
     return float(value) if kind is float else value

@@ -7,13 +7,14 @@ desk-scale runs where the real transaction data is not available.
 """
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import container
-from .errors import DataError, FormatError, ValidationError
+from .errors import DataError, ValidationError
 from .seeding import STREAM_SPLIT, STREAM_SYNTH, substream
 
 NUMERIC = "numeric"
@@ -115,8 +116,9 @@ def _parse_label(value: str, row_num: int) -> int:
 def load_csv(path, schema: CsvSchema) -> RawTable:
     """Parse a headered CSV into a RawTable, marking missing cells.
 
-    Raises DataError naming the row for ragged rows or bad labels, and
-    when the label column is absent.
+    Raises DataError naming the row for ragged rows, bad labels and
+    non-finite numeric cells, and when the label column is absent or is
+    the only column.
     """
     path = Path(path)
     try:
@@ -133,6 +135,8 @@ def load_csv(path, schema: CsvSchema) -> RawTable:
             raise DataError(f"{path}: label column {schema.label!r} not in header")
         label_pos = header.index(schema.label)
         feature_names = [h for i, h in enumerate(header) if i != label_pos]
+        if not feature_names:
+            raise DataError(f"{path}: no feature column besides the label {schema.label!r}")
 
         missing = set(schema.missing_values)
         cells: list[list] = [[] for _ in feature_names]
@@ -168,6 +172,11 @@ def load_csv(path, schema: CsvSchema) -> RawTable:
                             f"{path}: row {i + 2}: column {name!r} declared numeric "
                             f"but holds {cell!r}"
                         ) from None
+            # one vectorized check per column: only a missing cell may be NaN
+            if np.isinf(col).any() or np.count_nonzero(np.isnan(col)) != raw.count(None):
+                i = next(i for i, c in enumerate(raw) if c is not None and not np.isfinite(col[i]))
+                raise DataError(f"{path}: row {i + 2}: column {name!r} holds the non-finite "
+                                f"{raw[i]!r}; list it in missing_values if it means missing")
             columns.append(col)
         else:
             columns.append(np.array(raw, dtype=object))
@@ -191,71 +200,64 @@ def _infer_kind(raw: list) -> str:
     return NUMERIC
 
 
-@dataclass
-class _NumericColumn:
+# a column kind -> the type of its impute_value and its own keys, sorted
+_COLUMN_KEYS = {NUMERIC: (float, ["mean", "std"]),
+                CATEGORICAL: (str, ["categories", "unknown_index"])}
+
+
+@dataclass(frozen=True)
+class ColumnParams:
+    """One column's fitted statistics. Numeric: the observed mean as
+    ``impute_value``, then ``mean`` and population ``std`` after imputing
+    (0 for a constant column). Categorical: the mode as ``impute_value``,
+    ``categories`` (code i is the i-th seen) and ``unknown_index``, the
+    code of an unseen value. The other kind's fields are None, so the
+    file leaves their keys out."""
+
     name: str
-    impute_value: float
-    mean: float
-    std: float  # population std post-imputation; 0 flags a constant column
+    kind: str
+    impute_value: float | str
+    mean: float | None = None
+    std: float | None = None
+    categories: tuple[str, ...] | None = None
+    unknown_index: int | None = None
+
+    def validate(self) -> "ColumnParams":
+        if self.kind not in _COLUMN_KEYS:
+            raise ValidationError(f"column {self.name!r} has unknown kind {self.kind!r}")
+        impute, own = _COLUMN_KEYS[self.kind]
+        given = [k for k in ("categories", "mean", "std", "unknown_index")
+                 if getattr(self, k) is not None]
+        if not isinstance(self.impute_value, impute) or given != own:
+            raise ValidationError(
+                f"column {self.name!r}: a {self.kind} column takes a {impute.__name__} "
+                f"impute_value and the keys {own}, got "
+                f"{type(self.impute_value).__name__} and {given}")
+        if self.kind == CATEGORICAL and self.unknown_index != len(self.categories):
+            raise ValidationError(f"column {self.name!r}: unknown_index must be "
+                                  f"{len(self.categories)}, one past the last category")
+        return self
 
 
-@dataclass
-class _CategoricalColumn:
-    name: str
-    impute_value: str
-    mapping: dict  # category -> ordinal code, first-appearance order
-    unknown_index: int
-
-
-@dataclass
+@dataclass(frozen=True)
 class PreprocessorState:
-    """Per-column imputation / scaling / encoding parameters, fitted on train only."""
+    """Per-column imputation / scaling / encoding parameters, fitted on
+    train only: the ``preprocessor.json`` artifact."""
 
-    column_names: list[str]
-    kinds: list[str]
-    params: list  # _NumericColumn | _CategoricalColumn, aligned with column_names
-    fitted: bool = False
+    columns: tuple[ColumnParams, ...]
+    fitted: bool = True
 
-    def to_dict(self) -> dict:
-        cols = []
-        for kind, p in zip(self.kinds, self.params):
-            if kind == NUMERIC:
-                cols.append({"name": p.name, "kind": kind, "impute_value": p.impute_value,
-                             "mean": p.mean, "std": p.std})
-            else:
-                cols.append({"name": p.name, "kind": kind, "impute_value": p.impute_value,
-                             "categories": list(p.mapping.keys()),
-                             "unknown_index": p.unknown_index})
-        return container.header(PREPROCESSOR_FORMAT, fitted=self.fitted, columns=cols)
-
-    @classmethod
-    def from_dict(cls, obj: dict, context: str = "preprocessor") -> "PreprocessorState":
-        try:
-            names, kinds, params = [], [], []
-            for col in obj["columns"]:
-                names.append(col["name"])
-                kinds.append(col["kind"])
-                if col["kind"] == NUMERIC:
-                    params.append(_NumericColumn(col["name"], float(col["impute_value"]),
-                                                 float(col["mean"]), float(col["std"])))
-                elif col["kind"] == CATEGORICAL:
-                    mapping = {c: i for i, c in enumerate(col["categories"])}
-                    params.append(_CategoricalColumn(col["name"], col["impute_value"],
-                                                     mapping, int(col["unknown_index"])))
-                else:
-                    raise FormatError(f"{context}: unknown column kind {col['kind']!r}")
-            return cls(column_names=names, kinds=kinds, params=params,
-                       fitted=bool(obj["fitted"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{context}: malformed preprocessor state ({exc})") from exc
+    def validate(self) -> "PreprocessorState":
+        for column in self.columns:
+            column.validate()
+        return self
 
     def save(self, path) -> None:
-        container.write_json(self.to_dict(), path)
+        container.write_artifact(self, PREPROCESSOR_FORMAT, path)
 
     @classmethod
     def load(cls, path) -> "PreprocessorState":
-        obj = container.check_header(container.read_json(path), PREPROCESSOR_FORMAT, path)
-        return cls.from_dict(obj, context=str(path))
+        return container.read_artifact(path, PREPROCESSOR_FORMAT, cls)
 
 
 def fit_preprocessor(train: RawTable) -> PreprocessorState:
@@ -269,7 +271,7 @@ def fit_preprocessor(train: RawTable) -> PreprocessorState:
     """
     if train.n_rows == 0:
         raise DataError("cannot fit a preprocessor on an empty table")
-    params = []
+    columns = []
     for name, kind, col in zip(train.column_names, train.kinds, train.columns):
         if kind == NUMERIC:
             observed = col[~np.isnan(col)]
@@ -277,45 +279,36 @@ def fit_preprocessor(train: RawTable) -> PreprocessorState:
                 raise DataError(f"column {name!r} is entirely missing")
             impute = float(observed.mean())
             imputed = np.where(np.isnan(col), impute, col)
-            params.append(_NumericColumn(name, impute, float(imputed.mean()),
-                                         float(imputed.std())))
+            columns.append(ColumnParams(name, kind, impute, mean=float(imputed.mean()),
+                                        std=float(imputed.std())))
         else:
-            observed = [c for c in col if c is not None]
-            if not observed:
+            counts = Counter(c for c in col if c is not None)  # first-appearance order
+            if not counts:
                 raise DataError(f"column {name!r} is entirely missing")
-            order, counts = [], {}
-            for c in observed:
-                if c not in counts:
-                    order.append(c)
-                    counts[c] = 0
-                counts[c] += 1
-            mode = max(order, key=lambda c: counts[c])  # max is stable: first appearance wins ties
-            mapping = {c: i for i, c in enumerate(order)}
-            params.append(_CategoricalColumn(name, mode, mapping, len(order)))
-    return PreprocessorState(
-        column_names=list(train.column_names), kinds=list(train.kinds),
-        params=params, fitted=True,
-    )
+            mode = max(counts, key=counts.get)  # max is stable: first appearance wins ties
+            columns.append(ColumnParams(name, kind, mode, categories=tuple(counts),
+                                        unknown_index=len(counts)))
+    return PreprocessorState(tuple(columns))
 
 
 def apply_preprocessor(state: PreprocessorState, table: RawTable) -> FeatureTable:
     """Transform a RawTable with fitted statistics into a dense FeatureTable."""
     if not state.fitted:
         raise DataError("preprocessor state is not fitted")
-    if list(table.column_names) != state.column_names or list(table.kinds) != state.kinds:
+    if [(p.name, p.kind) for p in state.columns] != list(zip(table.column_names, table.kinds)):
         raise DataError("table columns do not match the fitted preprocessor")
-    out = np.empty((table.n_rows, len(state.params)))
-    for j, (kind, p, col) in enumerate(zip(state.kinds, state.params, table.columns)):
-        if kind == NUMERIC:
+    out = np.empty((table.n_rows, len(state.columns)))
+    for j, (p, col) in enumerate(zip(state.columns, table.columns)):
+        if p.kind == NUMERIC:
             filled = np.where(np.isnan(col), p.impute_value, col)
             if p.std == 0.0:
                 out[:, j] = 0.0
             else:
                 out[:, j] = (filled - p.mean) / p.std
         else:
-            codes = [p.mapping.get(p.impute_value if c is None else c, p.unknown_index)
-                     for c in col]
-            out[:, j] = np.array(codes, dtype=np.float64)
+            codes = {c: i for i, c in enumerate(p.categories)}
+            out[:, j] = np.array([codes.get(p.impute_value if c is None else c, p.unknown_index)
+                                  for c in col], dtype=np.float64)
     return FeatureTable(features=out, labels=table.labels.copy(),
                         provenance=table.source).validate()
 

@@ -93,7 +93,6 @@ class UqReport:
     method: str
     n: int
     calibration: CalibrationBins
-    thresholds: tuple[float, ...]
     confusions: tuple[UqConfusion, ...]
     metrics: tuple[UqMetrics, ...]
     classic: ClassicMetrics
@@ -227,18 +226,16 @@ def export_entropy_histogram(estimates: Estimates, labels,
 
 
 def build_report(method: str, estimates: Estimates, labels,
-                 thresholds=DEFAULT_THRESHOLDS, m_bins: int = 10,
-                 histogram_bins: int = 50) -> UqReport:
+                 thresholds=DEFAULT_THRESHOLDS, m_bins: int = 10) -> UqReport:
     confusions, metrics = threshold_sweep(estimates, labels, thresholds)
     return UqReport(
         method=method,
         n=len(estimates),
         calibration=compute_ece(estimates, labels, m_bins),
-        thresholds=tuple(float(t) for t in thresholds),
         confusions=confusions,
         metrics=metrics,
         classic=classic_metrics(estimates, labels),
-        entropy_histogram=export_entropy_histogram(estimates, labels, histogram_bins),
+        entropy_histogram=export_entropy_histogram(estimates, labels),
     )
 
 
@@ -255,18 +252,8 @@ def report_to_dict(report: UqReport, meta: dict | None = None) -> dict:
             "bin_count": len(cal.bins),
             "bins": [vars(b) for b in cal.bins],
         },
-        thresholds=[
-            {"threshold": c.threshold, "tc": c.tc, "tu": c.tu, "fu": c.fu, "fc": c.fc,
-             "uacc": m.uacc, "usen": m.usen, "uspe": m.uspe, "upre": m.upre}
-            for c, m in zip(report.confusions, report.metrics)
-        ],
-        entropy_histogram={
-            "bin_edges": list(report.entropy_histogram.bin_edges),
-            "correct_counts": list(report.entropy_histogram.correct_counts),
-            "incorrect_counts": list(report.entropy_histogram.incorrect_counts),
-            "mean_entropy_correct": report.entropy_histogram.mean_entropy_correct,
-            "mean_entropy_incorrect": report.entropy_histogram.mean_entropy_incorrect,
-        },
+        thresholds=[vars(c) | vars(m) for c, m in zip(report.confusions, report.metrics)],
+        entropy_histogram=vars(report.entropy_histogram),
     )
 
 

@@ -22,41 +22,52 @@ MODEL_FORMAT = "frauduq-network"
 
 
 @dataclass(frozen=True)
-class NetworkConfig:
-    """Architecture and training hyperparameters for one classifier."""
+class NetworkParams:
+    """The hyperparameters a run sets: the config's ``network`` section."""
 
-    input_units: int
-    hidden_units: tuple[int, int, int]
-    output_units: int = 2
+    hidden_units: tuple[int, int, int] = (32, 16, 8)
     dropout_rate: float = 0.3
-    epochs: int = 50
-    batch_size: int = 128
+    epochs: int = 20
+    batch_size: int = 64
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_units", tuple(int(h) for h in self.hidden_units))
 
-    def validate(self) -> "NetworkConfig":
-        if self.input_units < 1:
-            raise ValidationError(f"input_units must be >= 1, got {self.input_units}")
+    def validate(self) -> "NetworkParams":
         if len(self.hidden_units) != N_HIDDEN_LAYERS:
             raise ValidationError(
                 f"hidden_units must have exactly {N_HIDDEN_LAYERS} entries, got {list(self.hidden_units)}"
             )
         if any(h < 1 for h in self.hidden_units):
             raise ValidationError(f"hidden layer widths must be >= 1, got {list(self.hidden_units)}")
-        if self.output_units != 2:
-            raise ValidationError(f"output_units must be 2, got {self.output_units}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValidationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.learning_rate <= 0:
             raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be >= 1")
+        return self
+
+
+@dataclass(frozen=True, kw_only=True)
+class NetworkConfig(NetworkParams):
+    """One classifier's architecture and training: the run's
+    :class:`NetworkParams` plus what the data and the seed fix."""
+
+    input_units: int
+    output_units: int = 2
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_epsilon: float = 1e-8
+    seed: int = 0
+
+    def validate(self) -> "NetworkConfig":
+        if self.input_units < 1:
+            raise ValidationError(f"input_units must be >= 1, got {self.input_units}")
+        super().validate()
+        if self.output_units != 2:
+            raise ValidationError(f"output_units must be 2, got {self.output_units}")
         return self
 
     @property

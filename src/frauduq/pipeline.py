@@ -36,7 +36,7 @@ from .evaluation import (
     report_to_dict,
     threshold_table_csv,
 )
-from .network import NetworkConfig, load_network, save_network, train
+from .network import NetworkConfig, NetworkParams, load_network, save_network, train
 from .seeding import STREAM_TRAIN, derive_seed
 from .uncertainty import (
     METHOD_EMCD,
@@ -113,20 +113,6 @@ class DataSource:
 
 
 @dataclass(frozen=True)
-class NetworkParams:
-    """NetworkConfig minus the data-dependent input width."""
-
-    hidden_units: tuple[int, int, int] = (32, 16, 8)
-    dropout_rate: float = 0.3
-    epochs: int = 20
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-
-    def to_config(self, input_units: int, seed: int) -> NetworkConfig:
-        return NetworkConfig(input_units=input_units, seed=seed, **vars(self))
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything a command needs, resolved from profile + file + flags.
 
@@ -170,8 +156,7 @@ class RunConfig:
         if not 0.0 < self.train_fraction < 1.0:
             raise ValidationError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         self.data.validate()
-        # hidden-unit / rate / epoch sanity via the real config validator
-        self.network.to_config(input_units=1, seed=0).validate()
+        self.network.validate()
         self.ensemble.validate()
         return self
 
@@ -260,10 +245,8 @@ class EnsembleFile(EnsembleSpec):
 
 @dataclass
 class StageResult:
-    name: str
     dir: Path
     skipped: bool
-    outputs: dict  # path relative to the stage dir -> sha256
 
 
 def _digest_of(obj) -> str:
@@ -311,7 +294,7 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
                         and _file_digest(stage_dir / rel, digests) == digest
                         for rel, digest in manifest.outputs.items())):
             log(f"[{name}] up to date, skipping")
-            return StageResult(name, stage_dir, True, manifest.outputs)
+            return StageResult(stage_dir, True)
 
     stage_dir.mkdir(parents=True, exist_ok=True)
     produced = build(stage_dir)
@@ -319,7 +302,7 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
                for p in produced}
     container.write_artifact(Manifest(name, config_digest, input_digests, outputs),
                              MANIFEST_FORMAT, manifest_path)
-    return StageResult(name, stage_dir, False, outputs)
+    return StageResult(stage_dir, False)
 
 
 def _require_file(path: Path, hint: str) -> Path:
@@ -395,8 +378,8 @@ def stage_train(config: RunConfig, needs: tuple[str, ...], log=print,
         input_units = data.features.shape[1]
         produced = []
         if "single" in needs:
-            net_config = config.network.to_config(
-                input_units, derive_seed(config.seed, STREAM_TRAIN))
+            net_config = NetworkConfig(**vars(config.network), input_units=input_units,
+                                       seed=derive_seed(config.seed, STREAM_TRAIN))
             log(f"[train] single network {list(net_config.hidden_units)} "
                 f"on {data.n_rows} rows")
             net, history = train(net_config, data)
@@ -413,8 +396,8 @@ def stage_train(config: RunConfig, needs: tuple[str, ...], log=print,
                 log(f"[train] member {index + 1}/{spec.members} "
                     f"{list(member_cfg.hidden_units)} final loss {history[-1]:.6f}")
 
-            members = train_ensemble(spec, config.network.to_config(input_units, seed=0), data,
-                                     config.seed, log=member_log)
+            base = NetworkConfig(**vars(config.network), input_units=input_units)
+            members = train_ensemble(spec, base, data, config.seed, log=member_log)
             files = tuple(f"member_{i:03d}.json" for i in range(len(members)))
             for net, name in zip(members, files):
                 save_network(net, ens_dir / name)

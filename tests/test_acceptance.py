@@ -329,7 +329,7 @@ def test_criterion_7_paper_numbers_on_real_data():
         state = fit_preprocessor(train_raw)
         train_t, test_t = apply_preprocessor(state, train_raw), apply_preprocessor(state, test_raw)
         config = NetworkConfig(input_units=train_t.features.shape[1],
-                               hidden_units=(256, 64, 16),
+                               hidden_units=(256, 64, 16), epochs=50, batch_size=128,
                                seed=derive_seed(seed, STREAM_TRAIN))
         net, _ = train(config, train_t)
         probs = forward(net, test_t.features)
@@ -348,9 +348,11 @@ def test_criterion_7_paper_numbers_on_real_data():
         input_units = train_t.features.shape[1]
 
         net, _ = train(NetworkConfig(input_units=input_units, hidden_units=(256, 64, 16),
+                                     epochs=50, batch_size=128,
                                      seed=derive_seed(master_seed, STREAM_TRAIN)), train_t)
         spec = EnsembleSpec(members=30, width_ranges=((256, 385), (64, 256), (16, 32)))
-        base = NetworkConfig(input_units=input_units, hidden_units=(1, 1, 1))
+        base = NetworkConfig(input_units=input_units, hidden_units=(1, 1, 1),
+                             epochs=50, batch_size=128)
         members = train_ensemble(spec, base, train_t, master_seed=master_seed)
 
         uacc = {}

@@ -2,6 +2,8 @@
 data source. Frozen literals were computed by hand / with independent
 arithmetic before the implementation existed."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,12 @@ def test_load_csv_error_reports_row_numbers(tmp_path):
     missing = write_csv(tmp_path, "a,b\n1,2\n", name="nolabel.csv")
     with pytest.raises(DataError, match="y"):
         load_csv(missing, SCHEMA)
+
+    # non-finite numeric cells that are not listed missing values
+    for cell in ("inf", "-inf", "nan"):
+        path = write_csv(tmp_path, f"a,b,y\n1,x,0\n{cell},x,1\n", name="nonfinite.csv")
+        with pytest.raises(DataError, match=f"nonfinite.csv: row 3: column 'a'.*'{cell}'"):
+            load_csv(path, SCHEMA)
 
 
 def test_load_csv_header_only_gives_empty_table(tmp_path):
@@ -133,10 +141,39 @@ def test_preprocessor_round_trip_bitwise(tmp_path):
     assert np.array_equal(before.features, after.features)
 
 
+PREP_ROWS = "a,c,y\n1.25,u,0\nNA,v,1\n-3.5,u,0\n8,w,1\n"
+
+
+@pytest.mark.parametrize("fault, named", [
+    (lambda d: d.update(fitted="no"), "fitted"),
+    (lambda d: d["columns"][0].update(std=True), "columns[0].std"),
+    (lambda d: d["columns"][0].update(mean="1.5"), "columns[0].mean"),
+    (lambda d: d["columns"][1].update(unknown_index=2.7), "columns[1].unknown_index"),
+    (lambda d: d["columns"][1].update(categories="TF"), "columns[1].categories"),
+    (lambda d: d["columns"][0].update(scale=2.0), "columns[0]: ['scale']"),
+    (lambda d: d.update(columns_v2=[]), "['columns_v2']"),
+    (lambda d: d["columns"][0].update(categories=["u"]), "column 'a'"),
+    (lambda d: d["columns"][1].update(impute_value=1.0), "column 'c'"),
+    (lambda d: d.update(fitted=1), "fitted"),
+    (lambda d: d["columns"][1].update(unknown_index=0), "column 'c': unknown_index"),
+], ids=["fitted-string", "std-bool", "mean-string", "unknown-index-float", "categories-string",
+        "unknown-column-key", "unknown-top-key", "numeric-with-categories",
+        "categorical-number-impute", "fitted-int", "unknown-index-collides"])
+def test_doctored_preprocessor_is_refused_naming_file_and_key(tmp_path, fault, named):
+    state_path = tmp_path / "prep.json"
+    fit_preprocessor(load_csv(write_csv(tmp_path, PREP_ROWS), SCHEMA)).save(state_path)
+    doc = json.loads(state_path.read_text())
+    fault(doc)
+    state_path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as info:
+        PreprocessorState.load(state_path)
+    assert str(state_path) in str(info.value) and named in str(info.value), info.value
+
+
 def test_apply_rejects_unfitted_and_mismatched(tmp_path):
     table = load_csv(write_csv(tmp_path, "a,y\n1,0\n2,1\n"), SCHEMA)
     with pytest.raises(DataError):
-        apply_preprocessor(PreprocessorState([], [], [], fitted=False), table)
+        apply_preprocessor(PreprocessorState((), fitted=False), table)
 
     other = load_csv(write_csv(tmp_path, "b,y\n1,0\n2,1\n", name="o.csv"), SCHEMA)
     with pytest.raises(DataError):

@@ -486,6 +486,18 @@ def test_cli_data_errors_exit_3(tmp_path, capsys):
                    "--dump", str(not_utf8)) == 3
     assert f"{not_utf8}: not valid UTF-8" in capsys.readouterr().err
 
+    # a CSV whose only column is the label: refused by the data stage,
+    # before any network is trained
+    (tmp_path / "labels.csv").write_text("y\n0\n1\n0\n1\n")
+    (tmp_path / "labels.schema.json").write_text(
+        '{"format": "frauduq-schema", "version": 1, "label": "y"}')
+    labels_only = write_config(tmp_path, {"data": {"csv": {
+        "path": str(tmp_path / "labels.csv"), "schema": str(tmp_path / "labels.schema.json")}}},
+        name="labels.json")
+    assert cli_run("reproduce", "--config", str(labels_only), "--out", out) == 3
+    assert "labels.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "models").exists()
+
     # a model file whose stored config is out of range
     assert cli_run("preprocess", "--config", str(config_path), "--out", out) == 0
     assert cli_run("train", "--config", str(config_path), "--out", out) == 0
