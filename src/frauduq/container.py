@@ -213,19 +213,19 @@ def from_plain(cls, obj, base=None, where: str = "", noun: str = "config",
     with each item of its position's type, a dict field an object, an
     array field an array record, and no field takes null. A
     ValidationError (FormatError for an array) names the offending key by
-    its path: ``where`` is the path of ``obj`` itself, empty at the top,
-    which messages call ``noun``.
+    its path from ``noun``: ``where`` is the path of ``obj`` itself
+    (``config.data``), and ``noun`` alone at the top.
     """
-    name, label = where or noun, f"{noun} {where}".rstrip()
+    where = where or noun
     if not isinstance(obj, dict):
-        raise ValidationError(f"{label} must be an object, got {obj!r}")
+        raise ValidationError(f"{where} must be an object, got {obj!r}")
     hints = _type_hints(cls)
     unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ValidationError(f"unknown {noun} key(s) in {name}: {sorted(unknown)}")
+        raise ValidationError(f"unknown {noun} key(s) in {where}: {sorted(unknown)}")
     if _is_choice(cls):
         base = None
-    values = {key: _typed(value, hints[key], f"{name}.{key}", noun, defaults,
+    values = {key: _typed(value, hints[key], f"{where}.{key}", noun, defaults,
                           None if base is None else getattr(base, key))
               for key, value in obj.items()}
     if base is not None:
@@ -234,7 +234,7 @@ def from_plain(cls, obj, base=None, where: str = "", noun: str = "config",
         not defaults and f.default is not None
         or f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)]
     if missing:
-        raise ValidationError(f"{label} lacks key(s) {missing}")
+        raise ValidationError(f"{where} lacks key(s) {missing}")
     return cls(**values)
 
 
@@ -248,8 +248,7 @@ def _typed(value, kind, where: str, noun: str, defaults: bool, base=None):
     a dataclass is built by :func:`from_plain` (merged into ``base``)."""
     origin = typing.get_origin(kind)
     if dataclasses.is_dataclass(kind):
-        # a dataclass's own path leaves out the noun: messages put it in front
-        return from_plain(kind, value, base, where.removeprefix(f"{noun}."), noun, defaults)
+        return from_plain(kind, value, base, where, noun, defaults)
     if kind is np.ndarray:
         return decode_array(value, where)
     if isinstance(kind, types.UnionType):  # a None option only marks the field optional

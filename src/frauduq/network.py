@@ -166,16 +166,11 @@ def sample_dropout_mask(
     return masks
 
 
-def _check_input_width(net: Network, x: np.ndarray) -> None:
-    if x.shape[-1] != net.config.input_units:
-        raise ShapeError(
-            f"input has {x.shape[-1]} features but the network expects {net.config.input_units}"
-        )
-
-
 def _hidden(net: Network, i: int, a: np.ndarray) -> np.ndarray:
     """ReLU output of hidden layer ``i`` for input activations ``a``, before its mask."""
-    return np.maximum(a @ net.weights[i].T + net.biases[i], 0.0)
+    z = a @ net.weights[i].T
+    z += net.biases[i]
+    return np.maximum(z, 0.0, out=z)
 
 
 def first_hidden(net: Network, x: np.ndarray) -> np.ndarray:
@@ -186,17 +181,17 @@ def first_hidden(net: Network, x: np.ndarray) -> np.ndarray:
     :func:`forward` for each pass.
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_input_width(net, x)
+    if x.shape[-1] != net.config.input_units:
+        raise ShapeError(
+            f"input has {x.shape[-1]} features but the network expects {net.config.input_units}"
+        )
     return _hidden(net, 0, x)
 
 
-def _forward_cached(net: Network, x: np.ndarray, mask: list[np.ndarray] | None,
-                    hidden1: np.ndarray | None = None):
+def _forward_cached(net: Network, x: np.ndarray, mask: list[np.ndarray] | None):
     """Forward pass keeping the unmasked ReLU outputs (the backprop gates)
-    and the masked activations. ``hidden1``, if given, must be
-    ``first_hidden(net, x)``; layer 1 is then not recomputed."""
-    _check_input_width(net, x)
-    h = first_hidden(net, x) if hidden1 is None else hidden1
+    and the masked activations, for training."""
+    h = first_hidden(net, x)
     relus, acts = [], [x]
     for i in range(N_HIDDEN_LAYERS):
         if i > 0:
@@ -211,10 +206,18 @@ def forward(net: Network, x: np.ndarray, mask: list[np.ndarray] | None = None,
             hidden1: np.ndarray | None = None) -> np.ndarray:
     """Class probabilities for one input vector or an (n, d) batch.
 
-    ``hidden1`` is an optional precomputed ``first_hidden(net, x)``.
+    ``hidden1`` is an optional precomputed ``first_hidden(net, x)``, left
+    intact. Each mask shaped like its layer's activation is overwritten
+    with the masked activation (``mask * h``, bitwise ``h * mask``).
     """
-    probs, _, _ = _forward_cached(net, np.asarray(x, dtype=np.float64), mask, hidden1)
-    return probs
+    h = first_hidden(net, x) if hidden1 is None else hidden1
+    for i in range(N_HIDDEN_LAYERS):
+        if i > 0:
+            h = _hidden(net, i, h)
+        if mask is not None:
+            m = mask[i]
+            h = np.multiply(m, h, out=m if (m.shape, m.dtype) == (h.shape, h.dtype) else None)
+    return softmax(h @ net.weights[-1].T + net.biases[-1])
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:

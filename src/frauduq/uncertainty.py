@@ -18,6 +18,8 @@ normalized by ln(num classes) so the certainty threshold lives on a
 import itertools
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -148,6 +150,39 @@ def train_ensemble(spec: EnsembleSpec, base: NetworkConfig, data, master_seed: i
     return members
 
 
+def _run_striped(n_tasks: int, task) -> None:
+    """Run ``task(i)`` for i in range(n_tasks), striped over one thread per
+    usable core; the caller runs stripe 0. Of the tasks that fail, the
+    lowest index's error is raised: a stripe stops only above a failure."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_threads = max(1, min(n_tasks, cores or 1))
+    failed = [None] * n_threads  # stripe k's failure (index, error); only k writes it
+
+    def stripe(k):
+        for i in range(k, n_tasks, n_threads):
+            if any(f and f[0] < i for f in failed):
+                return
+            try:
+                task(i)
+            except Exception as exc:  # handed to the caller below
+                failed[k] = (i, exc)
+
+    workers = [threading.Thread(target=stripe, args=(k,)) for k in range(1, n_threads)]
+    for w in workers:
+        w.start()
+    try:
+        stripe(0)
+    except BaseException:  # e.g. KeyboardInterrupt: stop the workers too
+        failed[0] = (-1, None)
+        raise
+    finally:
+        for w in workers:
+            w.join()
+    first = min((f for f in failed if f), default=None, key=lambda f: f[0])
+    if first:
+        raise first[1]
+
+
 # Input rows are processed in chunks sized so one chunk's sample tensor
 # stays near this many floats; a constant keeps chunking (and therefore
 # the dropout mask streams) reproducible across machines.
@@ -160,19 +195,19 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
 
     Runs whole-chunk forward passes per (member, pass) with a fresh
     per-row dropout mask each pass, and reduces each chunk's sample
-    tensor with :func:`summarize`. Dropout acts only after each hidden
-    ReLU, so layer 1's activation is the same on every pass: it is
-    computed once per member per chunk and reused by all of that
-    member's passes.
+    tensor with :func:`summarize`. Layer 1's activation is the same on
+    every pass (dropout acts after each hidden ReLU), so it is computed
+    once per member per chunk. That member's passes then run on one
+    thread per usable core, each into its own slot: any core count
+    gives the same bytes.
 
     A row's MC samples are fixed by (seed, member, pass, chunk): one
-    stream per key draws the masks of every row in the chunk, so they
-    depend on which rows share the row's chunk. For mcd and emcd, the
-    same rows predicted alone, or under a different chunk budget, give
-    different samples; that is why ``_CHUNK_BUDGET_FLOATS`` is a fixed
-    constant and not tuned to the machine. What holds is that the same
-    table, models and seed always give the same bytes, and that the
-    mask-free ensemble path does not depend on chunking.
+    stream per key draws the masks of every row in the chunk. So for mcd
+    and emcd, the same rows predicted alone, or under another chunk
+    budget, give other samples, and ``_CHUNK_BUDGET_FLOATS`` is a fixed
+    constant, not tuned to the machine. The same table, models and seed
+    always give the same bytes; the mask-free ensemble does not depend
+    on chunking.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown UQ method {method!r}")
@@ -208,12 +243,15 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
         tensor = np.empty((block.shape[0], n_members, per_member, n_classes))
         for m, net in enumerate(models):
             hidden1 = first_hidden(net, block)
-            for t in range(per_member):
+
+            def one_pass(t):
                 mask = None
                 if stochastic:
                     rng = substream(seed, STREAM_PREDICT, m, t, chunk_no)
                     mask = sample_dropout_mask(net.config, rng, n_rows=block.shape[0])
                 tensor[:, m, t] = forward(net, block, mask, hidden1)
+
+            _run_striped(per_member, one_pass)
         parts.append(summarize(tensor))
     return Estimates(*(np.concatenate([getattr(p, f.name) for p in parts])
                        for f in fields(Estimates)))

@@ -145,12 +145,12 @@ PREP_ROWS = "a,c,y\n1.25,u,0\nNA,v,1\n-3.5,u,0\n8,w,1\n"
 
 
 @pytest.mark.parametrize("fault, named", [
-    (lambda d: d.update(fitted="no"), "fitted"),
-    (lambda d: d["columns"][0].update(std=True), "columns[0].std"),
-    (lambda d: d["columns"][0].update(mean="1.5"), "columns[0].mean"),
-    (lambda d: d["columns"][1].update(unknown_index=2.7), "columns[1].unknown_index"),
-    (lambda d: d["columns"][1].update(categories="TF"), "columns[1].categories"),
-    (lambda d: d["columns"][0].update(scale=2.0), "columns[0]: ['scale']"),
+    (lambda d: d.update(fitted="no"), "frauduq-preprocessor.fitted"),
+    (lambda d: d["columns"][0].update(std=True), "frauduq-preprocessor.columns[0].std"),
+    (lambda d: d["columns"][0].update(mean="1.5"), "frauduq-preprocessor.columns[0].mean"),
+    (lambda d: d["columns"][1].update(unknown_index=2.7), "frauduq-preprocessor.columns[1].unknown_index"),
+    (lambda d: d["columns"][1].update(categories="TF"), "frauduq-preprocessor.columns[1].categories"),
+    (lambda d: d["columns"][0].update(scale=2.0), "frauduq-preprocessor.columns[0]: ['scale']"),
     (lambda d: d.update(columns_v2=[]), "['columns_v2']"),
     (lambda d: d["columns"][0].update(categories=["u"]), "column 'a'"),
     (lambda d: d["columns"][1].update(impute_value=1.0), "column 'c'"),

@@ -10,9 +10,11 @@ from frauduq.errors import DataError, FormatError, NumericError, ShapeError
 from frauduq.network import (
     AdamState,
     NetworkConfig,
+    _forward_cached,
     adam_step,
     backward,
     cross_entropy,
+    first_hidden,
     forward,
     init_network,
     load_network,
@@ -284,6 +286,42 @@ def test_dropout_mask_matches_reference_expression_bitwise(rate):
             shape = (width,) if n_rows is None else (n_rows, width)
             want = (twin.random(shape) >= rate) / (1 - rate)
             assert layer.shape == shape and np.array_equal(layer, want)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5])
+def test_forward_matches_the_cached_pass_and_consumes_its_masks(rate):
+    """forward gives _forward_cached's probabilities bitwise. Each mask is
+    overwritten with its layer's masked activation, and hidden1 is kept."""
+    config = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=rate)
+    net = init_network(config, seed=3)
+    x = np.random.default_rng(8).normal(size=(6, 5))
+    mask = sample_dropout_mask(config, np.random.default_rng(4), n_rows=6)
+    want, _, acts = _forward_cached(net, x, [m.copy() for m in mask])
+
+    assert np.array_equal(forward(net, x), _forward_cached(net, x, None)[0])
+    hidden1 = first_hidden(net, x)
+    kept = hidden1.copy()
+    given = [m.copy() for m in mask]
+    assert np.array_equal(forward(net, x, given, hidden1), want)
+    assert np.array_equal(hidden1, kept)
+    assert all(np.array_equal(g, a) for g, a in zip(given, acts[1:]))
+    assert np.array_equal(forward(net, x, [m.copy() for m in mask]), want)
+
+
+def test_forward_uses_masks_that_cannot_hold_the_activations_out_of_place():
+    """A 1-D mask shared over the batch broadcasts over every row, and an
+    integer 0/1 mask multiplies as it did; both give _forward_cached's
+    probabilities and are left as they are."""
+    config = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=0.3)
+    net = init_network(config, seed=3)
+    x = np.random.default_rng(8).normal(size=(6, 5))
+    shared = sample_dropout_mask(config, np.random.default_rng(4))
+    ints = [(m > 0).astype(np.int64) for m in sample_dropout_mask(config, np.random.default_rng(5),
+                                                                  n_rows=6)]
+    for mask in (shared, ints):
+        kept = [m.copy() for m in mask]
+        assert np.array_equal(forward(net, x, mask), _forward_cached(net, x, kept)[0])
+        assert all(np.array_equal(m, k) and m.dtype == k.dtype for m, k in zip(mask, kept))
 
 
 def test_rate_zero_mask_is_identity():

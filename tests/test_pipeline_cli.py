@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import types
 import typing
 from collections import Counter
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frauduq import cli, container, pipeline
+from frauduq import cli, container, network, pipeline
 from frauduq.container import check_header, read_json
 from frauduq.errors import ValidationError
 
@@ -376,10 +377,10 @@ def every_field_mistyped():
     null for every section, so a field added later is checked too."""
     wrong_kind = {int: "1", float: "0.5", str: 3}
     for path, kind in config_fields(pipeline.RunConfig):
+        named = f"config.{'.'.join(path)}"
         if dataclasses.is_dataclass(kind):
-            named, values = f"config {'.'.join(path)}", [None]
+            values = [None]
         else:
-            named = ".".join(path) if len(path) > 1 else f"config.{path[0]}"
             wrong = "x" if typing.get_origin(kind) is tuple else wrong_kind[kind]
             values = [wrong, True, None]
         for value in values:
@@ -399,7 +400,7 @@ def every_field_mistyped():
     ({"method": 3}, "config.method"),
     ({"data": {"synth": {"n_per_class": "5"}}}, "data.synth.n_per_class"),
     ({"data": {"synth": {"separation": True}}}, "data.synth.separation"),
-    ({"data": ["synth"]}, "config data"),
+    ({"data": ["synth"]}, "config.data"),
     ({"network": {"dropout_rate": "0.3"}}, "network.dropout_rate"),
     ({"network": {"epochs": 2.5}}, "network.epochs"),
     ({"network": {"learning_rate": float("nan")}}, "network.learning_rate"),
@@ -526,6 +527,28 @@ def test_cli_shape_error_names_both_widths(tmp_path, capsys):
                    "--data", str(alien)) == 3
     err = capsys.readouterr().err
     assert "9" in err and "4" in err
+
+
+def test_cli_non_finite_member_exits_4_without_a_traceback(tmp_path, capsys, monkeypatch):
+    """A member whose logits are non-finite fails on every pass, on the
+    worker thread too: emcd exits 4 with one error line, and no thread is
+    left behind."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    config_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    base = ["--config", str(config_path), "--out", str(out), "--method", "emcd"]
+    assert cli_run("preprocess", *base) == 0
+    assert cli_run("train", *base) == 0
+    member = out / "models" / "ensemble" / "member_001.json"
+    net = network.load_network(member)
+    net.biases[-1][:] = np.inf
+    network.save_network(net, member)
+    before = threading.active_count()
+    capsys.readouterr()
+    assert cli_run("predict", *base) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err and "Traceback" not in err, err
+    assert threading.active_count() == before
 
 
 def test_cli_sweep_prints_threshold_table(tmp_path, capsys):

@@ -4,14 +4,19 @@ construction, and the prediction dump files."""
 import dataclasses
 import json
 import math
+import os
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import frauduq.uncertainty as unc
 from frauduq import container
 from frauduq.data import FeatureTable
-from frauduq.errors import DataError, FormatError, ShapeError, ValidationError
+from frauduq.errors import DataError, FormatError, NumericError, ShapeError, ValidationError
 from frauduq.evaluation import uq_confusion
 from frauduq.network import Network, NetworkConfig, forward, init_network, sample_dropout_mask
 from frauduq.seeding import STREAM_PREDICT, substream
@@ -321,6 +326,140 @@ def test_predict_table_ensemble_chunking_is_invisible(monkeypatch):
     monkeypatch.setattr(unc, "_CHUNK_BUDGET_FLOATS", 12)  # forces 2-row chunks
     tiny = predict_table("ensemble", members, x, passes=1, seed=0)
     assert_same_estimates(whole, tiny)
+
+
+# --- sampling across cores ---------------------------------------------------------
+
+
+def usable_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def forward_threads(monkeypatch):
+    """Record the thread of every forward pass, and whether it raised NumericError."""
+    calls = []
+    real = unc.forward
+
+    def spy(*args):
+        main = threading.current_thread() is threading.main_thread()
+        try:
+            probs = real(*args)
+        except NumericError:
+            calls.append((threading.get_ident(), main, True))
+            raise
+        calls.append((threading.get_ident(), main, False))
+        return probs
+
+    monkeypatch.setattr(unc, "forward", spy)
+    return calls
+
+
+@pytest.mark.parametrize("method, n_members, passes",
+                         [("mcd", 1, 7), ("ensemble", 3, 1), ("emcd", 3, 5)])
+def test_predict_table_bytes_do_not_depend_on_the_core_count(monkeypatch, method, n_members,
+                                                              passes):
+    """Each member's passes run striped over the usable cores; over a
+    3-chunk table, 1 and 2 cores give the same Estimates bitwise."""
+    members = [init_network(BASE, seed=s) for s in range(1, n_members + 1)]
+    x = np.random.default_rng(61).normal(size=(11, 3))
+    monkeypatch.setattr(unc, "_CHUNK_BUDGET_FLOATS", 4 * n_members * passes * 2)  # 4-row chunks
+    calls = forward_threads(monkeypatch)
+    runs = []
+    for cores in (1, 2):
+        usable_cores(monkeypatch, cores)
+        calls.clear()
+        runs.append(predict_table(method, members, x, passes=passes, seed=17))
+        assert len(calls) == 3 * n_members * passes
+        assert (len({ident for ident, _, _ in calls}) > 1) == (cores > 1 and passes > 1)
+    assert_same_estimates(*runs)
+
+
+def test_usable_cores_fall_back_to_the_cpu_count(monkeypatch):
+    """Without CPU affinity the thread count is os.cpu_count(), else 1."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpu_count, n_threads in ((2, 2), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        threads = set()
+        unc._run_striped(4, lambda i: threads.add(threading.get_ident()))
+        assert len(threads) == n_threads
+
+
+def test_striped_tasks_raise_the_lowest_failing_index(monkeypatch):
+    """A failure in any stripe reaches the caller, the lowest index wins
+    whichever thread ran it, every task below it runs, its stripe stops
+    there, and every worker thread has ended. Repeated with a short
+    switch interval, so the threads interleave in many orders."""
+    usable_cores(monkeypatch, 2)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for fails in ({3, 4, 6}, {4, 3}, {0, 1}, {1, 8}, {9}):
+            ran = []
+
+            def task(i):
+                ran.append((i, threading.current_thread() is threading.main_thread()))
+                if i in fails:
+                    raise NumericError(f"pass {i} failed")
+
+            for _ in range(40):
+                ran.clear()
+                with pytest.raises(NumericError, match=f"pass {min(fails)} failed"):
+                    unc._run_striped(10, task)
+                lowest = min(fails)
+                assert {i for i, _ in ran} >= set(range(lowest + 1))
+                assert (lowest, lowest % 2 == 0) in ran  # odd indices run on the worker
+                assert not [i for i, _ in ran if i > lowest and i % 2 == lowest % 2]
+                assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_interrupt_in_the_caller_stops_the_worker_threads(monkeypatch):
+    """A KeyboardInterrupt in the caller's stripe propagates at once: the
+    worker stops after at most the task it is running, and has ended."""
+    usable_cores(monkeypatch, 2)
+    before = threading.active_count()
+    worker_ran = []
+
+    def task(i):
+        if i == 0:
+            raise KeyboardInterrupt
+        worker_ran.append(i)
+        time.sleep(0.05)
+
+    with pytest.raises(KeyboardInterrupt):
+        unc._run_striped(20, task)
+    assert len(worker_ran) <= 1 and threading.active_count() == before
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_member_raises_numeric_error_from_a_worker_thread(monkeypatch):
+    """One unit per layer: the logits overflow exactly on a pass that keeps
+    all three units. With a seed whose pass 0 drops one and pass 1 keeps
+    all, pass 1 fails on the worker thread and its NumericError reaches
+    the caller."""
+    config = NetworkConfig(input_units=3, hidden_units=(1, 1, 1), dropout_rate=0.3)
+    net = init_network(config, seed=0)
+    for w in net.weights:
+        w[:] = 0.0
+    net.biases[0][:] = 1.0
+    net.weights[1][:] = net.weights[2][:] = 1.0
+    net.weights[3][:] = [[1e308], [0.0]]  # 1e308 * (1 / 0.7)**3 overflows
+
+    def keeps_all(seed, t):
+        masks = sample_dropout_mask(config, substream(seed, STREAM_PREDICT, 0, t, 0), n_rows=1)
+        return all(m[0, 0] > 0 for m in masks)
+
+    seed = next(s for s in range(1000) if not keeps_all(s, 0) and keeps_all(s, 1))
+    usable_cores(monkeypatch, 2)
+    calls = forward_threads(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(NumericError, match="non-finite"):
+        predict_table("mcd", [net], np.zeros((1, 3)), passes=2, seed=seed)
+    # (on the main thread, raised): pass 0 ran on the caller, pass 1 failed on the worker
+    assert sorted((main, failed) for _, main, failed in calls) == [(False, True), (True, False)]
+    assert threading.active_count() == before
 
 
 # --- prediction dumps -----------------------------------------------------------------
