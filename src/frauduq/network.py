@@ -207,8 +207,8 @@ def forward(net: Network, x: np.ndarray, mask: list[np.ndarray] | None = None,
     """Class probabilities for one input vector or an (n, d) batch.
 
     ``hidden1`` is an optional precomputed ``first_hidden(net, x)``, left
-    intact. Each mask shaped like its layer's activation is overwritten
-    with the masked activation (``mask * h``, bitwise ``h * mask``).
+    intact. Each mask of its layer's activation shape and dtype is
+    overwritten with the masked activation (``mask * h``, bitwise ``h * mask``).
     """
     h = first_hidden(net, x) if hidden1 is None else hidden1
     for i in range(N_HIDDEN_LAYERS):
