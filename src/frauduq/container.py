@@ -113,6 +113,19 @@ def write_json(obj, path) -> None:
         fh.write(dumps_canonical(obj))
 
 
+def write_csv(path, fmt: str, meta: dict, columns, rows) -> None:
+    """Write a CSV artifact: a ``#`` line with the :func:`stamp` of ``fmt``
+    and ``meta``, the column names, then the rows. Stamp values and cells
+    alike are ``NA`` for None, else their ``str`` (a float's ``repr``)."""
+    def cell(value) -> str:
+        return "NA" if value is None else str(value)
+
+    with open_atomic(path) as fh:
+        fh.write(f"# {stamp(fmt, {k: cell(v) for k, v in meta.items()})}\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(map(cell, row)) + "\n" for row in rows)
+
+
 @contextlib.contextmanager
 def utf8_text(path):
     """A block reading ``path`` as text: a non-UTF-8 byte is a FormatError."""
@@ -140,9 +153,9 @@ def read_artifact(path, fmt: str, cls, defaults: bool = False):
     the header's, built by :func:`from_plain` and checked by the class's
     ``validate()`` if it has one. Any fault is a FormatError naming the
     file and the key. A file that frauduq writes holds every key but
-    those of None fields, so any other missing key is a fault; only a
-    user-written file (``defaults``) may leave a key out for its field's
-    default."""
+    those of None fields whose default is None, so any other missing key
+    is a fault; only a user-written file (``defaults``) may leave a key
+    out for its field's default."""
     obj = check_header(read_json(path), fmt, path)
     fields = {k: v for k, v in obj.items() if k not in ("format", "version")}
     try:
@@ -171,11 +184,11 @@ def sha256_text(text: str) -> str:
 
 def to_plain(obj):
     """A dataclass as plain JSON values: an object of its fields, arrays
-    as :func:`encode_array` records, tuples as lists. Fields that are None
-    are left out, so None means "absent" and never reaches a file."""
+    as :func:`encode_array` records, tuples as lists. A None field whose
+    default is None is left out ("absent"); any other None is null."""
     if dataclasses.is_dataclass(obj):
         return {f.name: to_plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-                if getattr(obj, f.name) is not None}
+                if getattr(obj, f.name) is not None or f.default is not None}
     if isinstance(obj, (tuple, list)):
         return [to_plain(v) for v in obj]
     if isinstance(obj, dict):
@@ -210,8 +223,9 @@ def from_plain(cls, obj, base=None, where: str = "", noun: str = "config",
     (``float | str``) the first kind that fits, a list or
     ``tuple[X, ...]`` field takes a list of X (X may be a dataclass), a
     fixed-length tuple field (``tuple[int, int]``) a list of that length
-    with each item of its position's type, a dict field an object, an
-    array field an array record, and no field takes null. A
+    with each item of its position's type, a dict field an object, and an
+    array field an array record. Only an ``X | None`` field whose default
+    is not None takes null, as :func:`to_plain` writes it. A
     ValidationError (FormatError for an array) names the offending key by
     its path from ``noun``: ``where`` is the path of ``obj`` itself
     (``config.data``), and ``noun`` alone at the top.
@@ -225,8 +239,10 @@ def from_plain(cls, obj, base=None, where: str = "", noun: str = "config",
         raise ValidationError(f"unknown {noun} key(s) in {where}: {sorted(unknown)}")
     if _is_choice(cls):
         base = None
-    values = {key: _typed(value, hints[key], f"{where}.{key}", noun, defaults,
-                          None if base is None else getattr(base, key))
+    nullable = _nullable(cls)
+    values = {key: None if value is None and key in nullable else
+              _typed(value, hints[key], f"{where}.{key}", noun, defaults,
+                     None if base is None else getattr(base, key))
               for key, value in obj.items()}
     if base is not None:
         return dataclasses.replace(base, **values)
@@ -236,6 +252,13 @@ def from_plain(cls, obj, base=None, where: str = "", noun: str = "config",
     if missing:
         raise ValidationError(f"{where} lacks key(s) {missing}")
     return cls(**values)
+
+
+@functools.cache
+def _nullable(cls) -> frozenset:
+    """The fields of ``cls`` that take null: typed ``X | None``, with no None default."""
+    return frozenset(f.name for f in dataclasses.fields(cls) if f.default is not None
+                     and type(None) in typing.get_args(_type_hints(cls)[f.name]))
 
 
 def _is_choice(cls) -> bool:

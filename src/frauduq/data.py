@@ -8,7 +8,7 @@ desk-scale runs where the real transaction data is not available.
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,13 +67,8 @@ class RawTable:
         return len(self.labels)
 
     def take(self, indices: np.ndarray) -> "RawTable":
-        return RawTable(
-            column_names=list(self.column_names),
-            kinds=list(self.kinds),
-            columns=[col[indices] for col in self.columns],
-            labels=self.labels[indices],
-            source=self.source,
-        )
+        return replace(self, columns=[col[indices] for col in self.columns],
+                       labels=self.labels[indices])
 
 
 @dataclass
@@ -98,9 +93,7 @@ class FeatureTable:
         return self
 
     def take(self, indices: np.ndarray) -> "FeatureTable":
-        return FeatureTable(
-            features=self.features[indices], labels=self.labels[indices], provenance=self.provenance
-        )
+        return replace(self, features=self.features[indices], labels=self.labels[indices])
 
 
 def _parse_label(value: str, row_num: int) -> int:

@@ -7,8 +7,7 @@ metrics, threshold sweeps, classic binary-classification metrics
 byte-deterministic SVG reliability diagram.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -34,9 +33,15 @@ class CalibrationBin:
 
 @dataclass(frozen=True)
 class CalibrationBins:
-    bins: tuple[CalibrationBin, ...]
+    """The expected calibration error over ``bin_count`` buckets."""
+
     ece: float
-    total: int
+    bin_count: int
+    bins: tuple[CalibrationBin, ...]
+
+    @property
+    def total(self) -> int:
+        return sum(b.count for b in self.bins)
 
 
 @dataclass(frozen=True)
@@ -45,11 +50,11 @@ class UqConfusion:
     tc = correct & certain, tu = incorrect & uncertain,
     fu = correct & uncertain, fc = incorrect & certain."""
 
+    threshold: float
     tc: int
     tu: int
     fu: int
     fc: int
-    threshold: float
 
     @property
     def total(self) -> int:
@@ -87,16 +92,38 @@ class EntropyHistogram:
 
 
 @dataclass(frozen=True)
+class ThresholdRow(UqMetrics, UqConfusion):
+    """One threshold's counts, then its metrics: the ``thresholds.csv`` columns."""
+
+
+@dataclass(frozen=True)
 class UqReport:
-    """Everything the evaluate command emits for one prediction dump."""
+    """Everything evaluate emits for one prediction dump: ``report.json``'s keys."""
 
     method: str
     n: int
     calibration: CalibrationBins
-    confusions: tuple[UqConfusion, ...]
-    metrics: tuple[UqMetrics, ...]
+    thresholds: tuple[ThresholdRow, ...]
     classic: ClassicMetrics
     entropy_histogram: EntropyHistogram
+
+    def validate(self) -> "UqReport":
+        cal, hist = self.calibration, self.entropy_histogram
+        if cal.bin_count != len(cal.bins):
+            raise ValidationError(f"calibration.bin_count is {cal.bin_count}, "
+                                  f"but {len(cal.bins)} bins follow")
+        if not len(hist.bin_edges) - 1 == len(hist.correct_counts) == len(hist.incorrect_counts):
+            raise ValidationError("entropy_histogram.bin_edges must be one longer than "
+                                  "its correct_counts and incorrect_counts")
+        return self
+
+
+@dataclass(frozen=True)
+class ReportFile(UqReport):
+    """A ``report.json``: the report plus the provenance of its stage."""
+
+    seed: int
+    config_digest: str
 
 
 def _check_aligned(estimates, labels):
@@ -139,7 +166,7 @@ def compute_ece(estimates: Estimates, labels, m_bins: int = 10) -> CalibrationBi
         avg_conf = float(conf[member].mean())
         ece += (count / n) * abs(acc - avg_conf)
         bins.append(CalibrationBin(lower, upper, count, acc, avg_conf))
-    return CalibrationBins(bins=tuple(bins), ece=float(ece), total=n)
+    return CalibrationBins(ece=float(ece), bin_count=m_bins, bins=tuple(bins))
 
 
 def uq_confusion(estimates: Estimates, labels, threshold: float) -> UqConfusion:
@@ -147,8 +174,7 @@ def uq_confusion(estimates: Estimates, labels, threshold: float) -> UqConfusion:
 
     Certain means entropy_norm <= threshold (ties are certain).
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
+    check_thresholds((threshold,))
     _check_aligned(estimates, labels)
     correct = _correctness(estimates, labels)
     certain = estimates.entropy_norm <= threshold
@@ -175,15 +201,22 @@ def uq_metrics(c: UqConfusion) -> UqMetrics:
     )
 
 
+def check_thresholds(thresholds) -> tuple[float, ...]:
+    """The grid as floats if it is non-empty, in [0, 1] and strictly increasing."""
+    grid = tuple(float(t) for t in thresholds)
+    if len(grid) == 0:
+        raise ValidationError("threshold list is empty")
+    if any(not 0.0 <= t <= 1.0 for t in grid):
+        raise ValidationError(f"thresholds must lie in [0, 1], got {list(grid)}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValidationError(f"thresholds must be strictly increasing, got {list(grid)}")
+    return grid
+
+
 def threshold_sweep(estimates: Estimates, labels,
                     thresholds=DEFAULT_THRESHOLDS) -> tuple[tuple[UqConfusion, ...], tuple[UqMetrics, ...]]:
     """Confusion counts and metrics per threshold, flags recomputed each time."""
-    thresholds = tuple(float(t) for t in thresholds)
-    if len(thresholds) == 0:
-        raise ValidationError("threshold list is empty")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValidationError(f"thresholds must be strictly increasing, got {list(thresholds)}")
-    confusions = tuple(uq_confusion(estimates, labels, t) for t in thresholds)
+    confusions = tuple(uq_confusion(estimates, labels, t) for t in check_thresholds(thresholds))
     return confusions, tuple(uq_metrics(c) for c in confusions)
 
 
@@ -232,64 +265,34 @@ def build_report(method: str, estimates: Estimates, labels,
         method=method,
         n=len(estimates),
         calibration=compute_ece(estimates, labels, m_bins),
-        confusions=confusions,
-        metrics=metrics,
+        thresholds=tuple(ThresholdRow(**vars(c), **vars(m)) for c, m in zip(confusions, metrics)),
         classic=classic_metrics(estimates, labels),
         entropy_histogram=export_entropy_histogram(estimates, labels),
     )
 
 
 def report_to_dict(report: UqReport, meta: dict | None = None) -> dict:
-    cal = report.calibration
-    return container.header(
-        REPORT_FORMAT,
-        **(meta or {}),
-        method=report.method,
-        n=report.n,
-        classic=vars(report.classic),
-        calibration={
-            "ece": cal.ece,
-            "bin_count": len(cal.bins),
-            "bins": [vars(b) for b in cal.bins],
-        },
-        thresholds=[vars(c) | vars(m) for c, m in zip(report.confusions, report.metrics)],
-        entropy_histogram=vars(report.entropy_histogram),
-    )
+    """The ``report.json`` object: ``meta`` (a ReportFile's seed and
+    config digest) and the report's fields."""
+    return container.header(REPORT_FORMAT, **(meta or {}), **container.to_plain(report))
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def threshold_table_csv(report: UqReport, path, meta: dict | None = None) -> None:
+    """Write the per-threshold table, one ThresholdRow a line."""
+    container.write_csv(path, f"{REPORT_FORMAT}-thresholds",
+                        {"method": report.method, **(meta or {})},
+                        [f.name for f in fields(ThresholdRow)], map(astuple, report.thresholds))
 
 
-def threshold_table_csv(report: UqReport, meta: dict | None = None) -> str:
-    """Flat per-threshold CSV; a leading # line carries the metadata."""
-    meta_bits = container.stamp(f"{REPORT_FORMAT}-thresholds",
-                                {"method": report.method, **(meta or {})})
-    lines = [f"# {meta_bits}", "threshold,tc,tu,fu,fc,uacc,usen,uspe,upre"]
-    for c, m in zip(report.confusions, report.metrics):
-        lines.append(",".join(_csv_cell(v) for v in
-                              (c.threshold, c.tc, c.tu, c.fu, c.fc,
-                               m.uacc, m.usen, m.uspe, m.upre)))
-    return "\n".join(lines) + "\n"
-
-
-def entropy_histogram_csv(report: UqReport, meta: dict | None = None) -> str:
+def entropy_histogram_csv(report: UqReport, path, meta: dict | None = None) -> None:
+    """Write the entropy histogram, one bin a line; the stamp carries each
+    group's mean entropy."""
     hist = report.entropy_histogram
-    meta_bits = container.stamp(f"{REPORT_FORMAT}-entropy-histogram", {
-        "method": report.method,
-        "mean_entropy_correct": _csv_cell(hist.mean_entropy_correct),
-        "mean_entropy_incorrect": _csv_cell(hist.mean_entropy_incorrect),
-        **(meta or {})})
-    lines = [f"# {meta_bits}", "bin_lower,bin_upper,correct_count,incorrect_count"]
-    for i in range(len(hist.correct_counts)):
-        lines.append(",".join(_csv_cell(v) for v in
-                              (hist.bin_edges[i], hist.bin_edges[i + 1],
-                               hist.correct_counts[i], hist.incorrect_counts[i])))
-    return "\n".join(lines) + "\n"
+    container.write_csv(path, f"{REPORT_FORMAT}-entropy-histogram", {
+        "method": report.method, "mean_entropy_correct": hist.mean_entropy_correct,
+        "mean_entropy_incorrect": hist.mean_entropy_incorrect, **(meta or {})},
+        ("bin_lower", "bin_upper", "correct_count", "incorrect_count"),
+        zip(hist.bin_edges, hist.bin_edges[1:], hist.correct_counts, hist.incorrect_counts))
 
 
 # --- reliability diagram -------------------------------------------------

@@ -13,8 +13,6 @@ import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import container
 from .data import (
     CsvSchema,
@@ -30,7 +28,11 @@ from .errors import DataError, FormatError, ValidationError
 from .evaluation import (
     DEFAULT_THRESHOLDS,
     REPORT_FORMAT,
+    ReportFile,
+    ThresholdRow,
+    UqReport,
     build_report,
+    check_thresholds,
     entropy_histogram_csv,
     render_reliability_svg,
     report_to_dict,
@@ -39,7 +41,6 @@ from .evaluation import (
 from .network import NetworkConfig, NetworkParams, load_network, save_network, train
 from .seeding import STREAM_TRAIN, derive_seed
 from .uncertainty import (
-    METHOD_EMCD,
     METHOD_ENSEMBLE,
     METHOD_MCD,
     METHODS,
@@ -143,12 +144,7 @@ class RunConfig:
             raise ValidationError(f"mc_passes must be >= 1, got {self.mc_passes}")
         if self.m_bins < 1:
             raise ValidationError(f"m_bins must be >= 1, got {self.m_bins}")
-        if len(self.thresholds) == 0:
-            raise ValidationError("thresholds list is empty")
-        if any(not 0.0 <= t <= 1.0 for t in self.thresholds):
-            raise ValidationError(f"thresholds must lie in [0, 1], got {list(self.thresholds)}")
-        if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise ValidationError("thresholds must be strictly increasing")
+        check_thresholds(self.thresholds)
         if not any(math.isclose(t, self.report_threshold, abs_tol=1e-9) for t in self.thresholds):
             raise ValidationError(
                 f"report_threshold {self.report_threshold} is not in the threshold grid"
@@ -482,25 +478,25 @@ def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print,
 
     def build(stage_dir: Path):
         header, estimates, labels = read_dump(dump_path)
+        if header["method"] != method:
+            raise ValidationError(f"{dump_path} holds {header['method']} predictions, "
+                                  f"but the method is {method}; pass --method {header['method']}")
         if len(estimates) == 0:
             raise DataError(f"{dump_path}: dump contains no predictions")
         if None in labels:
             raise DataError(f"{dump_path}: dump has no labels; evaluation needs them")
-        report = build_report(header["method"], estimates, labels,
+        report = build_report(method, estimates, labels,
                               thresholds=config.thresholds, m_bins=config.m_bins)
         meta = {"seed": config.seed, "config_digest": _digest_of(stage_config)}
-        report_obj = report_to_dict(report, meta)
-        container.write_json(report_obj, stage_dir / "report.json")
-        for name, text in (("thresholds.csv", threshold_table_csv(report, meta)),
-                           ("entropy_histogram.csv", entropy_histogram_csv(report, meta))):
-            with container.open_atomic(stage_dir / name) as fh:
-                fh.write(text)
+        container.write_json(report_to_dict(report, meta), stage_dir / "report.json")
+        threshold_table_csv(report, stage_dir / "thresholds.csv", meta)
+        entropy_histogram_csv(report, stage_dir / "entropy_histogram.csv", meta)
         render_reliability_svg(report.calibration, stage_dir / "reliability.svg", meta)
-        row = _threshold_row(report_obj, config.report_threshold, dump_path)
+        row = _threshold_row(report, config.report_threshold, dump_path)
         log(f"[evaluate] {report.method}: n={report.n} acc={report.classic.accuracy:.4f} "
             f"ece={report.calibration.ece:.4f} | t={config.report_threshold:g} "
-            f"uacc={_fmt(row['uacc'])} usen={_fmt(row['usen'])} "
-            f"uspe={_fmt(row['uspe'])} upre={_fmt(row['upre'])}")
+            f"uacc={_fmt(row.uacc)} usen={_fmt(row.usen)} "
+            f"uspe={_fmt(row.uspe)} upre={_fmt(row.upre)}")
         return [stage_dir / "report.json", stage_dir / "thresholds.csv",
                 stage_dir / "entropy_histogram.csv", stage_dir / "reliability.svg"]
 
@@ -512,9 +508,9 @@ def _fmt(value) -> str:
     return "NA" if value is None else f"{value:.4f}"
 
 
-def _threshold_row(report_obj: dict, threshold: float, where) -> dict:
-    for row in report_obj["thresholds"]:
-        if math.isclose(row["threshold"], threshold, abs_tol=1e-9):
+def _threshold_row(report: UqReport, threshold: float, where) -> ThresholdRow:
+    for row in report.thresholds:
+        if math.isclose(row.threshold, threshold, abs_tol=1e-9):
             return row
     raise DataError(f"{where}: no threshold row at {threshold}")
 
@@ -530,36 +526,25 @@ def stage_summary(config: RunConfig, methods=METHODS, log=print,
                     "seed": config.seed}
 
     def build(stage_dir: Path):
-        rows = {}
+        rows, summaries = [], {}
         for m, path in report_paths.items():
-            report_obj = container.check_header(container.read_json(path), REPORT_FORMAT, path)
-            row = _threshold_row(report_obj, config.report_threshold, path)
-            rows[m] = {
-                "uacc": row["uacc"], "usen": row["usen"],
-                "uspe": row["uspe"], "upre": row["upre"],
-                "accuracy": report_obj["classic"]["accuracy"],
-                "ece": report_obj["calibration"]["ece"],
-                "n": report_obj["n"],
-            }
+            report = container.read_artifact(path, REPORT_FORMAT, ReportFile)
+            row = _threshold_row(report, config.report_threshold, path)
+            rows.append((m, row.uacc, row.usen, row.uspe, row.upre))
+            summaries[m] = {"uacc": row.uacc, "usen": row.usen, "uspe": row.uspe,
+                            "upre": row.upre, "accuracy": report.classic.accuracy,
+                            "ece": report.calibration.ece, "n": report.n}
         container.write_json(container.header(
             SUMMARY_FORMAT, seed=config.seed, threshold=config.report_threshold,
-            methods=rows), stage_dir / "summary.json")
-
-        with container.open_atomic(stage_dir / "summary.csv") as fh:
-            stamp = container.stamp(f"{SUMMARY_FORMAT}-table", {
-                "seed": config.seed, "threshold": f"{config.report_threshold:g}"})
-            fh.write(f"# {stamp}\nmethod,uacc,usen,uspe,upre\n")
-            for m in methods:
-                cells = ["NA" if rows[m][k] is None else repr(rows[m][k])
-                         for k in ("uacc", "usen", "uspe", "upre")]
-                fh.write(",".join([m, *cells]) + "\n")
+            methods=summaries), stage_dir / "summary.json")
+        container.write_csv(stage_dir / "summary.csv", f"{SUMMARY_FORMAT}-table",
+                            {"seed": config.seed, "threshold": f"{config.report_threshold:g}"},
+                            ("method", "uacc", "usen", "uspe", "upre"), rows)
 
         log(f"[summary] threshold {config.report_threshold:g}")
         log("  method    uacc    usen    uspe    upre")
-        for m in methods:
-            r = rows[m]
-            log(f"  {m:<8}{_fmt(r['uacc']):>8}{_fmt(r['usen']):>8}"
-                f"{_fmt(r['uspe']):>8}{_fmt(r['upre']):>8}")
+        for m, *metrics in rows:
+            log(f"  {m:<8}" + "".join(f"{_fmt(v):>8}" for v in metrics))
         return [stage_dir / "summary.json", stage_dir / "summary.csv"]
 
     return run_stage(config.out, "summary", stage_config, report_paths, build, log, digests)

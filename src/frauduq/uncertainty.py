@@ -211,16 +211,12 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
     """
     if method not in METHODS:
         raise ValidationError(f"unknown UQ method {method!r}")
-    if method == METHOD_MCD:
-        if len(models) != 1:
-            raise ValidationError("mcd predicts with exactly one network")
-        if passes < 1:
-            raise ValidationError(f"number of MC passes must be >= 1, got {passes}")
-    else:
-        if len(models) < 2:
-            raise ValidationError(f"ensemble prediction needs >= 2 members, got {len(models)}")
-        if method == METHOD_EMCD and passes < 1:
-            raise ValidationError(f"number of MC passes must be >= 1, got {passes}")
+    if method == METHOD_MCD and len(models) != 1:
+        raise ValidationError("mcd predicts with exactly one network")
+    if method != METHOD_MCD and len(models) < 2:
+        raise ValidationError(f"ensemble prediction needs >= 2 members, got {len(models)}")
+    if method != METHOD_ENSEMBLE and passes < 1:
+        raise ValidationError(f"number of MC passes must be >= 1, got {passes}")
 
     features = np.asarray(features, dtype=np.float64)
     for m in models:

@@ -1,12 +1,14 @@
 """Bad artifacts read back from disk exit 3 naming the file, never with a
-traceback: pinned faults, a non-UTF-8 CSV, and a sweep that breaks every
-leaf of every JSON artifact a command takes by path.
+traceback: pinned faults, a non-UTF-8 CSV, and sweeps that break every
+leaf of every JSON artifact a command takes by path, and of the
+``report.json`` that the summary stage reads back.
 
 One tiny run tree (1 epoch, 2 MC passes) is built once for the module;
 each test edits copies of its files.
 """
 
 import copy
+import hashlib
 import json
 import shutil
 
@@ -151,4 +153,39 @@ def test_every_artifact_leaf_fault_exits_0_or_3_naming_the_file(work, capsys):
             if code not in refused or (code == 3 and str(path) not in err):
                 bad.append(f"{rel} {label}: exit {code}, stderr {err!r}")
         path.write_bytes(good)
+    assert not bad, "\n".join(bad)
+
+
+# The report keys whose value may be undefined (a 0/0 ratio, the mean
+# entropy of an empty group): null is their None and reads back.
+UNDEFINED = {"accuracy", "sensitivity", "specificity", "precision", "confidence",
+             "uacc", "usen", "uspe", "upre", "mean_entropy_correct", "mean_entropy_incorrect"}
+
+
+def test_every_report_leaf_fault_exits_3_naming_the_file(work, capsys):
+    """reproduce reads each report.json back in its summary stage. Each
+    fault is re-stamped in the report stage's manifest, so that stage is
+    skipped, and summary/ is removed, so the summary stage reads the
+    broken file. A deleted key or a wrong kind exits 3 naming the file; a
+    null exits 0 on a value that may be undefined and 3 anywhere else."""
+    path = work / "out/reports/mcd/report.json"
+    manifest_path = work / "out/reports/mcd/manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    argv = ["reproduce", "--config", str(work / "tiny.json"), "--out", str(work / "out")]
+    bad = []
+    for label, text in faults(json.loads(path.read_text())):
+        path.write_bytes(text)
+        manifest["outputs"]["report.json"] = hashlib.sha256(text).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        shutil.rmtree(work / "out/summary", ignore_errors=True)
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # noqa: BLE001 - the sweep reports every escape
+            bad.append(f"{label}: raised {exc!r}")
+            continue
+        err = capsys.readouterr().err
+        key, fault = label.split(" ", 1)
+        expected = 0 if fault == "null" and key.rsplit(".", 1)[-1] in UNDEFINED else 3
+        if code != expected or (code == 3 and str(path) not in err):
+            bad.append(f"{label}: exit {code}, stderr {err!r}")
     assert not bad, "\n".join(bad)

@@ -10,8 +10,11 @@ import math
 import numpy as np
 import pytest
 
+from frauduq.container import read_artifact, write_json
 from frauduq.errors import DataError, ValidationError
 from frauduq.evaluation import (
+    REPORT_FORMAT,
+    ReportFile,
     build_report,
     classic_metrics,
     compute_ece,
@@ -280,7 +283,7 @@ def full_report():
     return build_report("mcd", estimates, labels)
 
 
-def test_report_serializes_with_na_markers():
+def test_report_serializes_with_na_markers(tmp_path):
     report = full_report()
     obj = report_to_dict(report, meta={"seed": 1})
     from frauduq.container import dumps_canonical
@@ -288,20 +291,33 @@ def test_report_serializes_with_na_markers():
     text = dumps_canonical(obj)  # must be JSON-serializable as-is
     assert '"method": "mcd"' in text
 
-    csv = threshold_table_csv(report, meta={"seed": 1})
-    lines = csv.splitlines()
+    threshold_table_csv(report, tmp_path / "t.csv", meta={"seed": 1})
+    lines = (tmp_path / "t.csv").read_text().splitlines()
     assert lines[1] == "threshold,tc,tu,fu,fc,uacc,usen,uspe,upre"
     assert len(lines) == 2 + 9
 
-    hist_csv = entropy_histogram_csv(report)
-    assert hist_csv.splitlines()[1] == "bin_lower,bin_upper,correct_count,incorrect_count"
+    entropy_histogram_csv(report, tmp_path / "h.csv")
+    lines = (tmp_path / "h.csv").read_text().splitlines()
+    assert lines[1] == "bin_lower,bin_upper,correct_count,incorrect_count"
 
-
-def test_csv_uses_na_for_undefined_ratios():
+    # Undefined ratios are written as null and read back as None, so the
+    # report read from report.json equals the one written.
     estimates, labels = fixture_counts(4, 0, 0, 0)
     report = build_report("mcd", estimates, labels)
-    csv = threshold_table_csv(report)
-    row = [line for line in csv.splitlines() if line.startswith("0.4,")][0]
+    assert report.thresholds[0].usen is None and report.classic.specificity is None
+    meta = {"seed": 1, "config_digest": "abc"}
+    write_json(report_to_dict(report, meta), tmp_path / "report.json")
+    assert '"usen": null' in (tmp_path / "report.json").read_text()
+    back = read_artifact(tmp_path / "report.json", REPORT_FORMAT, ReportFile)
+    assert back == ReportFile(**vars(report), **meta)
+
+
+def test_csv_uses_na_for_undefined_ratios(tmp_path):
+    estimates, labels = fixture_counts(4, 0, 0, 0)
+    report = build_report("mcd", estimates, labels)
+    threshold_table_csv(report, tmp_path / "t.csv")
+    row = [line for line in (tmp_path / "t.csv").read_text().splitlines()
+           if line.startswith("0.4,")][0]
     assert ",NA" in row
 
 

@@ -438,7 +438,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_method_model_mismatch_exits_2(tmp_path):
+def test_cli_method_model_mismatch_exits_2(tmp_path, capsys):
     config_path = write_config(tmp_path)
     out = str(tmp_path / "out")
     assert cli_run("preprocess", "--config", str(config_path), "--out", out) == 0
@@ -449,6 +449,19 @@ def test_cli_method_model_mismatch_exits_2(tmp_path):
     # emcd needs an ensemble, which was never trained
     assert cli_run("predict", "--config", str(config_path), "--out", out,
                    "--method", "emcd") == 2
+    # an emcd dump scored as mcd (the default method) is refused, not relabelled
+    dump = tmp_path / "emcd.jsonl"
+    dump.write_text(
+        '{"format": "frauduq-predictions", "version": 1, "method": "emcd", "n": 1}\n'
+        '{"index": 0, "mean_probs": [0.5, 0.5], "predicted_class": 0, '
+        '"entropy_raw": 0.6931471805599453, "entropy_norm": 1.0, "label": 0}\n')
+    capsys.readouterr()
+    for command in ("evaluate", "sweep"):
+        assert cli_run(command, "--config", str(config_path), "--out", out,
+                       "--dump", str(dump)) == 2
+        err = capsys.readouterr().err
+        assert str(dump) in err and "emcd predictions" in err and "method is mcd" in err, err
+    assert not (tmp_path / "out" / "reports" / "mcd" / "report.json").exists()
 
 
 def test_cli_data_errors_exit_3(tmp_path, capsys):

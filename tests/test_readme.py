@@ -1,10 +1,11 @@
 """The README's examples and tables must keep matching the package."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from frauduq import pipeline
+from frauduq.evaluation import ThresholdRow
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,6 +26,12 @@ def test_readme_library_example_runs(capsys):
     assert estimates.mean_probs.shape == (test_t.n_rows, 2)
     assert len(namespace["confusions"]) == 9
     assert "ClassicMetrics" in capsys.readouterr().out
+
+
+def test_readme_sweep_header_is_the_threshold_row():
+    headers = [line for line in section("## Quickstart").splitlines()
+               if line.startswith("threshold,")]
+    assert headers == [",".join(f.name for f in fields(ThresholdRow))]
 
 
 def test_readme_config_example_is_the_desk_profile(tmp_path):
