@@ -188,35 +188,21 @@ def first_hidden(net: Network, x: np.ndarray) -> np.ndarray:
     return _hidden(net, 0, x)
 
 
-def _forward_cached(net: Network, x: np.ndarray, mask: list[np.ndarray] | None):
-    """Forward pass keeping the unmasked ReLU outputs (the backprop gates)
-    and the masked activations, for training."""
-    h = first_hidden(net, x)
-    relus, acts = [], [x]
-    for i in range(N_HIDDEN_LAYERS):
-        if i > 0:
-            h = _hidden(net, i, acts[-1])
-        relus.append(h)
-        acts.append(h if mask is None else h * mask[i])
-    logits = acts[-1] @ net.weights[-1].T + net.biases[-1]
-    return softmax(logits), relus, acts
-
-
 def forward(net: Network, x: np.ndarray, mask: list[np.ndarray] | None = None,
             hidden1: np.ndarray | None = None) -> np.ndarray:
     """Class probabilities for one input vector or an (n, d) batch.
 
     ``hidden1`` is an optional precomputed ``first_hidden(net, x)``, left
-    intact. Each mask of its layer's activation shape and dtype is
-    overwritten with the masked activation (``mask * h``, bitwise ``h * mask``).
+    intact. The pass consumes its masks: each, as :func:`sample_dropout_mask`
+    draws it for ``x``'s rows, is overwritten with its layer's masked
+    activation (``mask * h``, bitwise ``h * mask``). Training runs this pass.
     """
     h = first_hidden(net, x) if hidden1 is None else hidden1
     for i in range(N_HIDDEN_LAYERS):
         if i > 0:
             h = _hidden(net, i, h)
         if mask is not None:
-            m = mask[i]
-            h = np.multiply(m, h, out=m if (m.shape, m.dtype) == (h.shape, h.dtype) else None)
+            h = np.multiply(mask[i], h, out=mask[i])
     return softmax(h @ net.weights[-1].T + net.biases[-1])
 
 
@@ -230,29 +216,44 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
+def _copied_masks(net: Network, masks: list[np.ndarray] | None):
+    """Copies of a caller's masks, refused unless each entry is 0 or 1/(1-rate)."""
+    if masks is None:
+        return None
+    scale = 1.0 / (1.0 - net.config.dropout_rate)
+    if any(((m != 0.0) & (m != scale)).any() for m in masks):
+        raise ValidationError(f"dropout masks may hold only 0 and 1/(1-rate) = {scale!r}")
+    return [np.array(m, dtype=np.float64) for m in masks]
+
+
 def loss_on_batch(
     net: Network, x: np.ndarray, labels: np.ndarray, masks: list[np.ndarray] | None = None
 ) -> float:
-    """Mean cross-entropy over a batch; the quantity backward differentiates."""
-    probs, _, _ = _forward_cached(net, np.atleast_2d(np.asarray(x, dtype=np.float64)), masks)
+    """Mean cross-entropy over a batch, as backward differentiates it; masks left intact."""
+    probs = forward(net, np.atleast_2d(np.asarray(x, dtype=np.float64)), _copied_masks(net, masks))
     return cross_entropy(probs, labels)
 
 
 def backward(
     net: Network, x: np.ndarray, labels: np.ndarray, masks: list[np.ndarray] | None = None
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of the mean cross-entropy w.r.t. every weight and bias:
-    ``(weight_grads, bias_grads)``, shaped like the network's lists."""
+    """``(weight_grads, bias_grads)`` of the mean cross-entropy, shaped like
+    the network's lists; the caller's masks are left intact."""
     grads, _ = _loss_and_grads(net, np.atleast_2d(np.asarray(x, dtype=np.float64)),
-                               np.asarray(labels), masks)
+                               np.asarray(labels), _copied_masks(net, masks))
     return grads
 
 
 def _loss_and_grads(net, x, labels, masks):
+    """Loss and gradients of one batch; consumes ``masks`` as :func:`forward` does."""
     n = x.shape[0]
     if n == 0:
         raise DataError("cannot compute gradients on an empty batch")
-    probs, relus, acts = _forward_cached(net, x, masks)
+    scale = 1.0 if masks is None else 1.0 / (1.0 - net.config.dropout_rate)
+    if masks is None:  # the pass leaves each layer's plain activation in a unit mask
+        masks = [np.ones((n, width)) for width in net.config.hidden_units]
+    probs = forward(net, x, masks)
+    acts = [x, *masks]  # forward overwrote each mask with its masked activation
     loss = cross_entropy(probs, labels)
 
     one_hot = np.zeros_like(probs)
@@ -264,11 +265,9 @@ def _loss_and_grads(net, x, labels, masks):
     for i in range(len(net.weights) - 1, -1, -1):
         d_weights[i] = delta.T @ acts[i]
         d_biases[i] = delta.sum(axis=0)
-        if i > 0:
-            d_act = delta @ net.weights[i]
-            if masks is not None:
-                d_act = d_act * masks[i - 1]
-            delta = d_act * (relus[i - 1] > 0)  # ReLU(z) > 0 exactly where z > 0
+        if i > 0:  # masks hold only 0 and scale, so acts > 0 where kept and the ReLU fired:
+            # bit for bit the gate (d_act * mask) * (ReLU > 0), each zero keeping d_act's sign
+            delta = ((delta @ net.weights[i]) * scale) * (acts[i] > 0)
     return (d_weights, d_biases), loss
 
 
@@ -323,15 +322,10 @@ def train(config: NetworkConfig, data, seed: int | None = None) -> tuple[Network
         raise DataError("training data is empty")
     if not np.isin(labels, (0, 1)).all():
         raise DataError("training labels must all be 0 or 1")
-    if x.shape[1] != config.input_units:
-        raise ShapeError(
-            f"data has {x.shape[1]} features but the config expects {config.input_units}"
-        )
 
     net = init_network(config, seed)
     state = AdamState.for_network(net)
     rng = substream(seed, STREAM_TRAIN)
-    use_masks = config.dropout_rate > 0.0
 
     history = []
     for _ in range(config.epochs):
@@ -339,7 +333,7 @@ def train(config: NetworkConfig, data, seed: int | None = None) -> tuple[Network
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            masks = sample_dropout_mask(config, rng, n_rows=len(idx)) if use_masks else None
+            masks = sample_dropout_mask(config, rng, n_rows=len(idx))  # ones at rate 0
             grads, loss = _loss_and_grads(net, x[idx], labels[idx], masks)
             adam_step(net, grads, state)
             loss_sum += loss * len(idx)

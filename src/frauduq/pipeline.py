@@ -197,7 +197,7 @@ def load_run_config(path=None, profile: str | None = None, seed: int | None = No
             raw = container.read_json(path)
             stated = {k: raw.pop(k) for k in ("format", "version") if k in raw}
             container.check_header(container.header(CONFIG_FORMAT) | stated, CONFIG_FORMAT, path)
-        except FormatError as exc:  # a bad config file is bad input: exit 2, not 3
+        except (FormatError, OSError) as exc:  # a bad or unreadable config is bad input: exit 2
             raise ValidationError(str(exc)) from exc
 
     name = profile or raw.get("profile", PROFILE_DESK)
@@ -515,14 +515,13 @@ def _threshold_row(report: UqReport, threshold: float, where) -> ThresholdRow:
     raise DataError(f"{where}: no threshold row at {threshold}")
 
 
-def stage_summary(config: RunConfig, methods=METHODS, log=print,
-                  digests: dict | None = None) -> StageResult:
+def stage_summary(config: RunConfig, log=print, digests: dict | None = None) -> StageResult:
     """Side-by-side UQ metrics of all methods at the report threshold."""
     out = Path(config.out)
     report_paths = {m: _require_file(out / "reports" / m / "report.json",
                                      "run the evaluate command first")
-                    for m in methods}
-    stage_config = {"methods": list(methods), "report_threshold": config.report_threshold,
+                    for m in METHODS}
+    stage_config = {"methods": list(METHODS), "report_threshold": config.report_threshold,
                     "seed": config.seed}
 
     def build(stage_dir: Path):
@@ -615,4 +614,4 @@ def cmd_reproduce(config: RunConfig, log=print) -> StageResult:
     for method in METHODS:
         stage_predict(config, method, log=log, digests=digests)
         stage_evaluate(config, method, log=log, digests=digests)
-    return stage_summary(config, METHODS, log, digests)
+    return stage_summary(config, log, digests)

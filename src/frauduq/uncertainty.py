@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import container
-from .errors import DataError, FormatError, ShapeError, ValidationError
+from .errors import DataError, FormatError, ValidationError
 from .network import Network, NetworkConfig, first_hidden, forward, sample_dropout_mask, train
 from .seeding import STREAM_MEMBER, STREAM_PREDICT, derive_seed, substream
 
@@ -191,7 +191,7 @@ _CHUNK_BUDGET_FLOATS = 16_000_000
 
 def predict_table(method: str, models: list[Network], features: np.ndarray,
                   passes: int, seed: int = 0) -> Estimates:
-    """Uncertainty estimates for every row of a feature matrix.
+    """Uncertainty estimates for every row of a feature matrix (a vector is one row).
 
     Runs whole-chunk forward passes per (member, pass) with a fresh
     per-row dropout mask each pass, and reduces each chunk's sample
@@ -218,13 +218,7 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
     if method != METHOD_ENSEMBLE and passes < 1:
         raise ValidationError(f"number of MC passes must be >= 1, got {passes}")
 
-    features = np.asarray(features, dtype=np.float64)
-    for m in models:
-        if features.shape[1] != m.config.input_units:
-            raise ShapeError(
-                f"data has {features.shape[1]} features but the model expects "
-                f"{m.config.input_units}"
-            )
+    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     n = features.shape[0]
     n_members = len(models)
     per_member = 1 if method == METHOD_ENSEMBLE else passes

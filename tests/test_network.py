@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from frauduq.errors import DataError, FormatError, NumericError, ShapeError
+from frauduq.errors import DataError, FormatError, NumericError, ShapeError, ValidationError
 from frauduq.network import (
     AdamState,
     NetworkConfig,
-    _forward_cached,
     adam_step,
     backward,
     cross_entropy,
@@ -288,17 +287,47 @@ def test_dropout_mask_matches_reference_expression_bitwise(rate):
             assert layer.shape == shape and np.array_equal(layer, want)
 
 
+def cached_pass(net, x, masks):
+    """The forward pass written out, caching each hidden layer's ReLU output
+    and its masked activation: ``(probs, relus, acts)``, acts led by x."""
+    relus, acts = [], [x]
+    for i in range(3):
+        z = acts[-1] @ net.weights[i].T + net.biases[i]
+        relus.append(np.maximum(z, 0.0))
+        acts.append(relus[-1] if masks is None else relus[-1] * masks[i])
+    return softmax(acts[-1] @ net.weights[-1].T + net.biases[-1]), relus, acts
+
+
+def reference_backward(net, x, labels, masks):
+    """Backprop written out, gating each layer by its mask and by ReLU > 0."""
+    probs, relus, acts = cached_pass(net, x, masks)
+    n = len(x)
+    one_hot = np.zeros_like(probs)
+    one_hot[np.arange(n), labels] = 1.0
+    delta = (probs - one_hot) / n
+    d_weights, d_biases = [None] * 4, [None] * 4
+    for i in range(3, -1, -1):
+        d_weights[i] = delta.T @ acts[i]
+        d_biases[i] = delta.sum(axis=0)
+        if i > 0:
+            d_act = delta @ net.weights[i]
+            if masks is not None:
+                d_act = d_act * masks[i - 1]
+            delta = d_act * (relus[i - 1] > 0)
+    return d_weights, d_biases
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5])
 def test_forward_matches_the_cached_pass_and_consumes_its_masks(rate):
-    """forward gives _forward_cached's probabilities bitwise. Each mask is
-    overwritten with its layer's masked activation, and hidden1 is kept."""
+    """forward gives the written-out pass's probabilities bitwise. Each mask
+    is overwritten with its layer's masked activation, and hidden1 is kept."""
     config = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=rate)
     net = init_network(config, seed=3)
     x = np.random.default_rng(8).normal(size=(6, 5))
     mask = sample_dropout_mask(config, np.random.default_rng(4), n_rows=6)
-    want, _, acts = _forward_cached(net, x, [m.copy() for m in mask])
+    want, _, acts = cached_pass(net, x, mask)
 
-    assert np.array_equal(forward(net, x), _forward_cached(net, x, None)[0])
+    assert np.array_equal(forward(net, x), cached_pass(net, x, None)[0])
     hidden1 = first_hidden(net, x)
     kept = hidden1.copy()
     given = [m.copy() for m in mask]
@@ -308,10 +337,9 @@ def test_forward_matches_the_cached_pass_and_consumes_its_masks(rate):
     assert np.array_equal(forward(net, x, [m.copy() for m in mask]), want)
 
 
-def test_forward_uses_masks_that_cannot_hold_the_activations_out_of_place():
-    """A 1-D mask shared over the batch broadcasts over every row, and an
-    integer 0/1 mask multiplies as it did; both give _forward_cached's
-    probabilities and are left as they are."""
+def test_forward_refuses_masks_not_drawn_for_its_rows():
+    """A 1-D mask shared over the batch cannot hold the batch's activations,
+    and an integer mask cannot hold floats: both raise, neither broadcasts."""
     config = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=0.3)
     net = init_network(config, seed=3)
     x = np.random.default_rng(8).normal(size=(6, 5))
@@ -319,9 +347,46 @@ def test_forward_uses_masks_that_cannot_hold_the_activations_out_of_place():
     ints = [(m > 0).astype(np.int64) for m in sample_dropout_mask(config, np.random.default_rng(5),
                                                                   n_rows=6)]
     for mask in (shared, ints):
-        kept = [m.copy() for m in mask]
-        assert np.array_equal(forward(net, x, mask), _forward_cached(net, x, kept)[0])
-        assert all(np.array_equal(m, k) and m.dtype == k.dtype for m, k in zip(mask, kept))
+        with pytest.raises((ValueError, TypeError)):
+            forward(net, x, mask)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5])
+def test_backward_equals_the_mask_and_relu_gated_reference_bitwise(rate):
+    """Gating by (d_act * s) * (masked activation > 0) gives the bits of the
+    written-out (d_act * mask) * (ReLU > 0), signed zeros included, with and
+    without masks; backward and loss_on_batch leave the masks intact."""
+    rng = np.random.default_rng(61)
+    for batch in range(6):
+        config = small_config(rng, dropout_rate=rate)
+        net = init_network(config)
+        n = int(rng.integers(1, 40))
+        x = rng.normal(size=(n, config.input_units))
+        labels = rng.integers(0, 2, size=n)
+        masks = sample_dropout_mask(config, rng, n_rows=n)
+        kept = [m.copy() for m in masks]
+        for given in (masks, None):
+            got = backward(net, x, labels, given)
+            want = reference_backward(net, x, labels, given)
+            for g, w in zip(got[0] + got[1], want[0] + want[1]):
+                assert g.tobytes() == w.tobytes(), (rate, batch, given is None)
+        assert loss_on_batch(net, x, labels, masks) == cross_entropy(
+            cached_pass(net, x, kept)[0], labels)
+        assert all(m.tobytes() == k.tobytes() for m, k in zip(masks, kept))
+
+
+def test_backward_refuses_masks_other_than_zero_and_the_keep_scale():
+    """The gate reads a kept unit from its activation, so a mask value other
+    than 0 and 1/(1-rate) would be mis-differentiated: it is refused."""
+    config = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=0.3)
+    net = init_network(config, seed=3)
+    x = np.random.default_rng(8).normal(size=(6, 5))
+    labels = np.array([0, 1, 0, 1, 1, 0])
+    other_rate = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=0.5)
+    halved = [m / 2 for m in sample_dropout_mask(config, np.random.default_rng(4), n_rows=6)]
+    for masks in (sample_dropout_mask(other_rate, np.random.default_rng(4), n_rows=6), halved):
+        with pytest.raises(ValidationError, match="only 0 and"):
+            backward(net, x, labels, masks)
 
 
 def test_rate_zero_mask_is_identity():

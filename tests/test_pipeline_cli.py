@@ -358,6 +358,24 @@ def test_cli_validation_errors_exit_2(tmp_path, capsys):
     assert cli_run("train", "--config", str(bad_method)) == 2
     assert "bogus" in capsys.readouterr().err
 
+    # A config that cannot be read (missing, or a directory) is bad input
+    # too: exit 2 naming it, before any output directory is made.
+    out = tmp_path / "never"
+    for unreadable in (tmp_path / "nonexist.json", tmp_path):
+        assert cli_run("preprocess", "--config", str(unreadable), "--out", str(out)) == 2
+        assert str(unreadable) in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_out_of_memory_exits_5_with_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(pipeline, "cmd_synth", exhausted)
+    assert cli_run("synth", "--config", str(write_config(tmp_path))) == 5
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 745. GiB for an array\n", err
+
 
 def config_fields(cls, path=()):
     """(key path, annotation) of every field under a config class, the

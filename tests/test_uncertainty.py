@@ -305,6 +305,9 @@ def test_predict_table_deterministic_and_validates():
 
     empty = predict_table("mcd", [net], x[:0], passes=20, seed=9)
     assert len(empty) == 0 and empty.mean_probs.shape == (0, 2)
+    # One input vector is one row: its length must be the input width, not a row count.
+    assert_same_estimates(predict_table("mcd", [net], x[0], passes=20, seed=9),
+                          predict_table("mcd", [net], x[:1], passes=20, seed=9))
 
     with pytest.raises(ValidationError):
         predict_table("mcd", [net, net], x, passes=5)
