@@ -35,26 +35,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("preprocess", parents=[shared],
-                   help="split raw data and fit/apply the preprocessor")
-    sub.add_parser("train", parents=[shared],
-                   help="train the model(s) the chosen method needs")
-
-    p = sub.add_parser("predict", parents=[shared],
-                       help="predict a feature table with uncertainty")
-    p.add_argument("--model", metavar="PATH",
-                   help="network file (mcd) or ensemble directory (ensemble/emcd)")
-    p.add_argument("--data", metavar="PATH", help="feature table to predict")
-
-    for name, help_text in (("evaluate", "score a prediction dump (ECE, UQ metrics, SVG)"),
-                            ("sweep", "evaluate and print the per-threshold table")):
+    dump = ("--dump", "dump_path", "prediction dump (.jsonl)")
+    for name, run, help_text, flags in (
+        ("preprocess", pipeline.cmd_preprocess,
+         "split raw data and fit/apply the preprocessor", ()),
+        ("train", pipeline.cmd_train, "train the model(s) the chosen method needs", ()),
+        ("predict", pipeline.cmd_predict, "predict a feature table with uncertainty", (
+            ("--model", "model_path", "network file (mcd) or ensemble directory (ensemble/emcd)"),
+            ("--data", "data_path", "feature table to predict"))),
+        ("evaluate", pipeline.cmd_evaluate,
+         "score a prediction dump (ECE, UQ metrics, SVG)", (dump,)),
+        ("sweep", pipeline.cmd_sweep, "evaluate and print the per-threshold table", (dump,)),
+        ("synth", pipeline.cmd_synth, "generate the built-in synthetic dataset", ()),
+        ("reproduce", pipeline.cmd_reproduce,
+         "run the whole chain and summarize all three methods", ()),
+    ):
         p = sub.add_parser(name, parents=[shared], help=help_text)
-        p.add_argument("--dump", metavar="PATH", help="prediction dump (.jsonl)")
-
-    sub.add_parser("synth", parents=[shared],
-                   help="generate the built-in synthetic dataset")
-    sub.add_parser("reproduce", parents=[shared],
-                   help="run the whole chain and summarize all three methods")
+        p.set_defaults(run=run)
+        for flag, dest, flag_help in flags:
+            p.add_argument(flag, metavar="PATH", dest=dest, help=flag_help)
     return parser
 
 
@@ -62,22 +61,7 @@ def _dispatch(args: argparse.Namespace) -> None:
     config = pipeline.load_run_config(
         path=args.config, profile=args.profile, seed=args.seed,
         out=args.out, method=args.method, mc_passes=args.mc_passes)
-    if args.command == "preprocess":
-        pipeline.cmd_preprocess(config)
-    elif args.command == "train":
-        pipeline.cmd_train(config)
-    elif args.command == "predict":
-        pipeline.cmd_predict(config, model_path=args.model, data_path=args.data)
-    elif args.command == "evaluate":
-        pipeline.cmd_evaluate(config, dump_path=args.dump)
-    elif args.command == "sweep":
-        pipeline.cmd_sweep(config, dump_path=args.dump)
-    elif args.command == "synth":
-        pipeline.cmd_synth(config)
-    elif args.command == "reproduce":
-        pipeline.cmd_reproduce(config)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise AssertionError(args.command)
+    args.run(config, **{k: v for k, v in vars(args).items() if k.endswith("_path")})
 
 
 def main(argv=None) -> int:

@@ -131,6 +131,8 @@ def _check_aligned(estimates, labels):
         raise DataError("no estimates to evaluate")
     if len(labels) != len(estimates):
         raise DataError(f"{len(estimates)} estimates but {len(labels)} labels")
+    if not np.isin(labels, (0, 1)).all():
+        raise DataError("labels must all be 0 or 1")
 
 
 def _correctness(estimates: Estimates, labels) -> np.ndarray:
@@ -169,36 +171,34 @@ def compute_ece(estimates: Estimates, labels, m_bins: int = 10) -> CalibrationBi
     return CalibrationBins(ece=float(ece), bin_count=m_bins, bins=tuple(bins))
 
 
+def _confusion(flagged, actual) -> tuple[int, int, int, int]:
+    """(tp, tn, fp, fn) of the boolean calls ``flagged`` against the truth ``actual``."""
+    return (int(np.sum(flagged & actual)), int(np.sum(~flagged & ~actual)),
+            int(np.sum(flagged & ~actual)), int(np.sum(~flagged & actual)))
+
+
+def _rates(tp: int, tn: int, fp: int, fn: int) -> tuple[float | None, ...]:
+    """Accuracy, sensitivity, specificity and precision; a 0/0 ratio is None."""
+    return tuple(None if den == 0 else num / den for num, den in (
+        (tp + tn, tp + tn + fp + fn), (tp, tp + fn), (tn, tn + fp), (tp, tp + fp)))
+
+
 def uq_confusion(estimates: Estimates, labels, threshold: float) -> UqConfusion:
-    """Count the four correctness/certainty outcomes at one threshold.
+    """Count the four correctness/certainty outcomes at one threshold:
+    the confusion matrix of "uncertain" called against "incorrect".
 
     Certain means entropy_norm <= threshold (ties are certain).
     """
     check_thresholds((threshold,))
     _check_aligned(estimates, labels)
-    correct = _correctness(estimates, labels)
-    certain = estimates.entropy_norm <= threshold
-    return UqConfusion(
-        tc=int(np.sum(correct & certain)),
-        tu=int(np.sum(~correct & ~certain)),
-        fu=int(np.sum(correct & ~certain)),
-        fc=int(np.sum(~correct & certain)),
-        threshold=threshold,
-    )
-
-
-def _ratio(num: int, den: int) -> float | None:
-    return None if den == 0 else num / den
+    uncertain = ~(estimates.entropy_norm <= threshold)
+    tu, tc, fu, fc = _confusion(uncertain, ~_correctness(estimates, labels))
+    return UqConfusion(threshold, tc, tu, fu, fc)
 
 
 def uq_metrics(c: UqConfusion) -> UqMetrics:
     """Uncertainty accuracy/sensitivity/specificity/precision from the counts."""
-    return UqMetrics(
-        uacc=_ratio(c.tu + c.tc, c.total),
-        usen=_ratio(c.tu, c.tu + c.fc),
-        uspe=_ratio(c.tc, c.tc + c.fu),
-        upre=_ratio(c.tu, c.tu + c.fu),
-    )
+    return UqMetrics(*_rates(c.tu, c.tc, c.fu, c.fc))
 
 
 def check_thresholds(thresholds) -> tuple[float, ...]:
@@ -223,18 +223,8 @@ def threshold_sweep(estimates: Estimates, labels,
 def classic_metrics(estimates: Estimates, labels) -> ClassicMetrics:
     """Standard binary metrics on the point predictions, fraud (1) positive."""
     _check_aligned(estimates, labels)
-    pred = estimates.predicted_class
-    truth = np.asarray(labels)
-    tp = int(np.sum((pred == 1) & (truth == 1)))
-    tn = int(np.sum((pred == 0) & (truth == 0)))
-    fp = int(np.sum((pred == 1) & (truth == 0)))
-    fn = int(np.sum((pred == 0) & (truth == 1)))
-    return ClassicMetrics(
-        accuracy=_ratio(tp + tn, len(pred)),
-        sensitivity=_ratio(tp, tp + fn),
-        specificity=_ratio(tn, tn + fp),
-        precision=_ratio(tp, tp + fp),
-    )
+    return ClassicMetrics(*_rates(*_confusion(estimates.predicted_class == 1,
+                                              np.asarray(labels) == 1)))
 
 
 def export_entropy_histogram(estimates: Estimates, labels,

@@ -101,22 +101,17 @@ class Network:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the step counter."""
+    """First/second moment accumulators, one array per parameter in
+    ``weights + biases`` order, and the step counter."""
 
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     t: int = 0
 
     @classmethod
     def for_network(cls, net: Network) -> "AdamState":
-        return cls(
-            m_weights=[np.zeros_like(w) for w in net.weights],
-            v_weights=[np.zeros_like(w) for w in net.weights],
-            m_biases=[np.zeros_like(b) for b in net.biases],
-            v_biases=[np.zeros_like(b) for b in net.biases],
-        )
+        params = net.weights + net.biases
+        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
 def init_network(config: NetworkConfig, seed: int | None = None) -> Network:
@@ -274,36 +269,36 @@ def _loss_and_grads(net, x, labels, masks):
 def adam_step(net: Network, grads: tuple[list, list], state: AdamState,
               lr: float | None = None) -> tuple[Network, AdamState]:
     """One bias-corrected Adam update from :func:`backward`'s
-    ``(weight_grads, bias_grads)``, in place; returns the pair for chaining."""
+    ``(weight_grads, bias_grads)``, in place; returns the pair for chaining.
+    Gradients that do not match the parameters one for one raise ShapeError
+    before anything changes."""
     cfg = net.config
     lr = cfg.learning_rate if lr is None else lr
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+    params, grads = net.weights + net.biases, [*grads[0], *grads[1]]
+    got, want = [np.shape(g) for g in grads], [p.shape for p in params]
+    if got != want:
+        raise ShapeError(f"gradient shapes {got} do not match the parameters' {want}")
     state.t += 1
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for params, gs, ms, vs in (
-        (net.weights, grads[0], state.m_weights, state.v_weights),
-        (net.biases, grads[1], state.m_biases, state.v_biases),
-    ):
-        for p, g, m, v in zip(params, gs, ms, vs):
-            if g.shape != p.shape:
-                raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-            # Rounds exactly as p -= lr * (m / c1) / (sqrt(v / c2) + eps),
-            # with two scratch arrays per parameter.
-            step = np.multiply(g, 1.0 - b1)
-            m *= b1
-            m += step
-            np.square(g, out=step)
-            step *= 1.0 - b2
-            v *= b2
-            v += step
-            np.divide(m, c1, out=step)
-            step *= lr
-            denom = np.divide(v, c2)
-            np.sqrt(denom, out=denom)
-            denom += eps
-            step /= denom
-            p -= step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        # Rounds exactly as p -= lr * (m / c1) / (sqrt(v / c2) + eps),
+        # with two scratch arrays per parameter.
+        step = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += step
+        np.square(g, out=step)
+        step *= 1.0 - b2
+        v *= b2
+        v += step
+        np.divide(m, c1, out=step)
+        step *= lr
+        denom = np.divide(v, c2)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p -= step
     return net, state
 
 

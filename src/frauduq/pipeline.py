@@ -355,10 +355,6 @@ def stage_data(config: RunConfig, log=print, digests: dict | None = None) -> Sta
     return run_stage(config.out, "data", stage_config, inputs, build, log, digests)
 
 
-def _needed_models(method: str) -> tuple[str, ...]:
-    return ("single",) if method == METHOD_MCD else ("ensemble",)
-
-
 def stage_train(config: RunConfig, needs: tuple[str, ...], log=print,
                 digests: dict | None = None) -> StageResult:
     """Train the single network and/or the ensemble under <out>/models."""
@@ -573,7 +569,8 @@ def cmd_preprocess(config: RunConfig, log=print) -> StageResult:
 
 def cmd_train(config: RunConfig, log=print) -> StageResult:
     _write_config_snapshot(config)
-    return stage_train(config, _needed_models(config.method), log)
+    needs = ("single",) if config.method == METHOD_MCD else ("ensemble",)
+    return stage_train(config, needs, log)
 
 
 def cmd_predict(config: RunConfig, model_path=None, data_path=None, log=print) -> StageResult:

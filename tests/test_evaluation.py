@@ -14,6 +14,7 @@ from frauduq.container import read_artifact, write_json
 from frauduq.errors import DataError, ValidationError
 from frauduq.evaluation import (
     REPORT_FORMAT,
+    ClassicMetrics,
     ReportFile,
     build_report,
     classic_metrics,
@@ -155,9 +156,9 @@ def test_boundary_entropy_counts_as_certain():
     assert c.tc == 1 and c.fu == 0
 
 
-def test_confusion_brute_force_recount():
-    """Vector implementation vs a per-sample loop on random fixtures."""
-    rng = np.random.default_rng(7)
+def brute_force_tables(rng):
+    """200 random (p_class1, entropy_norm, labels, threshold) tables, then
+    one whose specificity is 0/0: every label fraud, one caught, one missed."""
     for _ in range(200):
         n = int(rng.integers(1, 40))
         threshold = float(rng.random())
@@ -166,12 +167,23 @@ def test_confusion_brute_force_recount():
             ps.append(float(rng.uniform(0.0, 1.0)))
             hs.append(float(rng.random()))
             labels.append(int(rng.integers(0, 2)))
+        yield ps, hs, labels, threshold
+    yield [0.9, 0.2], [0.1, 0.8], [1, 1], 0.5
+
+
+def test_confusion_brute_force_recount():
+    """uq_confusion and classic_metrics vs per-sample loops on random tables."""
+    def ratio(num, den):
+        return None if den == 0 else num / den
+
+    for ps, hs, labels, threshold in brute_force_tables(np.random.default_rng(7)):
         estimates = est(ps, entropy_norm=hs)
         c = uq_confusion(estimates, labels, threshold)
 
-        tc = tu = fu = fc = 0
+        tc = tu = fu = fc = tp = tn = fp = fn = 0
         for p, h, y in zip(ps, hs, labels):
-            correct = int(p > 0.5) == y
+            pred = int(p > 0.5)
+            correct = pred == y
             certain = h <= threshold
             if correct and certain:
                 tc += 1
@@ -181,8 +193,27 @@ def test_confusion_brute_force_recount():
                 fu += 1
             else:
                 fc += 1
+            tp += pred == 1 and y == 1
+            tn += pred == 0 and y == 0
+            fp += pred == 1 and y == 0
+            fn += pred == 0 and y == 1
         assert (c.tc, c.tu, c.fu, c.fc) == (tc, tu, fu, fc)
-        assert c.total == n
+        assert c.total == len(ps)
+
+        classic = classic_metrics(estimates, labels)
+        assert classic == ClassicMetrics(ratio(tp + tn, len(ps)), ratio(tp, tp + fn),
+                                         ratio(tn, tn + fp), ratio(tp, tp + fp))
+    assert classic == ClassicMetrics(0.5, 0.5, None, 1.0)  # the last, fixed table
+
+
+@pytest.mark.parametrize("labels", [[2, 7], [2, -1], [0, 0.5]])
+@pytest.mark.parametrize("evaluate", [
+    compute_ece, export_entropy_histogram, classic_metrics,
+    lambda estimates, labels: uq_confusion(estimates, labels, 0.5)],
+    ids=["compute_ece", "export_entropy_histogram", "classic_metrics", "uq_confusion"])
+def test_labels_other_than_0_and_1_are_refused(evaluate, labels):
+    with pytest.raises(DataError, match="0 or 1"):
+        evaluate(est([0.9, 0.2]), labels)
 
 
 # --- sweeps --------------------------------------------------------------------

@@ -187,12 +187,22 @@ def test_adam_step_matches_one_line_update_bitwise():
 
 
 def test_adam_rejects_mismatched_shapes():
+    """A narrowed gradient, gradients for the first layer only, or a bad
+    last gradient after good ones raise ShapeError with every parameter
+    and the whole optimizer state left as they were."""
     rng = np.random.default_rng(5)
-    net = init_network(small_config(rng))
-    grads = backward(net, rng.normal(size=(2, net.config.input_units)), np.array([0, 1]))
-    grads[0][0] = grads[0][0][:, :-1]
-    with pytest.raises(ShapeError):
-        adam_step(net, grads, AdamState.for_network(net))
+    net = init_network(NetworkConfig(input_units=3, hidden_units=(8, 8, 8)))
+    gw, gb = backward(net, rng.normal(size=(4, 3)), np.array([0, 1, 1, 0]))
+    state = AdamState.for_network(net)
+    adam_step(net, (gw, gb), state)  # non-zero moments, so a touched one would show
+    for grads in (([gw[0][:, :-1], *gw[1:]], gb), ([gw[0]], [gb[0]]),
+                  (gw, [*gb[:-1], gb[-1][:-1]])):
+        before = [a.copy() for a in net.weights + net.biases + state.m + state.v]
+        with pytest.raises(ShapeError):
+            adam_step(net, grads, state)
+        after = net.weights + net.biases + state.m + state.v
+        assert all(np.array_equal(a, b) for a, b in zip(after, before, strict=True))
+        assert state.t == 1
 
 
 # --- training ----------------------------------------------------------------

@@ -347,6 +347,35 @@ def test_cli_full_chain_exit_codes(tmp_path):
     assert (tmp_path / "cli_out" / "reports" / "mcd" / "report.json").is_file()
 
 
+COMMAND_PATHS = {
+    "preprocess": {}, "train": {},
+    "predict": {"model_path": "nets/single.json", "data_path": "data/test.json"},
+    "evaluate": {"dump_path": "dumps/mcd.jsonl"}, "sweep": {"dump_path": "dumps/mcd.jsonl"},
+    "synth": {}, "reproduce": {},
+}
+PATH_FLAGS = {"model_path": "--model", "data_path": "--data", "dump_path": "--dump"}
+
+
+@pytest.mark.parametrize("command", COMMAND_PATHS)
+def test_cli_runs_each_subcommand_with_its_config_and_path_keywords(
+        command, tmp_path, monkeypatch):
+    """Every subcommand reaches its own ``pipeline.cmd_*`` exactly once,
+    with the resolved config and only that command's path keywords."""
+    calls = []
+    for name in COMMAND_PATHS:
+        monkeypatch.setattr(pipeline, f"cmd_{name}",
+                            lambda config, name=name, **paths: calls.append((name, config, paths)))
+    config_path = write_config(tmp_path)
+    out = str(tmp_path / "out")
+    paths = COMMAND_PATHS[command]
+    flags = [arg for key, value in paths.items() for arg in (PATH_FLAGS[key], value)]
+    assert cli_run(command, "--config", str(config_path), "--out", out, "--seed", "5",
+                   "--method", "emcd", "--mc-passes", "3", *flags) == 0
+    config = pipeline.load_run_config(path=config_path, seed=5, out=out, method="emcd",
+                                      mc_passes=3)
+    assert calls == [(command, config, paths)]
+
+
 def test_cli_validation_errors_exit_2(tmp_path, capsys):
     missing_schema = write_config(
         tmp_path, {"data": {"csv": {"path": "/nope.csv", "schema": "/nope.json"}}},

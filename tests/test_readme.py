@@ -1,10 +1,11 @@
 """The README's examples and tables must keep matching the package."""
 
+import argparse
 import re
 from dataclasses import fields, replace
 from pathlib import Path
 
-from frauduq import pipeline
+from frauduq import cli, pipeline
 from frauduq.evaluation import ThresholdRow
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -55,3 +56,11 @@ def test_readme_profiles_table_matches_the_code():
         name: (c.network.hidden_units, c.network.epochs, c.network.batch_size,
                c.ensemble.members, c.ensemble.width_ranges, c.mc_passes)
         for name, c in pipeline.PROFILES.items()}
+
+
+def test_readme_command_table_is_the_parser_subcommands():
+    rows = [line.split("|")[1].strip().strip("`")
+            for line in section("## Command reference").splitlines() if line.startswith("| `")]
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert rows == list(subparsers.choices)
