@@ -7,13 +7,41 @@ distinct exit codes: 2 validation, 3 data, 4 numeric, 5 I/O.
 """
 
 import argparse
+import ctypes
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from . import __version__, pipeline
 from .errors import FraudUqError
 from .uncertainty import METHODS
 
 EXIT_IO = 5
+# numpy 2.x bundles scipy-openblas; older wheels bundle plain OpenBLAS
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
+
+
+def _pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread: a multi-threaded matrix
+    product can round differently, and frauduq runs its own threads. Says
+    so on stderr if no such library or setter is found."""
+    package = Path(np.__file__).parent
+    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                        *package.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in _BLAS_SETTERS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+    print("warning: cannot reach numpy's OpenBLAS to pin it to one thread; set "
+          "OPENBLAS_NUM_THREADS=1 for artifacts that do not depend on the core count",
+          file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, run, help_text, flags in (
         ("preprocess", pipeline.cmd_preprocess,
          "split raw data and fit/apply the preprocessor", ()),
-        ("train", pipeline.cmd_train, "train the model(s) the chosen method needs", ()),
+        ("train", pipeline.cmd_train,
+         "train the one model the method needs: the single net (mcd) or the ensemble", ()),
         ("predict", pipeline.cmd_predict, "predict a feature table with uncertainty", (
             ("--model", "model_path", "network file (mcd) or ensemble directory (ensemble/emcd)"),
             ("--data", "data_path", "feature table to predict"))),
@@ -66,6 +95,7 @@ def _dispatch(args: argparse.Namespace) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _pin_blas_threads()
     try:
         _dispatch(args)
     except FraudUqError as exc:

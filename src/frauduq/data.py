@@ -152,19 +152,17 @@ def load_csv(path, schema: CsvSchema) -> RawTable:
 
     columns, kinds = [], []
     for name, raw in zip(feature_names, cells):
-        kind = schema.kinds.get(name) or _infer_kind(raw)
+        kind = schema.kinds.get(name)
+        if kind != CATEGORICAL:
+            col = _parse_numeric(raw)
+            if col is None and kind == NUMERIC:
+                i, cell = next((i, c) for i, c in enumerate(raw) if _parse_numeric([c]) is None)
+                raise DataError(f"{path}: row {i + 2}: column {name!r} declared numeric "
+                                f"but holds {cell!r}")
+            # an undeclared column is numeric if every observed cell parses
+            kind = NUMERIC if col is not None else CATEGORICAL
         kinds.append(kind)
         if kind == NUMERIC:
-            col = np.full(len(raw), np.nan)
-            for i, cell in enumerate(raw):
-                if cell is not None:
-                    try:
-                        col[i] = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {i + 2}: column {name!r} declared numeric "
-                            f"but holds {cell!r}"
-                        ) from None
             # one vectorized check per column: only a missing cell may be NaN
             if np.isinf(col).any() or np.count_nonzero(np.isnan(col)) != raw.count(None):
                 i = next(i for i, c in enumerate(raw) if c is not None and not np.isfinite(col[i]))
@@ -182,15 +180,16 @@ def load_csv(path, schema: CsvSchema) -> RawTable:
     )
 
 
-def _infer_kind(raw: list) -> str:
-    for cell in raw:
-        if cell is None:
-            continue
-        try:
-            float(cell)
-        except ValueError:
-            return CATEGORICAL
-    return NUMERIC
+def _parse_numeric(raw: list) -> np.ndarray | None:
+    """A column's cells as float64, NaN for a missing (None) cell, in one
+    call; None if some cell is not a number. numpy parses a Python str as
+    ``float()`` does (underscores, surrounding whitespace, ``inf``/``nan``
+    spellings, Unicode digits), so this accepts exactly what ``float``
+    accepts."""
+    try:
+        return np.array(["nan" if cell is None else cell for cell in raw], dtype=np.float64)
+    except ValueError:
+        return None
 
 
 # a column kind -> the type of its impute_value and its own keys, sorted

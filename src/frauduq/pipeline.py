@@ -357,7 +357,9 @@ def stage_data(config: RunConfig, log=print, digests: dict | None = None) -> Sta
 
 def stage_train(config: RunConfig, needs: tuple[str, ...], log=print,
                 digests: dict | None = None) -> StageResult:
-    """Train the single network and/or the ensemble under <out>/models."""
+    """Train the models named in ``needs`` ("single", "ensemble") under
+    <out>/models: ``cmd_train`` asks for the one its method needs (the
+    single net for mcd, the ensemble otherwise), ``reproduce`` for both."""
     train_path = _require_file(Path(config.out) / "data" / "train.json",
                                "run the preprocess command first")
     stage_config = {"needs": sorted(needs), "seed": config.seed,

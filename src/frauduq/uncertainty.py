@@ -262,33 +262,44 @@ def write_dump(path_jsonl, path_csv, method: str, estimates: Estimates,
     """Write the per-input prediction dump as JSON lines and CSV.
 
     The first JSONL line and a leading ``#`` CSV line carry the metadata
-    (format, version, method, seed, config digest). Rows stream into each
-    file, which replaces the old one only when complete. Column order
-    follows DUMP_COLUMNS; floats use shortest round-trip formatting.
+    (format, version, method, seed, config digest). Each file replaces the
+    old one only when complete. Column order follows DUMP_COLUMNS. A row is
+    one template per file; a JSONL record is what ``json.dumps(record,
+    sort_keys=True)`` writes, as a float's ``repr`` (shortest round-trip)
+    is json's spelling of it if finite. So before either file is opened,
+    the float columns must be finite float64 and the classes integers.
     """
     n = len(estimates)
     header = container.header(DUMP_FORMAT, method=method, n=n, **(meta or {}))
     labels = [None] * n if labels is None else [None if y is None else int(y) for y in labels]
     if len(labels) != n:
         raise DataError("labels and estimates are misaligned")
-    rows = list(enumerate(zip(estimates.mean_probs.tolist(), estimates.predicted_class.tolist(),
-                              estimates.entropy_raw.tolist(), estimates.entropy_norm.tolist(),
-                              labels)))
+    floats = (estimates.mean_probs, estimates.entropy_raw, estimates.entropy_norm)
+    classes = estimates.predicted_class
+    if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64 and np.isfinite(a).all()
+                for a in floats)
+            and isinstance(classes, np.ndarray) and classes.dtype.kind in "iu"
+            and [a.shape for a in (*floats, classes)] == [(n, 2), (n,), (n,), (n,)]):
+        raise DataError("cannot dump these estimates: mean_probs must be a finite float64 "
+                        "(n, 2) array, entropy_raw and entropy_norm finite float64 (n,) "
+                        "arrays, and predicted_class an integer (n,) array")
+    # each float's repr once, shared by both files
+    p0, p1, raw, norm = (list(map(repr, a.tolist())) for a in
+                         (floats[0][:, 0], floats[0][:, 1], *floats[1:]))
+    rows = list(zip(range(n), p0, p1, classes.tolist(), raw, norm, labels))
 
     with container.open_atomic(path_jsonl) as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.writelines(json.dumps({
-            "index": i, "mean_probs": probs, "predicted_class": pred,
-            "entropy_raw": raw, "entropy_norm": norm, "label": label,
-        }, sort_keys=True) + "\n" for i, (probs, pred, raw, norm, label) in rows)
+        fh.writelines([
+            f'{{"entropy_norm": {en}, "entropy_raw": {er}, "index": {i}, '
+            f'"label": {"null" if y is None else y}, "mean_probs": [{g}, {f}], '
+            f'"predicted_class": {c}}}\n' for i, g, f, c, er, en, y in rows])
 
     with container.open_atomic(path_csv) as fh:
         fh.write(f"# {container.stamp(DUMP_FORMAT, header)}\n")
         fh.write(",".join(DUMP_COLUMNS) + "\n")
-        fh.writelines(",".join([
-            str(i), method, repr(probs[0]), repr(probs[1]), str(pred), repr(raw), repr(norm),
-            "" if label is None else str(label),
-        ]) + "\n" for i, (probs, pred, raw, norm, label) in rows)
+        fh.writelines([f'{i},{method},{g},{f},{c},{er},{en},{"" if y is None else y}\n'
+                       for i, g, f, c, er, en, y in rows])
 
 
 def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:

@@ -71,8 +71,45 @@ def test_load_csv_error_reports_row_numbers(tmp_path):
 
 
 def test_load_csv_header_only_gives_empty_table(tmp_path):
-    table = load_csv(write_csv(tmp_path, "a,y\n"), SCHEMA)
-    assert table.n_rows == 0
+    for schema in (SCHEMA, CsvSchema(label="y", kinds={"a": "numeric"})):
+        table = load_csv(write_csv(tmp_path, "a,y\n"), schema)
+        assert table.n_rows == 0 and table.kinds == ["numeric"]
+        assert table.columns[0].dtype == np.float64 and table.columns[0].shape == (0,)
+
+
+def test_load_csv_numeric_cells_parse_as_float_does(tmp_path):
+    """A numeric cell takes every spelling Python's float() takes."""
+    cells = ["1_000", " 2.25 ", "+.5", "5.", "1e-320", "١٢", "-0", "1e-400"]
+    text = "a,y\n" + "".join(f'"{c}",{i % 2}\n' for i, c in enumerate(cells)) + "NA,0\n"
+    for schema in (SCHEMA, CsvSchema(label="y", kinds={"a": "numeric"})):
+        table = load_csv(write_csv(tmp_path, text), schema)
+        assert table.kinds == ["numeric"]
+        col = table.columns[0]
+        assert col.dtype == np.float64
+        assert col[:-1].tobytes() == np.array([float(c) for c in cells]).tobytes()
+        assert np.isnan(col[-1])  # the missing cell
+
+
+def test_load_csv_non_number_in_numeric_column(tmp_path):
+    """A declared numeric column names the first cell float() refuses; an
+    undeclared one holding such a cell is categorical."""
+    path = write_csv(tmp_path, "a,y\n1,0\n,1\n2,0\n0x10,1\n1__0,0\n")
+    declared = CsvSchema(label="y", kinds={"a": "numeric"})
+    with pytest.raises(DataError, match=r"data.csv: row 5: column 'a' declared numeric "
+                                        r"but holds '0x10'$"):
+        load_csv(path, declared)
+    table = load_csv(path, SCHEMA)
+    assert table.kinds == ["categorical"]
+    assert table.columns[0].tolist() == ["1", None, "2", "0x10", "1__0"]
+
+    # literal non-finite cells are refused with the missing_values hint,
+    # declared or inferred, in any float() spelling
+    for cell in (" nan ", "Infinity", "-iNF", "1e999"):
+        path = write_csv(tmp_path, f'a,y\n1,0\n,1\n"{cell}",0\n', name="nonfinite.csv")
+        for schema in (SCHEMA, declared):
+            with pytest.raises(DataError, match=r"row 4: column 'a' holds the non-finite "
+                                                r".*list it in missing_values"):
+                load_csv(path, schema)
 
 
 # --- preprocessing -------------------------------------------------------------

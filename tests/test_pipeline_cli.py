@@ -485,6 +485,48 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+BLAS_PROBE = """
+import ctypes, sys
+from pathlib import Path
+import numpy as np
+from frauduq import cli
+package = Path(np.__file__).parent
+libs = [ctypes.CDLL(str(p)) for p in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                                             *package.glob(".dylibs/*openblas*")])]
+names = [name.replace("_set_", "_get_") for name in cli._BLAS_SETTERS]
+getter = next((getattr(lib, n) for lib in libs for n in names if hasattr(lib, n)), None)
+before = getter and getter()
+code = cli.main(["synth", "--out", sys.argv[1]])
+print(before, getter and getter(), code)
+"""
+
+
+def test_cli_pins_numpys_openblas_to_one_thread(tmp_path):
+    """With no thread variable set, OpenBLAS starts on as many threads as
+    it likes; after a CLI command it runs on one."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", BLAS_PROBE, str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, after, code = done.stdout.splitlines()[-1].split()
+    if before == "None":
+        pytest.skip("numpy here does not bundle OpenBLAS")
+    assert (int(before) >= 1, after, code) == (True, "1", "0")
+    assert "warning" not in done.stderr
+
+
+def test_cli_says_once_when_blas_cannot_be_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_BLAS_SETTERS", ("no_such_setter",))
+    assert cli_run("synth", "--out", str(tmp_path / "out")) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "OpenBLAS" in line]
+    assert warnings == ["warning: cannot reach numpy's OpenBLAS to pin it to one thread; set "
+                        "OPENBLAS_NUM_THREADS=1 for artifacts that do not depend on the core "
+                        "count"]
+
+
 def test_cli_method_model_mismatch_exits_2(tmp_path, capsys):
     config_path = write_config(tmp_path)
     out = str(tmp_path / "out")

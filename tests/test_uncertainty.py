@@ -488,7 +488,7 @@ def test_dump_round_trip(tmp_path):
                        "predicted_class,entropy_raw,entropy_norm,label"
 
 
-def test_failed_writes_leave_old_files_whole(tmp_path):
+def test_failed_writes_leave_old_files_whole(tmp_path, monkeypatch):
     """A write that raises partway leaves the previous file byte for byte
     and no temp file beside it."""
     target = tmp_path / "note.txt"
@@ -506,17 +506,90 @@ def test_failed_writes_leave_old_files_whole(tmp_path):
     jsonl, csv = tmp_path / "d.jsonl", tmp_path / "d.csv"
     write_dump(jsonl, csv, "mcd", estimates, None)
     old = {p: p.read_bytes() for p in (jsonl, csv)}
-    # row 3 cannot be written: as JSON (both files keep their bytes), then
-    # as CSV (the JSONL is complete and replaced, the CSV keeps its bytes)
-    for bad_row, error, kept in (([object(), 0.5], TypeError, (jsonl, csv)),
-                                 ([0.5], IndexError, (csv,))):
-        probs = np.empty(5, dtype=object)
-        for i, row in enumerate(estimates.mean_probs.tolist()):
-            probs[i] = bad_row if i == 3 else row
-        with pytest.raises(error):
-            write_dump(jsonl, csv, "mcd", dataclasses.replace(estimates, mean_probs=probs), None)
-        assert all(p.read_bytes() == old[p] for p in kept)
+    # row 3 cannot be written: refused before either file is opened
+    probs = np.empty(5, dtype=object)
+    for i, row in enumerate(estimates.mean_probs.tolist()):
+        probs[i] = [object(), 0.5] if i == 3 else row
+    with pytest.raises(DataError, match="cannot dump"):
+        write_dump(jsonl, csv, "mcd", dataclasses.replace(estimates, mean_probs=probs), None)
+    assert all(p.read_bytes() == old[p] for p in (jsonl, csv))
+
+    # the CSV fails after the JSONL is complete: the JSONL is replaced,
+    # the CSV keeps its bytes
+    def disk_full(*args):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(container, "stamp", disk_full)
+    with pytest.raises(OSError, match="no space"):
+        write_dump(jsonl, csv, "mcd", estimates, [0, 1, 1, 0, 1])
+    assert read_dump(jsonl)[2] == [0, 1, 1, 0, 1]
+    assert csv.read_bytes() == old[csv]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.jsonl", "note.txt"]
+
+
+def _reference_dump(method, estimates, labels, meta):
+    """The dump rows as ``json.dumps`` and ``",".join`` write them, one cell at a time."""
+    header = container.header(unc.DUMP_FORMAT, method=method, n=len(estimates), **meta)
+    jsonl, csv = [json.dumps(header, sort_keys=True)], [
+        f"# {container.stamp(unc.DUMP_FORMAT, header)}", ",".join(unc.DUMP_COLUMNS)]
+    for i, (probs, pred, raw, norm, label) in enumerate(zip(
+            estimates.mean_probs.tolist(), estimates.predicted_class.tolist(),
+            estimates.entropy_raw.tolist(), estimates.entropy_norm.tolist(), labels)):
+        jsonl.append(json.dumps({"index": i, "mean_probs": probs, "predicted_class": pred,
+                                 "entropy_raw": raw, "entropy_norm": norm, "label": label},
+                                sort_keys=True))
+        csv.append(",".join([str(i), method, repr(probs[0]), repr(probs[1]), str(pred),
+                             repr(raw), repr(norm), "" if label is None else str(label)]))
+    return "".join(line + "\n" for line in jsonl), "".join(line + "\n" for line in csv)
+
+
+def test_dump_bytes_equal_json_dumps_reference(tmp_path):
+    """Each template row is what json.dumps(sort_keys=True) and the
+    ",".join CSV row write, on the floats where repr is at its edges:
+    subnormals, 0.1, 1/3 and the largest double below 1."""
+    fraud = np.array([5e-324, 1e-320, 0.1, 1 / 3, 1 - 2**-53, 0.0, 1.0, 0.5])
+    mean_probs = np.stack([1.0 - fraud, fraud], axis=1)
+    mean_probs[1] = [1e-320, 1.0 - 1e-320]
+    raw, norm = predictive_entropy(mean_probs)
+    estimates = Estimates(mean_probs, mean_probs.argmax(axis=1), raw, norm)
+    labels = [None, 0, 1, None, 1, 0, 1, 0]
+    meta = {"seed": 3, "mc_passes": None, "config_digest": "ab12"}
+    jsonl, csv = tmp_path / "d.jsonl", tmp_path / "d.csv"
+    write_dump(jsonl, csv, "emcd", estimates, np.array(labels, dtype=object), meta=meta)
+    assert (jsonl.read_text(), csv.read_text()) == _reference_dump("emcd", estimates, labels, meta)
+    assert read_dump(jsonl)[2] == labels
+
+    empty = Estimates(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
+    write_dump(jsonl, csv, "mcd", empty, None, meta={})
+    assert (jsonl.read_text(), csv.read_text()) == _reference_dump("mcd", empty, [], {})
+
+
+def test_dump_refuses_unwritable_estimates_before_touching_files(tmp_path):
+    """Estimates whose repr would not be json's spelling (non-finite,
+    object or non-float dtype, wrong shape) raise before either file is
+    opened, so no file, temp or otherwise, appears."""
+    net = init_network(BASE, seed=6)
+    good = predict_table("mcd", [net], np.random.default_rng(47).normal(size=(4, 3)), 4)
+    nan_probs = good.mean_probs.copy()
+    nan_probs[2, 0] = np.nan
+    inf_norm = good.entropy_norm.copy()
+    inf_norm[1] = np.inf
+    for bad in (
+        dataclasses.replace(good, mean_probs=nan_probs),
+        dataclasses.replace(good, entropy_norm=inf_norm),
+        dataclasses.replace(good, mean_probs=good.mean_probs.astype(object)),
+        dataclasses.replace(good, entropy_raw=good.entropy_raw.astype(np.float32)),
+        dataclasses.replace(good, entropy_raw=good.entropy_raw.tolist()),
+        dataclasses.replace(good, predicted_class=good.predicted_class.astype(np.float64)),
+        dataclasses.replace(good, predicted_class=good.predicted_class.astype(bool)),
+        dataclasses.replace(good, mean_probs=good.mean_probs[:, :1]),
+        dataclasses.replace(good, mean_probs=good.mean_probs.T),
+        dataclasses.replace(good, entropy_norm=good.entropy_norm[:3]),
+        dataclasses.replace(good, entropy_raw=good.entropy_raw[:, None]),
+    ):
+        with pytest.raises(DataError, match="cannot dump these estimates"):
+            write_dump(tmp_path / "d.jsonl", tmp_path / "d.csv", "mcd", bad, None)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_dump_rejects_foreign_and_truncated(tmp_path):
