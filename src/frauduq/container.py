@@ -203,19 +203,13 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
 _type_hints = functools.cache(typing.get_type_hints)  # resolved once per class: resumes read many
 
 
-def from_plain(cls, obj, base=None, where: str = "", noun: str = "config",
-               defaults: bool = True):
+def from_plain(cls, obj, where: str = "", noun: str = "config", defaults: bool = True):
     """Build the dataclass ``cls`` from a parsed JSON object, checked
     against the field annotations; the inverse of :func:`to_plain`.
 
-    A key the object leaves out keeps its value in ``base``, or the
-    field's default when there is no base; without ``defaults`` it is a
-    fault unless the field defaults to None, which is how :func:`to_plain`
-    writes None. A nested object merges the same way into the base's
-    value, so a config file lists only what it changes. The exception is
-    a class whose fields all default to None: it is a choice between
-    them, so its object is built afresh and does not inherit the base's
-    choice.
+    A key the object leaves out takes the field's default; without
+    ``defaults`` it is a fault unless the field defaults to None, which
+    is how :func:`to_plain` writes None.
 
     Types are strict: an int field takes an int but not a bool, a bool
     field only true or false, a float field takes an int or a finite
@@ -237,15 +231,10 @@ def from_plain(cls, obj, base=None, where: str = "", noun: str = "config",
     unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValidationError(f"unknown {noun} key(s) in {where}: {sorted(unknown)}")
-    if _is_choice(cls):
-        base = None
     nullable = _nullable(cls)
     values = {key: None if value is None and key in nullable else
-              _typed(value, hints[key], f"{where}.{key}", noun, defaults,
-                     None if base is None else getattr(base, key))
+              _typed(value, hints[key], f"{where}.{key}", noun, defaults)
               for key, value in obj.items()}
-    if base is not None:
-        return dataclasses.replace(base, **values)
     missing = [f.name for f in dataclasses.fields(cls) if f.name not in values and (
         not defaults and f.default is not None
         or f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)]
@@ -261,23 +250,18 @@ def _nullable(cls) -> frozenset:
                      and type(None) in typing.get_args(_type_hints(cls)[f.name]))
 
 
-def _is_choice(cls) -> bool:
-    """Whether every field of ``cls`` defaults to None (see from_plain)."""
-    return all(f.default is None for f in dataclasses.fields(cls))
-
-
-def _typed(value, kind, where: str, noun: str, defaults: bool, base=None):
+def _typed(value, kind, where: str, noun: str, defaults: bool):
     """Check one value strictly; lists come back as the field's type, and
-    a dataclass is built by :func:`from_plain` (merged into ``base``)."""
+    a dataclass is built by :func:`from_plain`."""
     origin = typing.get_origin(kind)
     if dataclasses.is_dataclass(kind):
-        return from_plain(kind, value, base, where, noun, defaults)
+        return from_plain(kind, value, where, noun, defaults)
     if kind is np.ndarray:
         return decode_array(value, where)
     if isinstance(kind, types.UnionType):  # a None option only marks the field optional
         options = [k for k in typing.get_args(kind) if k is not type(None)]
         if len(options) == 1:
-            return _typed(value, options[0], where, noun, defaults, base)
+            return _typed(value, options[0], where, noun, defaults)
         for option in options:
             with contextlib.suppress(ValidationError):
                 return _typed(value, option, where, noun, defaults)

@@ -88,8 +88,8 @@ class FeatureTable:
             raise DataError("features and labels are misaligned")
         if not np.isfinite(self.features).all():
             raise DataError("feature matrix contains missing or non-finite entries")
-        if len(self.labels) and not np.isin(self.labels, (0, 1)).all():
-            raise DataError("labels must all be 0 or 1")
+        if self.labels.dtype.kind not in "iu" or not np.isin(self.labels, (0, 1)).all():
+            raise DataError("labels must all be the integers 0 or 1")
         return self
 
     def take(self, indices: np.ndarray) -> "FeatureTable":

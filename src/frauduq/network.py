@@ -114,10 +114,10 @@ class AdamState:
         return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
-def init_network(config: NetworkConfig, seed: int | None = None) -> Network:
+def init_network(config: NetworkConfig) -> Network:
     """He-uniform weights (limit sqrt(6/fan_in)), zero biases, per-seed deterministic."""
     config.validate()
-    rng = substream(config.seed if seed is None else seed, STREAM_INIT)
+    rng = substream(config.seed, STREAM_INIT)
     weights, biases = [], []
     for out_units, in_units in config.layer_dims:
         limit = math.sqrt(6.0 / in_units)
@@ -266,15 +266,14 @@ def _loss_and_grads(net, x, labels, masks):
     return (d_weights, d_biases), loss
 
 
-def adam_step(net: Network, grads: tuple[list, list], state: AdamState,
-              lr: float | None = None) -> tuple[Network, AdamState]:
+def adam_step(net: Network, grads: tuple[list, list],
+              state: AdamState) -> tuple[Network, AdamState]:
     """One bias-corrected Adam update from :func:`backward`'s
     ``(weight_grads, bias_grads)``, in place; returns the pair for chaining.
     Gradients that do not match the parameters one for one raise ShapeError
     before anything changes."""
     cfg = net.config
-    lr = cfg.learning_rate if lr is None else lr
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+    lr, b1, b2, eps = cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
     params, grads = net.weights + net.biases, [*grads[0], *grads[1]]
     got, want = [np.shape(g) for g in grads], [p.shape for p in params]
     if got != want:
@@ -302,25 +301,24 @@ def adam_step(net: Network, grads: tuple[list, list], state: AdamState,
     return net, state
 
 
-def train(config: NetworkConfig, data, seed: int | None = None) -> tuple[Network, list[float]]:
+def train(config: NetworkConfig, data) -> tuple[Network, list[float]]:
     """Train a fresh network on a FeatureTable; returns it with per-epoch mean loss.
 
     Runs epochs x ceil(n / batch_size) Adam steps over per-epoch shuffles,
     drawing a fresh per-sample dropout mask for every batch. Fully
-    deterministic for a fixed seed.
+    deterministic for a fixed ``config.seed``.
     """
     config.validate()
-    seed = config.seed if seed is None else seed
     x, labels = np.asarray(data.features, dtype=np.float64), np.asarray(data.labels)
     n = x.shape[0]
     if n == 0:
         raise DataError("training data is empty")
-    if not np.isin(labels, (0, 1)).all():
-        raise DataError("training labels must all be 0 or 1")
+    if labels.dtype.kind not in "iu" or not np.isin(labels, (0, 1)).all():
+        raise DataError("training labels must all be the integers 0 or 1")
 
-    net = init_network(config, seed)
+    net = init_network(config)
     state = AdamState.for_network(net)
-    rng = substream(seed, STREAM_TRAIN)
+    rng = substream(config.seed, STREAM_TRAIN)
 
     history = []
     for _ in range(config.epochs):

@@ -10,7 +10,7 @@ timestamps, hostnames, or absolute paths are ever written.
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import container
@@ -30,6 +30,7 @@ from .evaluation import (
     REPORT_FORMAT,
     ReportFile,
     ThresholdRow,
+    UqMetrics,
     UqReport,
     build_report,
     check_thresholds,
@@ -58,6 +59,8 @@ CONFIG_FORMAT = "frauduq-config"
 
 PROFILE_PAPER = "paper"
 PROFILE_DESK = "desk"
+
+UQ_METRICS = tuple(f.name for f in fields(UqMetrics))  # uacc, usen, uspe, upre
 
 
 @dataclass(frozen=True)
@@ -203,8 +206,14 @@ def load_run_config(path=None, profile: str | None = None, seed: int | None = No
     name = profile or raw.get("profile", PROFILE_DESK)
     # An unknown or mistyped name merges over the defaults; validate() or
     # the type check then rejects it.
-    base = PROFILES.get(name, RunConfig()) if isinstance(name, str) else RunConfig()
-    config = container.from_plain(RunConfig, raw, base)
+    plain = container.to_plain(PROFILES.get(name, RunConfig()) if isinstance(name, str)
+                               else RunConfig())
+    # The network and ensemble sections change only the keys the file
+    # names; any other value replaces the profile's, data too, as it names
+    # exactly one source.
+    config = container.from_plain(RunConfig, plain | raw | {
+        key: plain[key] | raw[key] for key in ("network", "ensemble")
+        if isinstance(raw.get(key), dict)})
     flags = {"profile": profile, "seed": seed, "out": out, "method": method,
              "mc_passes": mc_passes}
     return replace(config, **{k: v for k, v in flags.items() if v is not None}).validate()
@@ -493,8 +502,7 @@ def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print,
         row = _threshold_row(report, config.report_threshold, dump_path)
         log(f"[evaluate] {report.method}: n={report.n} acc={report.classic.accuracy:.4f} "
             f"ece={report.calibration.ece:.4f} | t={config.report_threshold:g} "
-            f"uacc={_fmt(row.uacc)} usen={_fmt(row.usen)} "
-            f"uspe={_fmt(row.uspe)} upre={_fmt(row.upre)}")
+            + " ".join(f"{k}={_fmt(getattr(row, k))}" for k in UQ_METRICS))
         return [stage_dir / "report.json", stage_dir / "thresholds.csv",
                 stage_dir / "entropy_histogram.csv", stage_dir / "reliability.svg"]
 
@@ -527,19 +535,19 @@ def stage_summary(config: RunConfig, log=print, digests: dict | None = None) -> 
         for m, path in report_paths.items():
             report = container.read_artifact(path, REPORT_FORMAT, ReportFile)
             row = _threshold_row(report, config.report_threshold, path)
-            rows.append((m, row.uacc, row.usen, row.uspe, row.upre))
-            summaries[m] = {"uacc": row.uacc, "usen": row.usen, "uspe": row.uspe,
-                            "upre": row.upre, "accuracy": report.classic.accuracy,
+            uq = {k: getattr(row, k) for k in UQ_METRICS}
+            rows.append((m, *uq.values()))
+            summaries[m] = {**uq, "accuracy": report.classic.accuracy,
                             "ece": report.calibration.ece, "n": report.n}
         container.write_json(container.header(
             SUMMARY_FORMAT, seed=config.seed, threshold=config.report_threshold,
             methods=summaries), stage_dir / "summary.json")
         container.write_csv(stage_dir / "summary.csv", f"{SUMMARY_FORMAT}-table",
                             {"seed": config.seed, "threshold": f"{config.report_threshold:g}"},
-                            ("method", "uacc", "usen", "uspe", "upre"), rows)
+                            ("method", *UQ_METRICS), rows)
 
         log(f"[summary] threshold {config.report_threshold:g}")
-        log("  method    uacc    usen    uspe    upre")
+        log("  method" + "".join(f"{k:>8}" for k in UQ_METRICS))
         for m, *metrics in rows:
             log(f"  {m:<8}" + "".join(f"{_fmt(v):>8}" for v in metrics))
         return [stage_dir / "summary.json", stage_dir / "summary.csv"]

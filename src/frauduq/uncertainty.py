@@ -255,6 +255,7 @@ DUMP_COLUMNS = ("index", "method", "mean_prob_genuine", "mean_prob_fraud",
                 "predicted_class", "entropy_raw", "entropy_norm", "label")
 _RECORD_KEYS = frozenset(("index", "mean_probs", "predicted_class", "entropy_raw",
                           "entropy_norm", "label"))
+_LABEL_REPRS = frozenset(("0", "1", "None"))  # the repr of each label a dump may hold
 
 
 def write_dump(path_jsonl, path_csv, method: str, estimates: Estimates,
@@ -267,13 +268,19 @@ def write_dump(path_jsonl, path_csv, method: str, estimates: Estimates,
     one template per file; a JSONL record is what ``json.dumps(record,
     sort_keys=True)`` writes, as a float's ``repr`` (shortest round-trip)
     is json's spelling of it if finite. So before either file is opened,
-    the float columns must be finite float64 and the classes integers.
+    the float columns must be finite float64 and the classes integers,
+    and each label None or an integer 0 or 1 (NumPy's too), as
+    :func:`read_dump` reads them back: never a bool, float or string.
     """
     n = len(estimates)
     header = container.header(DUMP_FORMAT, method=method, n=n, **(meta or {}))
-    labels = [None] * n if labels is None else [None if y is None else int(y) for y in labels]
+    labels = [None] * n if labels is None else [
+        int(y) if isinstance(y, np.integer) else y for y in labels]
     if len(labels) != n:
         raise DataError("labels and estimates are misaligned")
+    stray = set(map(repr, labels)) - _LABEL_REPRS
+    if stray:
+        raise DataError(f"cannot dump labels other than 0, 1 or None, got {sorted(stray)}")
     floats = (estimates.mean_probs, estimates.entropy_raw, estimates.entropy_norm)
     classes = estimates.predicted_class
     if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64 and np.isfinite(a).all()
@@ -356,7 +363,7 @@ def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
             ("entropy_raw", raw, type, number, "numbers"),
             ("entropy_norm", norm, type, number, "numbers"),
             ("predicted_class", pred, repr, {"0", "1"}, "0 or 1"),
-            ("labels", labels, repr, {"0", "1", "None"}, "0, 1 or null")):
+            ("labels", labels, repr, _LABEL_REPRS, "0, 1 or null")):
         stray = set(map(key, values)) - allowed
         if stray:
             raise FormatError(f"{path_jsonl}: {name} must be {wording}, got "

@@ -2,6 +2,7 @@
 data source. Frozen literals were computed by hand / with independent
 arithmetic before the implementation existed."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -290,7 +291,7 @@ def test_synth_wide_separation_is_learnable():
     train_t, test_t = split_train_test(table, 0.7, seed=3)
     config = NetworkConfig(input_units=2, hidden_units=(16, 8, 4), dropout_rate=0.1,
                            epochs=30, batch_size=64, learning_rate=3e-3, seed=3)
-    net, _ = train(config, train_t, seed=3)
+    net, _ = train(config, train_t)
     predictions = np.array([forward(net, x).argmax() for x in test_t.features])
     assert (predictions == test_t.labels).mean() > 0.98
 
@@ -302,7 +303,7 @@ def test_synth_zero_separation_is_chance():
     train_t, test_t = split_train_test(table, 0.7, seed=3)
     config = NetworkConfig(input_units=2, hidden_units=(16, 8, 4), dropout_rate=0.1,
                            epochs=30, batch_size=64, learning_rate=3e-3, seed=3)
-    net, _ = train(config, train_t, seed=3)
+    net, _ = train(config, train_t)
     predictions = np.array([forward(net, x).argmax() for x in test_t.features])
     assert (predictions == test_t.labels).mean() == pytest.approx(0.5, abs=0.05)
 
@@ -334,6 +335,17 @@ def test_features_save_load_bitwise(tmp_path):
     assert np.array_equal(table.features, loaded.features)
     assert np.array_equal(table.labels, loaded.labels)
     assert loaded.provenance == table.provenance
+
+
+def test_load_features_refuses_labels_other_than_the_integers_0_and_1(tmp_path):
+    """Float labels, or integers other than 0 and 1, are refused naming the
+    file when read, so a dump never meets a label it cannot write."""
+    table = synth_generate(3, 2, 1.5, noise_seed=3)
+    for i, labels in enumerate((table.labels.astype(np.float64), table.labels * 2)):
+        path = tmp_path / f"labels{i}.json"
+        save_features(dataclasses.replace(table, labels=labels), path)
+        with pytest.raises(FormatError, match=f"labels{i}.json: labels must all be the integers"):
+            load_features(path)
 
 
 def test_load_features_rejects_wrong_format(tmp_path):

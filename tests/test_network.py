@@ -2,6 +2,7 @@
 Adam, dropout masks, training loop behavior, and model file round trips."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,7 +175,8 @@ def test_adam_step_matches_one_line_update_bitwise():
         x = rng.normal(size=(4, config.input_units))
         grads = backward(net, x, np.array([0, 1, 1, 0]))
         lr = config.learning_rate if t % 2 else 0.05
-        adam_step(net, grads, state, lr=lr)
+        net.config = replace(config, learning_rate=lr)
+        adam_step(net, grads, state)
         c1, c2 = 1.0 - b1**t, 1.0 - b2**t
         for p, m, v, g in zip(ref, ref_m, ref_v, grads[0] + grads[1]):
             m *= b1
@@ -243,7 +245,8 @@ def test_train_is_seed_deterministic():
     for wa, wb in zip(net_a.weights, net_b.weights):
         assert np.array_equal(wa, wb)
 
-    net_c, _ = train(config, data, seed=78)
+    net_c, _ = train(replace(config, seed=78), data)
+    assert net_c.config.seed == 78  # the stored config names the seed it was trained with
     assert any(not np.array_equal(wa, wc) for wa, wc in zip(net_a.weights, net_c.weights))
 
 
@@ -256,8 +259,10 @@ def test_train_rejects_wrong_width_and_bad_labels():
 
     bad = blob_table(rng, n=20)
     bad.labels[0] = 3
-    with pytest.raises(DataError):
-        train(NetworkConfig(input_units=4, hidden_units=(4, 3, 2), seed=1, epochs=1), bad)
+    floats = replace(blob_table(rng, n=20), labels=bad.labels.clip(0, 1).astype(np.float64))
+    for table in (bad, floats):  # float labels cannot index the class probabilities
+        with pytest.raises(DataError, match="integers 0 or 1"):
+            train(NetworkConfig(input_units=4, hidden_units=(4, 3, 2), seed=1, epochs=1), table)
 
 
 # --- init / dropout ----------------------------------------------------------
@@ -331,8 +336,8 @@ def reference_backward(net, x, labels, masks):
 def test_forward_matches_the_cached_pass_and_consumes_its_masks(rate):
     """forward gives the written-out pass's probabilities bitwise. Each mask
     is overwritten with its layer's masked activation, and hidden1 is kept."""
-    config = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=rate)
-    net = init_network(config, seed=3)
+    config = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=rate, seed=3)
+    net = init_network(config)
     x = np.random.default_rng(8).normal(size=(6, 5))
     mask = sample_dropout_mask(config, np.random.default_rng(4), n_rows=6)
     want, _, acts = cached_pass(net, x, mask)
@@ -350,8 +355,8 @@ def test_forward_matches_the_cached_pass_and_consumes_its_masks(rate):
 def test_forward_refuses_masks_not_drawn_for_its_rows():
     """A 1-D mask shared over the batch cannot hold the batch's activations,
     and an integer mask cannot hold floats: both raise, neither broadcasts."""
-    config = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=0.3)
-    net = init_network(config, seed=3)
+    config = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=0.3, seed=3)
+    net = init_network(config)
     x = np.random.default_rng(8).normal(size=(6, 5))
     shared = sample_dropout_mask(config, np.random.default_rng(4))
     ints = [(m > 0).astype(np.int64) for m in sample_dropout_mask(config, np.random.default_rng(5),
@@ -388,8 +393,8 @@ def test_backward_equals_the_mask_and_relu_gated_reference_bitwise(rate):
 def test_backward_refuses_masks_other_than_zero_and_the_keep_scale():
     """The gate reads a kept unit from its activation, so a mask value other
     than 0 and 1/(1-rate) would be mis-differentiated: it is refused."""
-    config = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=0.3)
-    net = init_network(config, seed=3)
+    config = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=0.3, seed=3)
+    net = init_network(config)
     x = np.random.default_rng(8).normal(size=(6, 5))
     labels = np.array([0, 1, 0, 1, 1, 0])
     other_rate = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=0.5)

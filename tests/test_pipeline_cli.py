@@ -23,6 +23,7 @@ import pytest
 from frauduq import cli, container, network, pipeline
 from frauduq.container import check_header, read_json
 from frauduq.errors import ValidationError
+from frauduq.uncertainty import EnsembleSpec
 
 TINY = {
     "data": {"synth": {"n_per_class": 40, "n_features": 4, "separation": 2.5}},
@@ -77,6 +78,38 @@ def test_flags_override_file_which_overrides_profile(tmp_path):
     assert config.method == "ensemble"  # file beats default
     assert config.mc_passes == 33
     assert config.network.epochs == 3  # file section merged over profile
+
+
+PAPER_WIDTHS = ((256, 385), (64, 256), (16, 32))
+
+
+@pytest.mark.parametrize("given, section, want", [
+    ({"profile": "paper", "network": {"epochs": 5}}, "network",
+     network.NetworkParams(hidden_units=(256, 64, 16), epochs=5, batch_size=128)),
+    ({"profile": "paper", "ensemble": {"members": 7}}, "ensemble",
+     EnsembleSpec(members=7, width_ranges=PAPER_WIDTHS)),
+    ({"data": {"synth": {"separation": 3.0}}}, "data",
+     pipeline.DataSource(synth=pipeline.SynthSpec(separation=3.0))),
+    ({"data": {"csv": {"path": "rows.csv", "schema": "rows.schema.json"}}}, "data",
+     pipeline.DataSource(csv=pipeline.CsvSource("rows.csv", "rows.schema.json"))),
+    ({"data": {}}, "data", pipeline.DataSource(synth=pipeline.SynthSpec())),
+], ids=["network-merged", "ensemble-merged", "synth-replaced", "csv-replaced", "empty-data"])
+def test_file_merges_network_and_ensemble_but_replaces_data(tmp_path, monkeypatch, given,
+                                                            section, want):
+    """A file's network and ensemble sections change only the keys they
+    name; its data replaces the profile's whole, as it names exactly one
+    source. The desk profile gets a synth source of its own here, so a
+    merged data section would show."""
+    own = pipeline.DataSource(synth=pipeline.SynthSpec(n_per_class=9, n_features=3,
+                                                       separation=1.5))
+    monkeypatch.setitem(pipeline.PROFILES, "desk",
+                        dataclasses.replace(pipeline.PROFILES["desk"], data=own))
+    monkeypatch.chdir(tmp_path)
+    for name in ("rows.csv", "rows.schema.json"):
+        (tmp_path / name).write_text("")  # the config only checks that they exist
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(given))
+    assert getattr(pipeline.load_run_config(path), section) == want
 
 
 def test_config_validation_rejections(tmp_path):

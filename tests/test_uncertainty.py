@@ -38,7 +38,7 @@ BASE = NetworkConfig(input_units=3, hidden_units=(5, 4, 3), dropout_rate=0.3, se
 def biased_network(logit: float) -> Network:
     """A constant network: zero weights, output bias fixed at (+logit, -logit)."""
     config = NetworkConfig(input_units=3, hidden_units=(2, 2, 2), dropout_rate=0.0)
-    net = init_network(config, seed=0)
+    net = init_network(config)
     for w in net.weights:
         w[:] = 0.0
     net.biases[-1][:] = (logit, -logit)
@@ -146,7 +146,7 @@ def captured_tensors(monkeypatch):
 
 
 def test_mcd_produces_spread_with_dropout(monkeypatch):
-    net = init_network(BASE, seed=1)
+    net = init_network(dataclasses.replace(BASE, seed=1))
     x = np.random.default_rng(1).normal(size=(4, 3))
     seen = captured_tensors(monkeypatch)
     predict_table("mcd", [net], x, passes=50, seed=5)
@@ -155,7 +155,7 @@ def test_mcd_produces_spread_with_dropout(monkeypatch):
 
 
 def test_mcd_rejects_bad_passes():
-    net = init_network(BASE, seed=2)
+    net = init_network(dataclasses.replace(BASE, seed=2))
     x = np.zeros((2, 3))
     with pytest.raises(ValidationError):
         predict_table("mcd", [net], x, passes=0)
@@ -165,7 +165,7 @@ def test_mcd_rejects_bad_passes():
 
 def test_emcd_sample_count_and_provenance(monkeypatch):
     """Slot (m, t) of the tensor is pass t of member m, drawn from its own stream."""
-    members = [init_network(BASE, seed=1), init_network(BASE, seed=2)]
+    members = [init_network(dataclasses.replace(BASE, seed=s)) for s in (1, 2)]
     x = np.random.default_rng(3).normal(size=(5, 3))
     seen = captured_tensors(monkeypatch)
     predict_table("emcd", members, x, passes=7, seed=3)
@@ -185,7 +185,7 @@ def test_chunked_samples_equal_full_forward_passes(monkeypatch, method, n_member
     import frauduq.uncertainty as unc
 
     config = NetworkConfig(input_units=40, hidden_units=(6, 5, 4), dropout_rate=0.3)
-    members = [init_network(config, seed=s) for s in range(1, n_members + 1)]
+    members = [init_network(dataclasses.replace(config, seed=s)) for s in range(1, n_members + 1)]
     x = np.random.default_rng(59).normal(size=(11, 40))
     passes, seed = 3, 13
     monkeypatch.setattr(unc, "_CHUNK_BUDGET_FLOATS", 4 * n_members * passes * 2)  # 4-row chunks
@@ -215,7 +215,7 @@ def test_ensemble_needs_two_members_and_equal_widths():
     with pytest.raises(ValidationError):
         predict_table("ensemble", lone, np.zeros((1, 3)), passes=1)
 
-    wrong = init_network(NetworkConfig(input_units=4, hidden_units=(2, 2, 2)), seed=1)
+    wrong = init_network(NetworkConfig(input_units=4, hidden_units=(2, 2, 2), seed=1))
     with pytest.raises(ShapeError):
         predict_table("ensemble", [biased_network(1.0), wrong], np.zeros((1, 3)), passes=1)
 
@@ -294,7 +294,7 @@ def assert_same_estimates(a, b):
 
 
 def test_predict_table_deterministic_and_validates():
-    net = init_network(BASE, seed=4)
+    net = init_network(dataclasses.replace(BASE, seed=4))
     rng = np.random.default_rng(41)
     x = rng.normal(size=(12, 3))
 
@@ -323,7 +323,7 @@ def test_predict_table_ensemble_chunking_is_invisible(monkeypatch):
     """The deterministic ensemble path must not depend on chunk size."""
     import frauduq.uncertainty as unc
 
-    members = [init_network(BASE, seed=s) for s in (1, 2, 3)]
+    members = [init_network(dataclasses.replace(BASE, seed=s)) for s in (1, 2, 3)]
     x = np.random.default_rng(43).normal(size=(17, 3))
     whole = predict_table("ensemble", members, x, passes=1, seed=0)
     monkeypatch.setattr(unc, "_CHUNK_BUDGET_FLOATS", 12)  # forces 2-row chunks
@@ -363,7 +363,7 @@ def test_predict_table_bytes_do_not_depend_on_the_core_count(monkeypatch, method
                                                               passes):
     """Each member's passes run striped over the usable cores; over a
     3-chunk table, 1 and 2 cores give the same Estimates bitwise."""
-    members = [init_network(BASE, seed=s) for s in range(1, n_members + 1)]
+    members = [init_network(dataclasses.replace(BASE, seed=s)) for s in range(1, n_members + 1)]
     x = np.random.default_rng(61).normal(size=(11, 3))
     monkeypatch.setattr(unc, "_CHUNK_BUDGET_FLOATS", 4 * n_members * passes * 2)  # 4-row chunks
     calls = forward_threads(monkeypatch)
@@ -443,7 +443,7 @@ def test_non_finite_member_raises_numeric_error_from_a_worker_thread(monkeypatch
     all, pass 1 fails on the worker thread and its NumericError reaches
     the caller."""
     config = NetworkConfig(input_units=3, hidden_units=(1, 1, 1), dropout_rate=0.3)
-    net = init_network(config, seed=0)
+    net = init_network(config)
     for w in net.weights:
         w[:] = 0.0
     net.biases[0][:] = 1.0
@@ -469,7 +469,7 @@ def test_non_finite_member_raises_numeric_error_from_a_worker_thread(monkeypatch
 
 
 def test_dump_round_trip(tmp_path):
-    net = init_network(BASE, seed=6)
+    net = init_network(dataclasses.replace(BASE, seed=6))
     x = np.random.default_rng(47).normal(size=(5, 3))
     estimates = predict_table("mcd", [net], x, passes=10, seed=2)
     labels = [0, 1, 1, 0, None]
@@ -501,7 +501,7 @@ def test_failed_writes_leave_old_files_whole(tmp_path, monkeypatch):
         container.write_json({"ok": 1, "not json": object()}, target)
     assert target.read_text() == "old\n"
 
-    net = init_network(BASE, seed=6)
+    net = init_network(dataclasses.replace(BASE, seed=6))
     estimates = predict_table("mcd", [net], np.random.default_rng(47).normal(size=(5, 3)), 4)
     jsonl, csv = tmp_path / "d.jsonl", tmp_path / "d.csv"
     write_dump(jsonl, csv, "mcd", estimates, None)
@@ -566,10 +566,18 @@ def test_dump_bytes_equal_json_dumps_reference(tmp_path):
 
 def test_dump_refuses_unwritable_estimates_before_touching_files(tmp_path):
     """Estimates whose repr would not be json's spelling (non-finite,
-    object or non-float dtype, wrong shape) raise before either file is
-    opened, so no file, temp or otherwise, appears."""
-    net = init_network(BASE, seed=6)
+    object or non-float dtype, wrong shape), and labels that read_dump
+    would refuse or that would be written as another value, raise before
+    either file is opened: the old files stay byte for byte and no temp
+    file appears."""
+    net = init_network(dataclasses.replace(BASE, seed=6))
     good = predict_table("mcd", [net], np.random.default_rng(47).normal(size=(4, 3)), 4)
+    paths = (tmp_path / "d.jsonl", tmp_path / "d.csv")
+    write_dump(*paths, "mcd", good, np.array([0, 1, 1, 0]))
+    kept = [p.read_bytes() for p in paths]
+    for label in (0.7, 2, -1, True, "1", 1.0):
+        with pytest.raises(DataError, match="cannot dump labels"):
+            write_dump(*paths, "mcd", good, [0, label, 1, 0])
     nan_probs = good.mean_probs.copy()
     nan_probs[2, 0] = np.nan
     inf_norm = good.entropy_norm.copy()
@@ -588,8 +596,9 @@ def test_dump_refuses_unwritable_estimates_before_touching_files(tmp_path):
         dataclasses.replace(good, entropy_raw=good.entropy_raw[:, None]),
     ):
         with pytest.raises(DataError, match="cannot dump these estimates"):
-            write_dump(tmp_path / "d.jsonl", tmp_path / "d.csv", "mcd", bad, None)
-    assert list(tmp_path.iterdir()) == []
+            write_dump(*paths, "mcd", bad, None)
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+    assert [p.read_bytes() for p in paths] == kept
 
 
 def test_read_dump_rejects_foreign_and_truncated(tmp_path):
@@ -610,7 +619,7 @@ def test_read_dump_rejects_foreign_and_truncated(tmp_path):
     with pytest.raises(FormatError, match="line 2"):
         read_dump(chopped)
 
-    net = init_network(BASE, seed=6)
+    net = init_network(dataclasses.replace(BASE, seed=6))
     x = np.random.default_rng(53).normal(size=(6, 3))
     jsonl = tmp_path / "whole.jsonl"
     write_dump(jsonl, tmp_path / "whole.csv", "mcd", predict_table("mcd", [net], x, 4), None)
