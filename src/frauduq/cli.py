@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    dump = ("--dump", "dump_path", "prediction dump (.jsonl)")
+    dump = ("--dump", "dump_path", "prediction dump (dump.json)")
     for name, run, help_text, flags in (
         ("preprocess", pipeline.cmd_preprocess,
          "split raw data and fit/apply the preprocessor", ()),

@@ -136,21 +136,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def sample_dropout_mask(
-    config: NetworkConfig, rng: np.random.Generator, n_rows: int | None = None
-) -> list[np.ndarray]:
+def sample_dropout_mask(config: NetworkConfig, rng: np.random.Generator,
+                        n_rows: int) -> list[np.ndarray]:
     """Draw a fresh inverted-dropout mask for each hidden layer.
 
     Entries are 0 (dropped) or 1/(1-rate) (kept, rescaled), so a masked
     forward pass has the same expected activations as an unmasked one.
-    With ``n_rows`` set, each mask is (n_rows, width) with independent
-    rows, i.e. every sample in a batch gets its own mask.
+    Each mask is (n_rows, width) with independent rows, i.e. every
+    sample in a batch gets its own mask.
     """
     rate = config.dropout_rate
     scale = 1.0 / (1.0 - rate)
     masks = []
     for width in config.hidden_units:
-        shape = (width,) if n_rows is None else (n_rows, width)
+        shape = (n_rows, width)
         if rate == 0.0:
             masks.append(np.ones(shape))
         else:

@@ -45,6 +45,7 @@ from .uncertainty import (
     METHOD_ENSEMBLE,
     METHOD_MCD,
     METHODS,
+    DumpFile,
     EnsembleSpec,
     predict_table,
     read_dump,
@@ -450,7 +451,12 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
     model_files = _model_files(method, model_path)
 
     passes = config.mc_passes if method != METHOD_ENSEMBLE else None
-    stage_config = {"method": method, "mc_passes": passes, "seed": config.seed}
+    # The files are named here so that a tree written with another dump
+    # layout (dump.jsonl and dump.csv, read back from the JSONL) reruns
+    # this stage; the rerun removes that layout's dump.csv.
+    files = ("dump.jsonl", "dump.json")
+    stage_config = {"method": method, "mc_passes": passes, "seed": config.seed,
+                    "files": list(files)}
     inputs = {"data": Path(data_path)}
     inputs.update({f"model_{i}": Path(p) for i, p in enumerate(model_files)})
 
@@ -462,11 +468,11 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
             f"({len(models)} model(s), T={passes if passes else '-'})")
         estimates = predict_table(method, models, table.features,
                                   passes=config.mc_passes, seed=config.seed)
-        meta = {"seed": config.seed, "mc_passes": passes,
-                "config_digest": _digest_of(stage_config)}
-        write_dump(stage_dir / "dump.jsonl", stage_dir / "dump.csv",
-                   method, estimates, table.labels, meta=meta)
-        return [stage_dir / "dump.jsonl", stage_dir / "dump.csv"]
+        (stage_dir / "dump.csv").unlink(missing_ok=True)
+        paths = [stage_dir / name for name in files]
+        write_dump(*paths, DumpFile(method, estimates, table.labels, config.seed, passes,
+                                    _digest_of(stage_config)))
+        return paths
 
     return run_stage(config.out, f"predictions/{method}", stage_config, inputs, build, log,
                      digests)
@@ -477,22 +483,22 @@ def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print,
     """Score one prediction dump: report JSON/CSVs + reliability SVG
     under <out>/reports/<method>."""
     if dump_path is None:
-        dump_path = Path(config.out) / "predictions" / method / "dump.jsonl"
+        dump_path = Path(config.out) / "predictions" / method / "dump.json"
     dump_path = _require_file(Path(dump_path), "run the predict command first")
     stage_config = {"method": method, "thresholds": list(config.thresholds),
                     "m_bins": config.m_bins, "report_threshold": config.report_threshold,
                     "seed": config.seed}
 
     def build(stage_dir: Path):
-        header, estimates, labels = read_dump(dump_path)
-        if header["method"] != method:
-            raise ValidationError(f"{dump_path} holds {header['method']} predictions, "
-                                  f"but the method is {method}; pass --method {header['method']}")
-        if len(estimates) == 0:
+        dump = read_dump(dump_path)
+        if dump.method != method:
+            raise ValidationError(f"{dump_path} holds {dump.method} predictions, "
+                                  f"but the method is {method}; pass --method {dump.method}")
+        if len(dump.estimates) == 0:
             raise DataError(f"{dump_path}: dump contains no predictions")
-        if None in labels:
+        if dump.labels is None:
             raise DataError(f"{dump_path}: dump has no labels; evaluation needs them")
-        report = build_report(method, estimates, labels,
+        report = build_report(method, dump.estimates, dump.labels,
                               thresholds=config.thresholds, m_bins=config.m_bins)
         meta = {"seed": config.seed, "config_digest": _digest_of(stage_config)}
         container.write_json(report_to_dict(report, meta), stage_dir / "report.json")

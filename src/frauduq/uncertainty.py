@@ -15,7 +15,6 @@ normalized by ln(num classes) so the certainty threshold lives on a
 [0, 1] axis.
 """
 
-import itertools
 import json
 import math
 import os
@@ -25,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import container
-from .errors import DataError, FormatError, ValidationError
+from .errors import DataError, ValidationError
 from .network import Network, NetworkConfig, first_hidden, forward, sample_dropout_mask, train
 from .seeding import STREAM_MEMBER, STREAM_PREDICT, derive_seed, substream
 
@@ -251,140 +250,88 @@ DUMP_FORMAT = "frauduq-predictions"
 # How far a dump's stored entropies may sit from the ones recomputed on
 # reading: np.log may differ in the last ulp between numpy builds and CPUs.
 ENTROPY_TOLERANCE = 1e-12
-DUMP_COLUMNS = ("index", "method", "mean_prob_genuine", "mean_prob_fraud",
-                "predicted_class", "entropy_raw", "entropy_norm", "label")
-_RECORD_KEYS = frozenset(("index", "mean_probs", "predicted_class", "entropy_raw",
-                          "entropy_norm", "label"))
-_LABEL_REPRS = frozenset(("0", "1", "None"))  # the repr of each label a dump may hold
 
 
-def write_dump(path_jsonl, path_csv, method: str, estimates: Estimates,
-               labels, meta: dict | None = None) -> None:
-    """Write the per-input prediction dump as JSON lines and CSV.
+@dataclass(frozen=True)
+class DumpFile:
+    """A ``dump.json``: one method's estimates for every row of a table,
+    the table's labels (None if it has none) and the provenance of the
+    stage that predicted them."""
 
-    The first JSONL line and a leading ``#`` CSV line carry the metadata
-    (format, version, method, seed, config digest). Each file replaces the
-    old one only when complete. Column order follows DUMP_COLUMNS. A row is
-    one template per file; a JSONL record is what ``json.dumps(record,
-    sort_keys=True)`` writes, as a float's ``repr`` (shortest round-trip)
-    is json's spelling of it if finite. So before either file is opened,
-    the float columns must be finite float64 and the classes integers,
-    and each label None or an integer 0 or 1 (NumPy's too), as
-    :func:`read_dump` reads them back: never a bool, float or string.
+    method: str
+    estimates: Estimates
+    labels: np.ndarray | None
+    seed: int
+    mc_passes: int | None
+    config_digest: str
+
+    def validate(self) -> "DumpFile":
+        """Refuse a dump that :func:`predict_table` cannot have made: an
+        unknown method, columns of another dtype, shape or length, or a
+        row whose ``mean_probs`` is not a distribution over two classes,
+        whose ``predicted_class`` is not their argmax, or whose entropies
+        are more than ``ENTROPY_TOLERANCE`` from what
+        :func:`predictive_entropy` gives for them (the stored values are
+        the ones evaluated); and labels other than None or an integer
+        array of 0s and 1s, one per row."""
+        e = self.estimates
+        n = len(e.predicted_class) if np.ndim(e.predicted_class) else -1  # 0-d fits no shape
+        if self.method not in METHODS:
+            raise DataError(f"method must be one of {list(METHODS)}, got {self.method!r}")
+        floats = (e.mean_probs, e.entropy_raw, e.entropy_norm)
+        if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64 and np.isfinite(a).all()
+                    for a in floats)
+                and isinstance(e.predicted_class, np.ndarray)
+                and e.predicted_class.dtype.kind in "iu"
+                and [a.shape for a in (*floats, e.predicted_class)] == [(n, 2), (n,), (n,), (n,)]):
+            raise DataError("estimates need mean_probs as a finite float64 (n, 2) array, "
+                            "entropy_raw and entropy_norm as finite float64 (n,) arrays, and "
+                            "predicted_class as an integer (n,) array")
+        try:
+            expected = predictive_entropy(e.mean_probs)
+        except DataError as exc:
+            raise DataError(f"mean_probs: {exc}") from exc
+        wrong = e.predicted_class != e.mean_probs.argmax(axis=1)
+        for stored, recomputed in zip((e.entropy_raw, e.entropy_norm), expected):
+            wrong |= ~(np.abs(stored - recomputed) <= ENTROPY_TOLERANCE)
+        if wrong.any():
+            raise DataError(f"row {np.flatnonzero(wrong)[0]} disagrees with its mean_probs: "
+                            f"predicted_class must be their argmax, entropy_raw and "
+                            f"entropy_norm their predictive entropy")
+        y = self.labels
+        if y is not None and not (isinstance(y, np.ndarray) and y.dtype.kind in "iu"
+                                  and y.shape == (n,) and np.isin(y, (0, 1)).all()):
+            raise DataError(f"labels must be None or an integer array of {n} 0s and 1s")
+        return self
+
+
+def write_dump(path_jsonl, path_json, dump: DumpFile) -> None:
+    """Write a dump as ``dump.json`` and as its per-row view, JSON lines.
+
+    Nothing reads the JSONL back: its first line is the header (format,
+    version, method, n, seed, mc_passes, config digest) and each further
+    line one row, written from one template as ``json.dumps(record,
+    sort_keys=True)`` writes it, since a finite float's ``repr`` is json's
+    spelling of it. The dump is validated before either file is opened,
+    and each file replaces the old one only when complete.
     """
-    n = len(estimates)
-    header = container.header(DUMP_FORMAT, method=method, n=n, **(meta or {}))
-    labels = [None] * n if labels is None else [
-        int(y) if isinstance(y, np.integer) else y for y in labels]
-    if len(labels) != n:
-        raise DataError("labels and estimates are misaligned")
-    stray = set(map(repr, labels)) - _LABEL_REPRS
-    if stray:
-        raise DataError(f"cannot dump labels other than 0, 1 or None, got {sorted(stray)}")
-    floats = (estimates.mean_probs, estimates.entropy_raw, estimates.entropy_norm)
-    classes = estimates.predicted_class
-    if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64 and np.isfinite(a).all()
-                for a in floats)
-            and isinstance(classes, np.ndarray) and classes.dtype.kind in "iu"
-            and [a.shape for a in (*floats, classes)] == [(n, 2), (n,), (n,), (n,)]):
-        raise DataError("cannot dump these estimates: mean_probs must be a finite float64 "
-                        "(n, 2) array, entropy_raw and entropy_norm finite float64 (n,) "
-                        "arrays, and predicted_class an integer (n,) array")
-    # each float's repr once, shared by both files
-    p0, p1, raw, norm = (list(map(repr, a.tolist())) for a in
-                         (floats[0][:, 0], floats[0][:, 1], *floats[1:]))
-    rows = list(zip(range(n), p0, p1, classes.tolist(), raw, norm, labels))
-
+    dump.validate()
+    e, n = dump.estimates, len(dump.estimates)
+    header = container.header(DUMP_FORMAT, method=dump.method, n=n, seed=dump.seed,
+                              mc_passes=dump.mc_passes, config_digest=dump.config_digest)
+    labels = ["null"] * n if dump.labels is None else dump.labels.tolist()
+    p0, p1, raw, norm = (map(repr, a.tolist()) for a in
+                         (e.mean_probs[:, 0], e.mean_probs[:, 1], e.entropy_raw, e.entropy_norm))
     with container.open_atomic(path_jsonl) as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         fh.writelines([
-            f'{{"entropy_norm": {en}, "entropy_raw": {er}, "index": {i}, '
-            f'"label": {"null" if y is None else y}, "mean_probs": [{g}, {f}], '
-            f'"predicted_class": {c}}}\n' for i, g, f, c, er, en, y in rows])
-
-    with container.open_atomic(path_csv) as fh:
-        fh.write(f"# {container.stamp(DUMP_FORMAT, header)}\n")
-        fh.write(",".join(DUMP_COLUMNS) + "\n")
-        fh.writelines([f'{i},{method},{g},{f},{c},{er},{en},{"" if y is None else y}\n'
-                       for i, g, f, c, er, en, y in rows])
+            f'{{"entropy_norm": {en}, "entropy_raw": {er}, "index": {i}, "label": {y}, '
+            f'"mean_probs": [{g}, {f}], "predicted_class": {c}}}\n'
+            for i, g, f, c, er, en, y in zip(range(n), p0, p1, e.predicted_class.tolist(),
+                                             raw, norm, labels)])
+    container.write_artifact(dump, DUMP_FORMAT, path_json)
 
 
-def read_dump(path_jsonl) -> tuple[dict, Estimates, list]:
-    """Read a JSONL prediction dump back; labels may contain None.
-
-    Rejects, naming the file, a header whose ``n`` is not an int or whose
-    ``method`` is not one of METHODS, a record key that :func:`write_dump`
-    does not write or leaves out, a record count other than ``n``, indices
-    other than the ints 0..n-1 in order, a ``mean_probs`` that is not a
-    distribution over two classes, a ``predicted_class`` other than its
-    argmax, entropies more than ``ENTROPY_TOLERANCE`` from what
-    :func:`predictive_entropy` gives for it, and a class or label other
-    than the ints 0 and 1 (a label may also be null). As in
-    ``container.from_plain``, a number is an int or a float, never a bool
-    or a string.
-    """
-    with open(path_jsonl, encoding="utf-8") as fh, container.utf8_text(path_jsonl):
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path_jsonl}: invalid JSONL header at offset {exc.pos}") from exc
-        container.check_header(header, DUMP_FORMAT, path_jsonl)
-        records = []
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                probs = rec["mean_probs"]
-                records.append((rec["index"], probs, rec["predicted_class"],
-                                rec["entropy_raw"], rec["entropy_norm"], rec["label"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"{path_jsonl}: bad record on line {line_no} ({exc})") from exc
-            if not rec.keys() <= _RECORD_KEYS:
-                raise FormatError(f"{path_jsonl}: line {line_no} has unknown key(s) "
-                                  f"{sorted(rec.keys() - _RECORD_KEYS)}")
-            if not isinstance(probs, list):
-                raise FormatError(f"{path_jsonl}: line {line_no} has mean_probs {probs!r}, "
-                                  f"expected a list")
-            if len(probs) != 2:
-                raise FormatError(f"{path_jsonl}: line {line_no} has {len(probs)} "
-                                  f"mean_probs entries, expected 2")
-    n, method = header.get("n"), header.get("method")
-    if type(n) is not int or method not in METHODS:
-        raise FormatError(f"{path_jsonl}: header needs an integer n and a method in "
-                          f"{list(METHODS)}, got n={n!r}, method={method!r}")
-    if len(records) != n:
-        raise FormatError(f"{path_jsonl}: header says n={n} but {len(records)} records follow")
-    index, probs, pred, raw, norm, labels = list(zip(*records)) or [()] * 6
-    number = {int, float}
-    for name, values, key, allowed, wording in (
-            ("index", index, type, {int}, "integers"),
-            ("mean_probs", itertools.chain.from_iterable(probs), type, number, "numbers"),
-            ("entropy_raw", raw, type, number, "numbers"),
-            ("entropy_norm", norm, type, number, "numbers"),
-            ("predicted_class", pred, repr, {"0", "1"}, "0 or 1"),
-            ("labels", labels, repr, _LABEL_REPRS, "0, 1 or null")):
-        stray = set(map(key, values)) - allowed
-        if stray:
-            raise FormatError(f"{path_jsonl}: {name} must be {wording}, got "
-                              f"{sorted(getattr(s, '__name__', s) for s in stray)}")
-    if not np.array_equal(index, np.arange(n)):
-        raise FormatError(f"{path_jsonl}: record indices are not 0..{n - 1} in order")
-    estimates = Estimates(
-        mean_probs=np.array(probs, dtype=np.float64).reshape(n, 2),
-        predicted_class=np.array(pred, dtype=np.int64),
-        entropy_raw=np.array(raw, dtype=np.float64),
-        entropy_norm=np.array(norm, dtype=np.float64),
-    )
-    try:
-        expected = predictive_entropy(estimates.mean_probs)
-    except DataError as exc:
-        raise FormatError(f"{path_jsonl}: mean_probs {exc}") from exc
-    wrong = estimates.predicted_class != estimates.mean_probs.argmax(axis=1)
-    for stored, recomputed in zip((estimates.entropy_raw, estimates.entropy_norm), expected):
-        wrong |= ~(np.abs(stored - recomputed) <= ENTROPY_TOLERANCE)  # NaN is wrong too
-    if wrong.any():
-        raise FormatError(f"{path_jsonl}: record {np.flatnonzero(wrong)[0]} disagrees with its "
-                          f"mean_probs: predicted_class must be their argmax, entropy_raw and "
-                          f"entropy_norm their predictive entropy")
-    return header, estimates, list(labels)
+def read_dump(path) -> DumpFile:
+    """Read a ``dump.json`` back, checked by :meth:`DumpFile.validate`."""
+    return container.read_artifact(path, DUMP_FORMAT, DumpFile)

@@ -66,6 +66,8 @@ def commands(root):
         "out/models/ensemble/spec.json": ensemble,
         "rows.schema.json": ["preprocess", "--config", str(root / "csv.json"),
                              "--out", str(root / "again")],
+        "out/predictions/mcd/dump.json": ["evaluate", *run[:4],
+                                          "--dump", str(root / "out/predictions/mcd/dump.json")],
     }
 
 
@@ -130,7 +132,8 @@ def faults(obj):
 # Files frauduq writes hold every key, so deleting any of them is a fault;
 # the schema is written by the user, and a key it leaves out has a default.
 WRITTEN = {"out/data/test.json", "out/models/single.json",
-           "out/models/ensemble/member_000.json", "out/models/ensemble/spec.json"}
+           "out/models/ensemble/member_000.json", "out/models/ensemble/spec.json",
+           "out/predictions/mcd/dump.json"}
 
 
 def test_every_artifact_leaf_fault_exits_0_or_3_naming_the_file(work, capsys):

@@ -293,11 +293,11 @@ def test_dropout_mask_values_and_mean():
 def test_dropout_mask_matches_reference_expression_bitwise(rate):
     """Masks are (u >= rate) / (1 - rate) on the stream's uniforms, layer by layer."""
     config = NetworkConfig(input_units=4, hidden_units=(7, 5, 3), dropout_rate=rate)
-    for n_rows in (None, 1, 9):
+    for n_rows in (1, 9):
         mask = sample_dropout_mask(config, np.random.default_rng(21), n_rows=n_rows)
         twin = np.random.default_rng(21)
         for width, layer in zip(config.hidden_units, mask):
-            shape = (width,) if n_rows is None else (n_rows, width)
+            shape = (n_rows, width)
             want = (twin.random(shape) >= rate) / (1 - rate)
             assert layer.shape == shape and np.array_equal(layer, want)
 
@@ -358,7 +358,7 @@ def test_forward_refuses_masks_not_drawn_for_its_rows():
     config = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=0.3, seed=3)
     net = init_network(config)
     x = np.random.default_rng(8).normal(size=(6, 5))
-    shared = sample_dropout_mask(config, np.random.default_rng(4))
+    shared = [np.full(width, 1 / 0.7) for width in config.hidden_units]
     ints = [(m > 0).astype(np.int64) for m in sample_dropout_mask(config, np.random.default_rng(5),
                                                                   n_rows=6)]
     for mask in (shared, ints):

@@ -23,7 +23,14 @@ import pytest
 from frauduq import cli, container, network, pipeline
 from frauduq.container import check_header, read_json
 from frauduq.errors import ValidationError
-from frauduq.uncertainty import EnsembleSpec
+from frauduq.uncertainty import (
+    METHODS,
+    DumpFile,
+    EnsembleSpec,
+    Estimates,
+    predictive_entropy,
+    write_dump,
+)
 
 TINY = {
     "data": {"synth": {"n_per_class": 40, "n_features": 4, "separation": 2.5}},
@@ -186,7 +193,7 @@ def test_reproduce_chain_writes_everything(tmp_path):
     out = tmp_path / "out"
     for rel in ("config.json", "data/train.json", "data/test.json",
                 "models/single.json", "models/ensemble/spec.json",
-                "predictions/mcd/dump.jsonl", "predictions/ensemble/dump.csv",
+                "predictions/mcd/dump.jsonl", "predictions/ensemble/dump.json",
                 "predictions/emcd/dump.jsonl", "reports/mcd/report.json",
                 "reports/emcd/reliability.svg", "summary/summary.json",
                 "summary/summary.csv"):
@@ -201,7 +208,8 @@ def test_reproduce_chain_writes_everything(tmp_path):
     json_formats = {"config.json": "frauduq-config", "train.json": "frauduq-features",
                     "test.json": "frauduq-features", "single.json": "frauduq-network",
                     "spec.json": "frauduq-ensemble", "manifest.json": "frauduq-manifest",
-                    "report.json": "frauduq-report", "summary.json": "frauduq-summary"}
+                    "report.json": "frauduq-report", "summary.json": "frauduq-summary",
+                    "dump.json": "frauduq-predictions"}
     assert not list(out.rglob("*.tmp"))
     for path in (p for p in sorted(out.rglob("*")) if p.is_file()):
         if path.suffix == ".json":
@@ -307,6 +315,42 @@ def test_stage_reruns_when_config_changes(tmp_path):
     assert tree_digests(tmp_path / "out") != digest_before
 
 
+def test_reproduce_over_the_older_dump_layout_reruns_predict(tmp_path, capsys):
+    """A tree whose predictions hold the older dump layout (dump.jsonl,
+    read back by evaluate, beside dump.csv) has a stage config digest of
+    its own: reproduce reruns each predict and evaluate stage, exits 0,
+    and leaves the tree of a fresh run, dump.csv gone."""
+    config_path = write_config(tmp_path)
+    old, fresh = tmp_path / "old", tmp_path / "fresh"
+    for out in (old, fresh):
+        assert cli_run("reproduce", "--config", str(config_path), "--out", str(out)) == 0
+    config = pipeline.load_run_config(config_path)
+    for method in METHODS:
+        stage = old / "predictions" / method
+        passes = None if method == "ensemble" else config.mc_passes
+        digest = pipeline._digest_of({"method": method, "mc_passes": passes,
+                                      "seed": config.seed})
+        head, rows = (stage / "dump.jsonl").read_text().split("\n", 1)
+        (stage / "dump.jsonl").write_text(json.dumps(
+            {**json.loads(head), "config_digest": digest}, sort_keys=True) + "\n" + rows)
+        (stage / "dump.csv").write_text("# format=frauduq-predictions version=1\nindex\n")
+        (stage / "dump.json").unlink()
+        outputs = {name: hashlib.sha256((stage / name).read_bytes()).hexdigest()
+                   for name in ("dump.jsonl", "dump.csv")}
+        for path, change in ((stage / "manifest.json", {"config_digest": digest,
+                                                        "outputs": outputs}),
+                             (old / "reports" / method / "manifest.json",
+                              {"inputs": {"dump": outputs["dump.jsonl"]}})):
+            path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+
+    capsys.readouterr()
+    assert cli_run("reproduce", "--config", str(config_path), "--out", str(old)) == 0
+    skipped = [line for line in capsys.readouterr().out.splitlines() if "skipping" in line]
+    assert skipped == ["[data] up to date, skipping", "[models] up to date, skipping",
+                       "[summary] up to date, skipping"]
+    assert tree_digests(old) == tree_digests(fresh)
+
+
 def test_unreadable_manifest_reruns_the_stage(tmp_path):
     config = run_config(tmp_path)
     pipeline.cmd_preprocess(config, log=quiet)
@@ -369,6 +413,16 @@ def cli_run(*argv):
     return cli.main(list(argv))
 
 
+def write_dump_file(path, method, mean_probs, labels):
+    """A checked ``dump.json`` of these distributions and labels (None: unlabeled)."""
+    mean_probs = np.asarray(mean_probs, dtype=np.float64)
+    estimates = Estimates(mean_probs, mean_probs.argmax(axis=1), *predictive_entropy(mean_probs))
+    write_dump(path.with_suffix(".jsonl"), path, DumpFile(
+        method, estimates, None if labels is None else np.array(labels, dtype=np.int64),
+        seed=21, mc_passes=8, config_digest="ab12"))
+    return path
+
+
 def test_cli_full_chain_exit_codes(tmp_path):
     config_path = write_config(tmp_path)
     out = str(tmp_path / "cli_out")
@@ -383,7 +437,7 @@ def test_cli_full_chain_exit_codes(tmp_path):
 COMMAND_PATHS = {
     "preprocess": {}, "train": {},
     "predict": {"model_path": "nets/single.json", "data_path": "data/test.json"},
-    "evaluate": {"dump_path": "dumps/mcd.jsonl"}, "sweep": {"dump_path": "dumps/mcd.jsonl"},
+    "evaluate": {"dump_path": "dumps/mcd.json"}, "sweep": {"dump_path": "dumps/mcd.json"},
     "synth": {}, "reproduce": {},
 }
 PATH_FLAGS = {"model_path": "--model", "data_path": "--data", "dump_path": "--dump"}
@@ -572,11 +626,7 @@ def test_cli_method_model_mismatch_exits_2(tmp_path, capsys):
     assert cli_run("predict", "--config", str(config_path), "--out", out,
                    "--method", "emcd") == 2
     # an emcd dump scored as mcd (the default method) is refused, not relabelled
-    dump = tmp_path / "emcd.jsonl"
-    dump.write_text(
-        '{"format": "frauduq-predictions", "version": 1, "method": "emcd", "n": 1}\n'
-        '{"index": 0, "mean_probs": [0.5, 0.5], "predicted_class": 0, '
-        '"entropy_raw": 0.6931471805599453, "entropy_norm": 1.0, "label": 0}\n')
+    dump = write_dump_file(tmp_path / "emcd.json", "emcd", [[0.5, 0.5]], [0])
     capsys.readouterr()
     for command in ("evaluate", "sweep"):
         assert cli_run(command, "--config", str(config_path), "--out", out,
@@ -590,34 +640,25 @@ def test_cli_data_errors_exit_3(tmp_path, capsys):
     config_path = write_config(tmp_path)
     out = str(tmp_path / "out")
 
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text('{"format": "frauduq-predictions", "version": 1, "method": "mcd", "n": 0}\n')
+    empty = write_dump_file(tmp_path / "empty.json", "mcd", np.empty((0, 2)), [])
     assert cli_run("evaluate", "--config", str(config_path), "--out", out,
                    "--dump", str(empty)) == 3
-    assert "no predictions" in capsys.readouterr().err
+    assert f"{empty}: dump contains no predictions" in capsys.readouterr().err
 
-    unlabeled = tmp_path / "unlabeled.jsonl"
-    unlabeled.write_text(
-        '{"format": "frauduq-predictions", "version": 1, "method": "mcd", "n": 1}\n'
-        '{"index": 0, "mean_probs": [0.6, 0.4], "predicted_class": 0, '
-        '"entropy_raw": 0.6730116670092565, "entropy_norm": 0.9709505944546688, '
-        '"label": null}\n')
+    unlabeled = write_dump_file(tmp_path / "unlabeled.json", "mcd", [[0.6, 0.4]], None)
     assert cli_run("evaluate", "--config", str(config_path), "--out", out,
                    "--dump", str(unlabeled)) == 3
-    assert "labels" in capsys.readouterr().err
+    assert f"{unlabeled}: dump has no labels" in capsys.readouterr().err
 
-    truncated = tmp_path / "truncated.jsonl"
-    truncated.write_text(
-        '{"format": "frauduq-predictions", "version": 1, "method": "mcd", "n": 2}\n'
-        '{"index": 0, "mean_probs": [0.6, 0.4], "predicted_class": 0, '
-        '"entropy_raw": 0.67, "entropy_norm": 0.97, "label": 0}\n')
+    truncated = tmp_path / "truncated.json"
+    whole = write_dump_file(tmp_path / "whole.json", "mcd", [[0.6, 0.4], [0.1, 0.9]], [0, 1])
+    truncated.write_bytes(whole.read_bytes()[:-40])
     assert cli_run("evaluate", "--config", str(config_path), "--out", out,
                    "--dump", str(truncated)) == 3
-    err = capsys.readouterr().err
-    assert "truncated.jsonl" in err and "n=2" in err
+    assert f"{truncated}: not valid JSON" in capsys.readouterr().err
 
-    not_utf8 = tmp_path / "not_utf8.jsonl"
-    not_utf8.write_bytes(unlabeled.read_bytes() + b"\xff")
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(whole.read_bytes() + b"\xff")
     assert cli_run("evaluate", "--config", str(config_path), "--out", out,
                    "--dump", str(not_utf8)) == 3
     assert f"{not_utf8}: not valid UTF-8" in capsys.readouterr().err

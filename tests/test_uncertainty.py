@@ -17,10 +17,11 @@ import frauduq.uncertainty as unc
 from frauduq import container
 from frauduq.data import FeatureTable
 from frauduq.errors import DataError, FormatError, NumericError, ShapeError, ValidationError
-from frauduq.evaluation import uq_confusion
+from frauduq.evaluation import build_report, uq_confusion
 from frauduq.network import Network, NetworkConfig, forward, init_network, sample_dropout_mask
 from frauduq.seeding import STREAM_PREDICT, substream
 from frauduq.uncertainty import (
+    DumpFile,
     EnsembleSpec,
     Estimates,
     member_config,
@@ -468,24 +469,26 @@ def test_non_finite_member_raises_numeric_error_from_a_worker_thread(monkeypatch
 # --- prediction dumps -----------------------------------------------------------------
 
 
+def dump_of(estimates, labels=None, method="mcd", **provenance):
+    return DumpFile(method, estimates, labels, **{"seed": 2, "mc_passes": 4,
+                                                  "config_digest": "ab12", **provenance})
+
+
 def test_dump_round_trip(tmp_path):
     net = init_network(dataclasses.replace(BASE, seed=6))
     x = np.random.default_rng(47).normal(size=(5, 3))
     estimates = predict_table("mcd", [net], x, passes=10, seed=2)
-    labels = [0, 1, 1, 0, None]
+    paths = tmp_path / "d.jsonl", tmp_path / "d.json"
+    write_dump(*paths, dump_of(estimates, np.array([0, 1, 1, 0, 1])))
+    loaded = read_dump(paths[1])
+    assert (loaded.method, loaded.seed, loaded.mc_passes, loaded.config_digest) == \
+        ("mcd", 2, 4, "ab12")
+    assert_same_estimates(estimates, loaded.estimates)
+    assert loaded.labels.tolist() == [0, 1, 1, 0, 1]
 
-    jsonl, csv = tmp_path / "d.jsonl", tmp_path / "d.csv"
-    write_dump(jsonl, csv, "mcd", estimates, labels, meta={"seed": 2})
-    header, loaded, loaded_labels = read_dump(jsonl)
-
-    assert header["method"] == "mcd" and header["n"] == 5
-    assert loaded_labels == labels
-    assert_same_estimates(estimates, loaded)
-
-    lines = csv.read_text().splitlines()
-    assert lines[0].startswith("# ")
-    assert lines[1] == "index,method,mean_prob_genuine,mean_prob_fraud," \
-                       "predicted_class,entropy_raw,entropy_norm,label"
+    write_dump(*paths, dump_of(estimates, None, "ensemble", mc_passes=None))
+    loaded = read_dump(paths[1])
+    assert (loaded.method, loaded.mc_passes, loaded.labels) == ("ensemble", None, None)
 
 
 def test_failed_writes_leave_old_files_whole(tmp_path, monkeypatch):
@@ -503,81 +506,76 @@ def test_failed_writes_leave_old_files_whole(tmp_path, monkeypatch):
 
     net = init_network(dataclasses.replace(BASE, seed=6))
     estimates = predict_table("mcd", [net], np.random.default_rng(47).normal(size=(5, 3)), 4)
-    jsonl, csv = tmp_path / "d.jsonl", tmp_path / "d.csv"
-    write_dump(jsonl, csv, "mcd", estimates, None)
-    old = {p: p.read_bytes() for p in (jsonl, csv)}
-    # row 3 cannot be written: refused before either file is opened
-    probs = np.empty(5, dtype=object)
-    for i, row in enumerate(estimates.mean_probs.tolist()):
-        probs[i] = [object(), 0.5] if i == 3 else row
-    with pytest.raises(DataError, match="cannot dump"):
-        write_dump(jsonl, csv, "mcd", dataclasses.replace(estimates, mean_probs=probs), None)
-    assert all(p.read_bytes() == old[p] for p in (jsonl, csv))
+    jsonl, dump_json = tmp_path / "d.jsonl", tmp_path / "d.json"
+    write_dump(jsonl, dump_json, dump_of(estimates))
+    old = {p: p.read_bytes() for p in (jsonl, dump_json)}
 
-    # the CSV fails after the JSONL is complete: the JSONL is replaced,
-    # the CSV keeps its bytes
+    # the JSON fails after the JSONL is complete: the JSONL is replaced,
+    # the JSON keeps its bytes
     def disk_full(*args):
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(container, "stamp", disk_full)
+    monkeypatch.setattr(container, "dumps_canonical", disk_full)
     with pytest.raises(OSError, match="no space"):
-        write_dump(jsonl, csv, "mcd", estimates, [0, 1, 1, 0, 1])
-    assert read_dump(jsonl)[2] == [0, 1, 1, 0, 1]
-    assert csv.read_bytes() == old[csv]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.jsonl", "note.txt"]
+        write_dump(jsonl, dump_json, dump_of(estimates, np.array([0, 1, 1, 0, 1])))
+    assert jsonl.read_bytes() != old[jsonl] and '"label": 1' in jsonl.read_text()
+    assert dump_json.read_bytes() == old[dump_json]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "d.jsonl", "note.txt"]
 
 
-def _reference_dump(method, estimates, labels, meta):
-    """The dump rows as ``json.dumps`` and ``",".join`` write them, one cell at a time."""
-    header = container.header(unc.DUMP_FORMAT, method=method, n=len(estimates), **meta)
-    jsonl, csv = [json.dumps(header, sort_keys=True)], [
-        f"# {container.stamp(unc.DUMP_FORMAT, header)}", ",".join(unc.DUMP_COLUMNS)]
+def _reference_jsonl(dump):
+    """The JSONL view as ``json.dumps`` writes it, one record at a time."""
+    e = dump.estimates
+    header = container.header(unc.DUMP_FORMAT, method=dump.method, n=len(e), seed=dump.seed,
+                              mc_passes=dump.mc_passes, config_digest=dump.config_digest)
+    labels = [None] * len(e) if dump.labels is None else dump.labels.tolist()
+    lines = [json.dumps(header, sort_keys=True)]
     for i, (probs, pred, raw, norm, label) in enumerate(zip(
-            estimates.mean_probs.tolist(), estimates.predicted_class.tolist(),
-            estimates.entropy_raw.tolist(), estimates.entropy_norm.tolist(), labels)):
-        jsonl.append(json.dumps({"index": i, "mean_probs": probs, "predicted_class": pred,
+            e.mean_probs.tolist(), e.predicted_class.tolist(), e.entropy_raw.tolist(),
+            e.entropy_norm.tolist(), labels)):
+        lines.append(json.dumps({"index": i, "mean_probs": probs, "predicted_class": pred,
                                  "entropy_raw": raw, "entropy_norm": norm, "label": label},
                                 sort_keys=True))
-        csv.append(",".join([str(i), method, repr(probs[0]), repr(probs[1]), str(pred),
-                             repr(raw), repr(norm), "" if label is None else str(label)]))
-    return "".join(line + "\n" for line in jsonl), "".join(line + "\n" for line in csv)
+    return "".join(line + "\n" for line in lines)
 
 
 def test_dump_bytes_equal_json_dumps_reference(tmp_path):
-    """Each template row is what json.dumps(sort_keys=True) and the
-    ",".join CSV row write, on the floats where repr is at its edges:
-    subnormals, 0.1, 1/3 and the largest double below 1."""
+    """Each template row is what json.dumps(sort_keys=True) writes, on the
+    floats where repr is at its edges: subnormals, 0.1, 1/3 and the
+    largest double below 1."""
     fraud = np.array([5e-324, 1e-320, 0.1, 1 / 3, 1 - 2**-53, 0.0, 1.0, 0.5])
     mean_probs = np.stack([1.0 - fraud, fraud], axis=1)
     mean_probs[1] = [1e-320, 1.0 - 1e-320]
     raw, norm = predictive_entropy(mean_probs)
     estimates = Estimates(mean_probs, mean_probs.argmax(axis=1), raw, norm)
-    labels = [None, 0, 1, None, 1, 0, 1, 0]
-    meta = {"seed": 3, "mc_passes": None, "config_digest": "ab12"}
-    jsonl, csv = tmp_path / "d.jsonl", tmp_path / "d.csv"
-    write_dump(jsonl, csv, "emcd", estimates, np.array(labels, dtype=object), meta=meta)
-    assert (jsonl.read_text(), csv.read_text()) == _reference_dump("emcd", estimates, labels, meta)
-    assert read_dump(jsonl)[2] == labels
-
+    paths = tmp_path / "d.jsonl", tmp_path / "d.json"
     empty = Estimates(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
-    write_dump(jsonl, csv, "mcd", empty, None, meta={})
-    assert (jsonl.read_text(), csv.read_text()) == _reference_dump("mcd", empty, [], {})
+    for dump in (dump_of(estimates, np.array([1, 0, 1, 1, 1, 0, 1, 0]), "emcd"),
+                 dump_of(estimates, None, "ensemble", mc_passes=None),
+                 dump_of(empty)):
+        write_dump(*paths, dump)
+        assert paths[0].read_text() == _reference_jsonl(dump)
+        assert_same_estimates(read_dump(paths[1]).estimates, dump.estimates)
 
 
 def test_dump_refuses_unwritable_estimates_before_touching_files(tmp_path):
-    """Estimates whose repr would not be json's spelling (non-finite,
-    object or non-float dtype, wrong shape), and labels that read_dump
-    would refuse or that would be written as another value, raise before
-    either file is opened: the old files stay byte for byte and no temp
-    file appears."""
+    """Estimates the dump's checks refuse (non-finite, object or non-float
+    dtype, wrong shape, a class other than the argmax, an entropy off by
+    1e-9), labels other than an integer array of 0s and 1s, and an unknown
+    method raise before either file is opened: the old files stay byte for
+    byte and no temp file appears."""
     net = init_network(dataclasses.replace(BASE, seed=6))
     good = predict_table("mcd", [net], np.random.default_rng(47).normal(size=(4, 3)), 4)
-    paths = (tmp_path / "d.jsonl", tmp_path / "d.csv")
-    write_dump(*paths, "mcd", good, np.array([0, 1, 1, 0]))
+    paths = (tmp_path / "d.jsonl", tmp_path / "d.json")
+    write_dump(*paths, dump_of(good, np.array([0, 1, 1, 0])))
     kept = [p.read_bytes() for p in paths]
-    for label in (0.7, 2, -1, True, "1", 1.0):
-        with pytest.raises(DataError, match="cannot dump labels"):
-            write_dump(*paths, "mcd", good, [0, label, 1, 0])
+    for labels in (np.array([0, 2, 1, 0]), np.array([0, -1, 1, 0]), np.array([0.0, 1, 1, 0]),
+                   np.array([False, True, True, False]), np.array(["0", "1", "1", "0"]),
+                   [0, 1, 1, 0], np.array([0, 1, 1]), np.array([[0, 1, 1, 0]])):
+        with pytest.raises(DataError, match="labels must be None or an integer array of 4"):
+            write_dump(*paths, dump_of(good, labels))
+    with pytest.raises(DataError, match="method must be one of"):
+        write_dump(*paths, dump_of(good, method="bogus"))
     nan_probs = good.mean_probs.copy()
     nan_probs[2, 0] = np.nan
     inf_norm = good.entropy_norm.copy()
@@ -595,117 +593,107 @@ def test_dump_refuses_unwritable_estimates_before_touching_files(tmp_path):
         dataclasses.replace(good, entropy_norm=good.entropy_norm[:3]),
         dataclasses.replace(good, entropy_raw=good.entropy_raw[:, None]),
     ):
-        with pytest.raises(DataError, match="cannot dump these estimates"):
-            write_dump(*paths, "mcd", bad, None)
+        with pytest.raises(DataError, match="estimates need mean_probs as a finite float64"):
+            write_dump(*paths, dump_of(bad))
+    off = good.entropy_raw.copy()
+    off[2] += 1e-9
+    for bad in (dataclasses.replace(good, predicted_class=1 - good.predicted_class),
+                dataclasses.replace(good, entropy_raw=off)):
+        with pytest.raises(DataError, match="disagrees with its mean_probs"):
+            write_dump(*paths, dump_of(bad))
     assert sorted(tmp_path.iterdir()) == sorted(paths)
     assert [p.read_bytes() for p in paths] == kept
 
 
 def test_read_dump_rejects_foreign_and_truncated(tmp_path):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"format": "other", "version": 1}\n')
-    with pytest.raises(FormatError):
-        read_dump(bad)
-
-    # the version must be the int 1, not a value that merely compares equal
-    for i, version in enumerate(["true", "1.0"]):
-        loose = tmp_path / f"loose{i}.jsonl"
-        loose.write_text(f'{{"format": "frauduq-predictions", "n": 0, "version": {version}}}\n')
-        with pytest.raises(FormatError, match=f"loose{i}.jsonl: not a frauduq-predictions v1"):
-            read_dump(loose)
-
-    chopped = tmp_path / "chopped.jsonl"
-    chopped.write_text('{"format": "frauduq-predictions", "version": 1}\n{"index": 0,')
-    with pytest.raises(FormatError, match="line 2"):
-        read_dump(chopped)
-
+    """A foreign, truncated or inconsistent dump.json is refused naming the
+    file: each fault class that DumpFile.validate() and the reader check."""
     net = init_network(dataclasses.replace(BASE, seed=6))
-    x = np.random.default_rng(53).normal(size=(6, 3))
-    jsonl = tmp_path / "whole.jsonl"
-    write_dump(jsonl, tmp_path / "whole.csv", "mcd", predict_table("mcd", [net], x, 4), None)
-    header, *records = jsonl.read_text().splitlines()
-    one_prob = re.sub(r'"mean_probs": \[[^]]*\]', '"mean_probs": [0.9]', records[0])
-    three_probs = records[0].replace('"mean_probs": [', '"mean_probs": [0.5, ')
-    over_one = re.sub(r'"mean_probs": \[[^]]*\]', '"mean_probs": [0.5, 0.7]', records[0])
-    nan_probs = re.sub(r'"mean_probs": \[[^]]*\]', '"mean_probs": [NaN, NaN]', records[0])
-    flipped = re.sub(r'"predicted_class": (\d)',
-                     lambda m: f'"predicted_class": {1 - int(m[1])}', records[0])
-    raw_off = re.sub(r'"entropy_raw": [^,}]*', '"entropy_raw": 0.5', records[3])
-    norm_off = re.sub(r'"entropy_norm": [^,}]*', '"entropy_norm": 0.5', records[0])
-    for name, lines, message in (
-        ("short.jsonl", [header, *records[:2]], "n=6 but 2 records"),
-        ("long.jsonl", [header, *records, records[-1]], "n=6 but 7 records"),
-        ("shifted.jsonl", [header, records[0].replace('"index": 0', '"index": 5'),
-                           *records[1:]], "indices"),
-        ("swapped.jsonl", [header, records[1], records[0], *records[2:]], "indices"),
-        ("one_prob.jsonl", [header, one_prob, *records[1:]], "1 mean_probs"),
-        ("three_probs.jsonl", [header, three_probs, *records[1:]], "3 mean_probs"),
-        ("over_one.jsonl", [header, over_one, *records[1:]], "not a probability distribution"),
-        ("nan_probs.jsonl", [header, nan_probs, *records[1:]], "not a probability distribution"),
-        ("flipped.jsonl", [header, flipped, *records[1:]], "record 0 disagrees"),
-        ("raw_off.jsonl", [header, *records[:3], raw_off, *records[4:]], "record 3 disagrees"),
-        ("norm_off.jsonl", [header, norm_off, *records[1:]], "record 0 disagrees"),
-        *((f"label_{i}.jsonl", [header, records[0].replace('"label": null', f'"label": {label}'),
-                                *records[1:]], "labels must be 0, 1 or null")
-          for i, label in enumerate(["2", "-1", "0.5", "1.0", "true", '"1"', "[1]"])),
-        *((f"class_{i}.jsonl", [header, re.sub(r'"predicted_class": \d',
-                                              f'"predicted_class": {cls}', records[0]),
-                                *records[1:]], "predicted_class must be 0 or 1")
-          for i, cls in enumerate(["true", "false", '"1"', '"0"', "1.0", "0.0", "null"])),
+    good = predict_table("mcd", [net], np.random.default_rng(53).normal(size=(6, 3)), 4)
+    labels = np.array([0, 1, 1, 0, 1, 0])
+    whole = tmp_path / "whole.json"
+    write_dump(tmp_path / "whole.jsonl", whole, dump_of(good, labels))
+    text = whole.read_text()
+
+    for name, content, message in (
+        ("other.json", text.replace('"frauduq-predictions"', '"frauduq-report"'),
+         "not a frauduq-predictions v1 file"),
+        # the version must be the int 1, not a value that merely compares equal
+        ("true.json", text.replace('"version": 1', '"version": true'), "not a frauduq"),
+        ("float.json", text.replace('"version": 1', '"version": 1.0'), "not a frauduq"),
+        ("chopped.json", text[:len(text) // 2], "not valid JSON"),
+        ("empty.json", "", "not valid JSON"),
     ):
         path = tmp_path / name
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=f"{name}.*{message}"):
+        path.write_text(content)
+        with pytest.raises(FormatError, match=f"{name}: {message}"):
             read_dump(path)
 
-    # As in from_plain, numbers are ints or floats but not bools, and
-    # indices are ints: each probe agrees with itself in every other way.
-    head = {"format": "frauduq-predictions", "version": 1, "method": "mcd", "n": 1}
-    one = {"index": 0, "mean_probs": [1.0, 0.0], "predicted_class": 0,
-           "entropy_raw": 0.0, "entropy_norm": 0.0, "label": None}
-    for i, (change, message) in enumerate([
-        ({}, None),
-        ({"mean_probs": [True, False]}, "mean_probs must be numbers"),
-        ({"mean_probs": ["1.0", "0"]}, "mean_probs must be numbers"),
-        ({"index": 0.7}, "index must be integers"),
-        ({"index": "0"}, "index must be integers"),
-        ({"index": False}, "index must be integers"),
-        ({"entropy_raw": "0"}, "entropy_raw must be numbers"),
-        ({"entropy_raw": False, "entropy_norm": False}, "entropy_raw must be numbers"),
-        ({"weight": 1.0}, r"unknown key\(s\) \['weight'\]"),
-    ]):
-        probe = tmp_path / f"probe_{i}.jsonl"
-        probe.write_text(json.dumps(head) + "\n" + json.dumps({**one, **change}) + "\n")
-        if message is None:
-            assert read_dump(probe)[2] == [None]
-            continue
-        with pytest.raises(FormatError, match=f"probe_{i}.jsonl: .*{message}"):
-            read_dump(probe)
+    # each fault written as write_dump would, but without its checks
+    over_one = good.mean_probs.copy()
+    over_one[1] = [0.5, 0.7]
+    three = np.concatenate([good.mean_probs, np.zeros((6, 1))], axis=1)
+    raw_off, norm_off = good.entropy_raw.copy(), good.entropy_norm.copy()
+    raw_off[3] = 0.5
+    norm_off[0] += 2e-12
+    for name, dump, message in (
+        ("over_one", dump_of(dataclasses.replace(good, mean_probs=over_one), labels),
+         "mean_probs: not a probability distribution"),
+        ("three_probs", dump_of(dataclasses.replace(good, mean_probs=three), labels),
+         "estimates need mean_probs"),
+        ("flipped", dump_of(dataclasses.replace(good, predicted_class=1 - good.predicted_class),
+                            labels), "row 0 disagrees"),
+        ("raw_off", dump_of(dataclasses.replace(good, entropy_raw=raw_off), labels),
+         "row 3 disagrees"),
+        ("norm_off", dump_of(dataclasses.replace(good, entropy_norm=norm_off), labels),
+         "row 0 disagrees"),
+        ("short_column", dump_of(dataclasses.replace(good, entropy_norm=good.entropy_norm[:5]),
+                                 labels), "estimates need mean_probs"),
+        ("short_labels", dump_of(good, labels[:5]), "labels must be None or an integer array"),
+        ("label_2", dump_of(good, labels + 1), "labels must be None or an integer array"),
+        ("float_labels", dump_of(good, labels.astype(np.float64)),
+         "labels must be None or an integer array"),
+        ("float_classes", dump_of(dataclasses.replace(
+            good, predicted_class=good.predicted_class.astype(np.float64)), labels),
+         "estimates need mean_probs"),
+        ("scalar_class", dump_of(dataclasses.replace(good, predicted_class=np.array(0)), labels),
+         "estimates need mean_probs"),
+        ("method", dump_of(good, labels, "bayes"), "method must be one of"),
+    ):
+        path = tmp_path / f"{name}.json"
+        container.write_artifact(dump, unc.DUMP_FORMAT, path)
+        with pytest.raises(FormatError, match=f"{name}.json: .*{message}"):
+            read_dump(path)
 
-    # write_dump writes every header and record key, so none may be left
-    # out; the header's n is an int and its method one of the three.
-    no_method = {k: v for k, v in head.items() if k != "method"}
-    no_label = {k: v for k, v in one.items() if k != "label"}
-    header_fault = "header needs an integer n and a method in"
-    for i, (header_obj, record, message) in enumerate([
-        (head, no_label, r"bad record on line 2 \('label'\)"),
-        ({**head, "n": True}, one, f"{header_fault} .*got n=True"),
-        ({**head, "n": 1.0}, one, f"{header_fault} .*got n=1.0"),
-        (no_method, one, f"{header_fault} .*method=None"),
-        ({**head, "method": 5}, one, f"{header_fault} .*method=5"),
+    # every key is written, so none may be left out, and each has its kind
+    doc = json.loads(text)
+    for i, (change, message) in enumerate([
+        ({"labels": None}, None),
+        ({"mc_passes": None}, None),
+        ({"seed": True}, "seed must be an integer"),
+        ({"weight": 1.0}, r"unknown frauduq-predictions key\(s\) .*\['weight'\]"),
+        ({"estimates": {k: v for k, v in doc["estimates"].items() if k != "entropy_raw"}},
+         r"estimates lacks key\(s\) \['entropy_raw'\]"),
+        *(({key: "__deleted__"}, rf"lacks key\(s\) \['{key}'\]")
+          for key in ("labels", "mc_passes", "seed", "config_digest", "method")),
     ]):
-        probe = tmp_path / f"required_{i}.jsonl"
-        probe.write_text(json.dumps(header_obj) + "\n" + json.dumps(record) + "\n")
-        with pytest.raises(FormatError, match=f"required_{i}.jsonl: {message}"):
+        probe = tmp_path / f"probe_{i}.json"
+        probe.write_text(json.dumps({k: v for k, v in {**doc, **change}.items()
+                                     if v != "__deleted__"}))
+        if message is None:
+            read_dump(probe)
+            continue
+        with pytest.raises(FormatError, match=f"probe_{i}.json: .*{message}"):
             read_dump(probe)
 
     # np.log may differ in the last ulp across numpy builds and CPUs, so
-    # stored entropies one ulp off are read back as stored
-    stored = json.loads(records[0])
-    nudged = {**stored, "entropy_raw": float(np.nextafter(stored["entropy_raw"], 1.0)),
-              "entropy_norm": float(np.nextafter(stored["entropy_norm"], -1.0))}
-    path = tmp_path / "ulp.jsonl"
-    path.write_text("\n".join([header, json.dumps(nudged), *records[1:]]) + "\n")
-    _, estimates, _ = read_dump(path)
-    assert estimates.entropy_raw[0] == nudged["entropy_raw"]
-    assert estimates.entropy_norm[0] == nudged["entropy_norm"]
+    # stored entropies one ulp off are read back, and evaluated, as stored
+    nudged = dataclasses.replace(
+        good, entropy_raw=np.nextafter(good.entropy_raw, 1.0),
+        entropy_norm=np.nextafter(good.entropy_norm, -1.0))
+    path = tmp_path / "ulp.json"
+    container.write_artifact(dump_of(nudged, labels), unc.DUMP_FORMAT, path)
+    loaded = read_dump(path)
+    assert_same_estimates(loaded.estimates, nudged)
+    report = build_report("mcd", loaded.estimates, loaded.labels, thresholds=(0.5,), m_bins=2)
+    assert report == build_report("mcd", nudged, labels, thresholds=(0.5,), m_bins=2)
