@@ -110,8 +110,9 @@ def load_csv(path, schema: CsvSchema) -> RawTable:
     """Parse a headered CSV into a RawTable, marking missing cells.
 
     Raises DataError naming the row for ragged rows, bad labels and
-    non-finite numeric cells, and when the label column is absent or is
-    the only column.
+    non-finite numeric cells; when the label column is absent or is the
+    only column; and naming the column when the header repeats a name or
+    the schema gives a kind for a name that is no feature column.
     """
     path = Path(path)
     try:
@@ -126,10 +127,19 @@ def load_csv(path, schema: CsvSchema) -> RawTable:
             raise DataError(f"{path}: file is empty, no header row") from None
         if schema.label not in header:
             raise DataError(f"{path}: label column {schema.label!r} not in header")
+        repeated = next((h for h, count in Counter(header).items() if count > 1), None)
+        if repeated is not None:
+            role = "label column" if repeated == schema.label else "column"
+            raise DataError(f"{path}: the header names the {role} {repeated!r} more than once")
         label_pos = header.index(schema.label)
         feature_names = [h for i, h in enumerate(header) if i != label_pos]
         if not feature_names:
             raise DataError(f"{path}: no feature column besides the label {schema.label!r}")
+        stray = next((name for name in schema.kinds if name not in feature_names), None)
+        if stray is not None:
+            role = "the label column" if stray == schema.label else "not in the header"
+            raise DataError(f"{path}: the schema gives a kind for {stray!r}, which is {role}, "
+                            f"not a feature column")
 
         missing = set(schema.missing_values)
         cells: list[list] = [[] for _ in feature_names]

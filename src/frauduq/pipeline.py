@@ -356,6 +356,8 @@ def stage_data(config: RunConfig, log=print, digests: dict | None = None) -> Sta
             log(f"[data] synthesized {table.n_rows} rows of {s.n_features} features "
                 f"(separation {s.separation})")
             train_t, test_t = split_train_test(table, config.train_fraction, seed=config.seed)
+            # an earlier CSV build into this directory left its preprocessor
+            (stage_dir / "preprocessor.json").unlink(missing_ok=True)
             extra = []
         save_features(train_t, stage_dir / "train.json")
         save_features(test_t, stage_dir / "test.json")

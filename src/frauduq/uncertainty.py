@@ -18,7 +18,6 @@ normalized by ln(num classes) so the certainty threshold lives on a
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -149,39 +148,6 @@ def train_ensemble(spec: EnsembleSpec, base: NetworkConfig, data, master_seed: i
     return members
 
 
-def _run_striped(n_tasks: int, task) -> None:
-    """Run ``task(i)`` for i in range(n_tasks), striped over one thread per
-    usable core; the caller runs stripe 0. Of the tasks that fail, the
-    lowest index's error is raised: a stripe stops only above a failure."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_threads = max(1, min(n_tasks, cores or 1))
-    failed = [None] * n_threads  # stripe k's failure (index, error); only k writes it
-
-    def stripe(k):
-        for i in range(k, n_tasks, n_threads):
-            if any(f and f[0] < i for f in failed):
-                return
-            try:
-                task(i)
-            except Exception as exc:  # handed to the caller below
-                failed[k] = (i, exc)
-
-    workers = [threading.Thread(target=stripe, args=(k,)) for k in range(1, n_threads)]
-    for w in workers:
-        w.start()
-    try:
-        stripe(0)
-    except BaseException:  # e.g. KeyboardInterrupt: stop the workers too
-        failed[0] = (-1, None)
-        raise
-    finally:
-        for w in workers:
-            w.join()
-    first = min((f for f in failed if f), default=None, key=lambda f: f[0])
-    if first:
-        raise first[1]
-
-
 # Input rows are processed in chunks sized so one chunk's sample tensor
 # stays near this many floats; a constant keeps chunking (and therefore
 # the dropout mask streams) reproducible across machines.
@@ -196,9 +162,11 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
     per-row dropout mask each pass, and reduces each chunk's sample
     tensor with :func:`summarize`. Layer 1's activation is the same on
     every pass (dropout acts after each hidden ReLU), so it is computed
-    once per member per chunk. That member's passes then run on one
-    thread per usable core, each into its own slot: any core count
-    gives the same bytes.
+    once per member per chunk. That member's passes then run through
+    one thread pool for the whole call, one worker per usable core and
+    at most one per pass, each into its own slot: any core count gives
+    the same bytes. With one worker the caller runs them. The members
+    take turns, so one member's layer-1 activation is held at a time.
 
     A row's MC samples are fixed by (seed, member, pass, chunk): one
     stream per key draws the masks of every row in the chunk. So for mcd
@@ -224,24 +192,34 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
     stochastic = method != METHOD_ENSEMBLE
     n_classes = models[0].config.output_units
 
+    # imported here, not at the top: it pulls in logging, a start-up cost for every command
+    from concurrent.futures import ThreadPoolExecutor
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(per_member, cores or 1)
+
     chunk_rows = max(1, min(n, _CHUNK_BUDGET_FLOATS // (n_members * per_member * n_classes)))
     parts = []
-    # An empty table still runs one (empty) chunk, so the columns get their shapes.
-    for chunk_no, start in enumerate(range(0, max(n, 1), chunk_rows)):
-        block = features[start : start + chunk_rows]
-        tensor = np.empty((block.shape[0], n_members, per_member, n_classes))
-        for m, net in enumerate(models):
-            hidden1 = first_hidden(net, block)
+    with ThreadPoolExecutor(workers) as pool:
+        run_passes = pool.map if workers > 1 else map  # one worker: the caller runs them
+        # An empty table still runs one (empty) chunk, so the columns get their shapes.
+        for chunk_no, start in enumerate(range(0, max(n, 1), chunk_rows)):
+            block = features[start : start + chunk_rows]
+            tensor = np.empty((block.shape[0], n_members, per_member, n_classes))
+            for m, net in enumerate(models):
+                hidden1 = first_hidden(net, block)
 
-            def one_pass(t):
-                mask = None
-                if stochastic:
-                    rng = substream(seed, STREAM_PREDICT, m, t, chunk_no)
-                    mask = sample_dropout_mask(net.config, rng, n_rows=block.shape[0])
-                tensor[:, m, t] = forward(net, block, mask, hidden1)
+                def one_pass(t):
+                    mask = None
+                    if stochastic:
+                        rng = substream(seed, STREAM_PREDICT, m, t, chunk_no)
+                        mask = sample_dropout_mask(net.config, rng, n_rows=block.shape[0])
+                    tensor[:, m, t] = forward(net, block, mask, hidden1)
 
-            _run_striped(per_member, one_pass)
-        parts.append(summarize(tensor))
+                # Results are read in pass order, so the lowest failing pass's
+                # error is raised; Executor.map then cancels the passes not started.
+                list(run_passes(one_pass, range(per_member)))
+            parts.append(summarize(tensor))
     return Estimates(*(np.concatenate([getattr(p, f.name) for p in parts])
                        for f in fields(Estimates)))
 

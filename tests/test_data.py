@@ -71,6 +71,25 @@ def test_load_csv_error_reports_row_numbers(tmp_path):
             load_csv(path, SCHEMA)
 
 
+def test_load_csv_refuses_repeated_names_and_stray_schema_kinds(tmp_path):
+    """A repeated header name would give two features one name, or leak a
+    second label column into the features; a schema kind for a name that
+    is no feature column (a typo, or the label) would be ignored. Both
+    are refused, naming the file and the column."""
+    for header, role, name in (("y,amt,amt,y", "label column", "y"),
+                               ("amt,y,b,amt", "column", "amt")):
+        path = write_csv(tmp_path, f"{header}\n1,0,2,0\n", name="repeats.csv")
+        with pytest.raises(DataError, match=f"repeats.csv: the header names the {role} "
+                                            f"'{name}' more than once$"):
+            load_csv(path, SCHEMA)
+    path = write_csv(tmp_path, "amt,y\n1,0\n")
+    for name, role in (("amount_typo", "not in the header"), ("y", "the label column")):
+        schema = CsvSchema(label="y", kinds={"amt": "numeric", name: "categorical"})
+        with pytest.raises(DataError, match=f"data.csv: the schema gives a kind for '{name}', "
+                                            f"which is {role}, not a feature column$"):
+            load_csv(path, schema)
+
+
 def test_load_csv_header_only_gives_empty_table(tmp_path):
     for schema in (SCHEMA, CsvSchema(label="y", kinds={"a": "numeric"})):
         table = load_csv(write_csv(tmp_path, "a,y\n"), schema)

@@ -315,6 +315,26 @@ def test_stage_reruns_when_config_changes(tmp_path):
     assert tree_digests(tmp_path / "out") != digest_before
 
 
+def test_synthetic_rebuild_removes_the_csv_preprocessor(tmp_path):
+    """preprocess with a CSV config and then without one, into the same
+    --out: the synthetic build removes the CSV build's preprocessor.json,
+    so the data directory holds exactly what its manifest lists."""
+    (tmp_path / "rows.csv").write_text(
+        "a,b,y\n" + "".join(f"{i},{'xz'[i % 2]},{i % 2}\n" for i in range(20)))
+    (tmp_path / "rows.schema.json").write_text(
+        '{"format": "frauduq-schema", "version": 1, "label": "y"}')
+    csv_config = write_config(tmp_path, {"data": {"csv": {
+        "path": str(tmp_path / "rows.csv"), "schema": str(tmp_path / "rows.schema.json")}}},
+        name="csv.json")
+    out = tmp_path / "out"
+    assert cli_run("preprocess", "--config", str(csv_config), "--out", str(out)) == 0
+    assert (out / "data" / "preprocessor.json").is_file()
+    assert cli_run("preprocess", "--config", str(write_config(tmp_path)), "--out", str(out)) == 0
+    manifest = json.loads((out / "data" / "manifest.json").read_text())
+    assert sorted(p.name for p in (out / "data").iterdir()) == sorted(
+        [*manifest["outputs"], "manifest.json"]) == ["manifest.json", "test.json", "train.json"]
+
+
 def test_reproduce_over_the_older_dump_layout_reruns_predict(tmp_path, capsys):
     """A tree whose predictions hold the older dump layout (dump.jsonl,
     read back by evaluate, beside dump.csv) has a stage config digest of
@@ -673,6 +693,13 @@ def test_cli_data_errors_exit_3(tmp_path, capsys):
         name="labels.json")
     assert cli_run("reproduce", "--config", str(labels_only), "--out", out) == 3
     assert "labels.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "models").exists()
+
+    # a header that names a column twice, here a second label column
+    (tmp_path / "labels.csv").write_text("y,a,y\n0,1.5,0\n1,2.5,1\n")
+    assert cli_run("reproduce", "--config", str(labels_only), "--out", out) == 3
+    assert "labels.csv: the header names the label column 'y' more than once" in (
+        capsys.readouterr().err)
     assert not (tmp_path / "out" / "models").exists()
 
     # a model file whose stored config is out of range

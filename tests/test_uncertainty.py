@@ -1,14 +1,15 @@
 """Tests for the sampling engine, the entropy summary, ensemble
 construction, and the prediction dump files."""
 
+import concurrent.futures
 import dataclasses
+import itertools
 import json
 import math
 import os
 import re
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -339,15 +340,40 @@ def usable_cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def forward_threads(monkeypatch):
-    """Record the thread of every forward pass, and whether it raised NumericError."""
+def pool_spy(monkeypatch):
+    """Record every pool predict_table opens, and return an event set when
+    one shuts down: by then Executor.map has cancelled every pass that
+    had not started."""
+    opened, shut = [], threading.Event()
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            shut.set()
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    return opened, shut
+
+
+def forward_threads(monkeypatch, meet=1):
+    """Record the thread of every forward pass, and whether it raised
+    NumericError. The first ``meet`` passes wait for each other, so they
+    run on ``meet`` threads at once: otherwise the pool may run them all
+    on one thread, as it starts a thread only when none is idle."""
     calls = []
-    real = unc.forward
+    barrier = threading.Barrier(meet, timeout=10)
+    order = itertools.count()
 
     def spy(*args):
+        if next(order) < meet:
+            barrier.wait()
         main = threading.current_thread() is threading.main_thread()
         try:
-            probs = real(*args)
+            probs = forward(*args)
         except NumericError:
             calls.append((threading.get_ident(), main, True))
             raise
@@ -358,90 +384,115 @@ def forward_threads(monkeypatch):
     return calls
 
 
+def failing_passes(monkeypatch, fails, error=NumericError, hold=None):
+    """Make each pass in ``fails`` raise ``error`` as it draws its masks,
+    and every other pass first wait for the event ``hold``, if given.
+    Returns the (pass, on the caller) of every pass started."""
+    started = []
+
+    def spy(*key):
+        t = key[3]  # (seed, STREAM_PREDICT, member, pass, chunk)
+        started.append((t, threading.current_thread() is threading.main_thread()))
+        if t in fails:
+            raise error(f"pass {t} failed")
+        if hold is not None:
+            hold.wait(timeout=10)
+        return substream(*key)
+
+    monkeypatch.setattr(unc, "substream", spy)
+    return started
+
+
 @pytest.mark.parametrize("method, n_members, passes",
                          [("mcd", 1, 7), ("ensemble", 3, 1), ("emcd", 3, 5)])
 def test_predict_table_bytes_do_not_depend_on_the_core_count(monkeypatch, method, n_members,
                                                               passes):
-    """Each member's passes run striped over the usable cores; over a
-    3-chunk table, 1 and 2 cores give the same Estimates bitwise."""
+    """One pool per call runs each member's passes on at most one thread
+    per usable core; over a 3-chunk table, 1 and 2 cores give the same
+    Estimates bitwise. With one worker (1 core, or the ensemble's single
+    pass) the caller runs every pass."""
     members = [init_network(dataclasses.replace(BASE, seed=s)) for s in range(1, n_members + 1)]
     x = np.random.default_rng(61).normal(size=(11, 3))
     monkeypatch.setattr(unc, "_CHUNK_BUDGET_FLOATS", 4 * n_members * passes * 2)  # 4-row chunks
-    calls = forward_threads(monkeypatch)
+    opened, _ = pool_spy(monkeypatch)
     runs = []
     for cores in (1, 2):
         usable_cores(monkeypatch, cores)
-        calls.clear()
+        pooled = cores > 1 and passes > 1
+        calls = forward_threads(monkeypatch, meet=2 if pooled else 1)
+        opened.clear()
+        before = threading.active_count()
         runs.append(predict_table(method, members, x, passes=passes, seed=17))
-        assert len(calls) == 3 * n_members * passes
-        assert (len({ident for ident, _, _ in calls}) > 1) == (cores > 1 and passes > 1)
+        assert len(calls) == 3 * n_members * passes and len(opened) == 1
+        assert len({ident for ident, _, _ in calls}) == (2 if pooled else 1)
+        assert {main for _, main, _ in calls} == {not pooled}
+        assert threading.active_count() == before
     assert_same_estimates(*runs)
 
 
 def test_usable_cores_fall_back_to_the_cpu_count(monkeypatch):
-    """Without CPU affinity the thread count is os.cpu_count(), else 1."""
+    """Without CPU affinity the worker count is os.cpu_count(), else 1,
+    and one worker means the caller runs every pass."""
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    net = init_network(BASE)
     for cpu_count, n_threads in ((2, 2), (None, 1)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        threads = set()
-        unc._run_striped(4, lambda i: threads.add(threading.get_ident()))
-        assert len(threads) == n_threads
+        calls = forward_threads(monkeypatch, meet=n_threads)
+        before = threading.active_count()
+        predict_table("mcd", [net], np.zeros((2, 3)), passes=4, seed=0)
+        assert len({ident for ident, _, _ in calls}) == n_threads
+        assert {main for _, main, _ in calls} == {n_threads == 1}
+        assert threading.active_count() == before
 
 
-def test_striped_tasks_raise_the_lowest_failing_index(monkeypatch):
-    """A failure in any stripe reaches the caller, the lowest index wins
-    whichever thread ran it, every task below it runs, its stripe stops
-    there, and every worker thread has ended. Repeated with a short
+def test_pool_raises_the_lowest_failing_pass(monkeypatch):
+    """A failure in any pass reaches the caller and the lowest pass wins,
+    whichever thread ran it; every pass below it started, none on the
+    caller, and every worker thread has ended. Repeated with a short
     switch interval, so the threads interleave in many orders."""
     usable_cores(monkeypatch, 2)
+    net = init_network(BASE)
     before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for fails in ({3, 4, 6}, {4, 3}, {0, 1}, {1, 8}, {9}):
-            ran = []
-
-            def task(i):
-                ran.append((i, threading.current_thread() is threading.main_thread()))
-                if i in fails:
-                    raise NumericError(f"pass {i} failed")
-
+            started = failing_passes(monkeypatch, fails)
             for _ in range(40):
-                ran.clear()
+                started.clear()
                 with pytest.raises(NumericError, match=f"pass {min(fails)} failed"):
-                    unc._run_striped(10, task)
-                lowest = min(fails)
-                assert {i for i, _ in ran} >= set(range(lowest + 1))
-                assert (lowest, lowest % 2 == 0) in ran  # odd indices run on the worker
-                assert not [i for i, _ in ran if i > lowest and i % 2 == lowest % 2]
+                    predict_table("mcd", [net], np.zeros((2, 3)), passes=10, seed=0)
+                assert {t for t, _ in started} >= set(range(min(fails) + 1))
+                assert not any(main for _, main in started)
                 assert threading.active_count() == before
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_an_interrupt_in_the_caller_stops_the_worker_threads(monkeypatch):
-    """A KeyboardInterrupt in the caller's stripe propagates at once: the
-    worker stops after at most the task it is running, and has ended."""
-    usable_cores(monkeypatch, 2)
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("error", [KeyboardInterrupt, NumericError], ids=["interrupt", "error"])
+def test_a_failing_pass_cancels_the_passes_not_started(monkeypatch, error, cores):
+    """When pass 0 raises, even a KeyboardInterrupt, the call raises it and
+    the passes not started never start. On one core the caller stops at
+    once. On two, every other pass waits until the pool shuts down, so
+    each worker holds at most one when Executor.map cancels the rest.
+    Every worker thread has ended."""
+    usable_cores(monkeypatch, cores)
+    opened, shut = pool_spy(monkeypatch)
+    started = failing_passes(monkeypatch, {0}, error, hold=shut)
     before = threading.active_count()
-    worker_ran = []
-
-    def task(i):
-        if i == 0:
-            raise KeyboardInterrupt
-        worker_ran.append(i)
-        time.sleep(0.05)
-
-    with pytest.raises(KeyboardInterrupt):
-        unc._run_striped(20, task)
-    assert len(worker_ran) <= 1 and threading.active_count() == before
+    with pytest.raises(error, match="pass 0 failed"):
+        predict_table("mcd", [init_network(BASE)], np.zeros((2, 3)), passes=20, seed=0)
+    assert (0, cores == 1) in started
+    assert {t for t, _ in started} <= ({0} if cores == 1 else {0, 1, 2})
+    assert len(opened) == 1 and threading.active_count() == before
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_member_raises_numeric_error_from_a_worker_thread(monkeypatch):
     """One unit per layer: the logits overflow exactly on a pass that keeps
     all three units. With a seed whose pass 0 drops one and pass 1 keeps
-    all, pass 1 fails on the worker thread and its NumericError reaches
+    all, pass 1 fails on a worker thread and its NumericError reaches
     the caller."""
     config = NetworkConfig(input_units=3, hidden_units=(1, 1, 1), dropout_rate=0.3)
     net = init_network(config)
@@ -461,8 +512,8 @@ def test_non_finite_member_raises_numeric_error_from_a_worker_thread(monkeypatch
     before = threading.active_count()
     with pytest.raises(NumericError, match="non-finite"):
         predict_table("mcd", [net], np.zeros((1, 3)), passes=2, seed=seed)
-    # (on the main thread, raised): pass 0 ran on the caller, pass 1 failed on the worker
-    assert sorted((main, failed) for _, main, failed in calls) == [(False, True), (True, False)]
+    # (on the main thread, raised): both passes ran on workers, one failed
+    assert sorted((main, failed) for _, main, failed in calls) == [(False, False), (False, True)]
     assert threading.active_count() == before
 
 
