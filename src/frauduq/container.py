@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import types
@@ -70,14 +71,17 @@ def encode_array(a: np.ndarray) -> dict:
 
 
 def decode_array(d: dict, context: str = "array") -> np.ndarray:
-    """Inverse of :func:`encode_array`; raises FormatError on any mismatch."""
+    """Inverse of :func:`encode_array`; raises FormatError on any mismatch,
+    a shape of anything but ints >= 0 included."""
     try:
-        shape = tuple(int(s) for s in d["shape"])
+        shape = tuple(d["shape"])
         dtype = _DTYPES[d["dtype"]]
         raw = base64.b64decode(d["data"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{context}: malformed array record ({exc})") from exc
-    expected = int(np.prod(shape)) * 8 if shape else 8
+    if not all(type(s) is int and s >= 0 for s in shape):
+        raise FormatError(f"{context}: shape {list(shape)} must list integers >= 0")
+    expected = math.prod(shape) * 8
     if len(raw) != expected:
         raise FormatError(
             f"{context}: payload holds {len(raw)} bytes but shape {shape} needs {expected}"

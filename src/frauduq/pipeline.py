@@ -230,7 +230,21 @@ class Manifest:
     stage: str
     config_digest: str
     inputs: dict[str, str]  # input label -> sha256
-    outputs: dict[str, str]  # path relative to the stage dir -> sha256
+    outputs: dict[str, str]  # file name in the stage dir -> sha256
+
+    def validate(self) -> "Manifest":
+        _check_file_names(self.outputs, "outputs")
+        return self
+
+
+def _check_file_names(names, key: str) -> None:
+    """Refuse a name listed twice, and any name but a plain file name (a
+    path, "", "." or ".."), so that no name read back leaves its directory."""
+    for name in names:
+        if name in ("", ".", "..") or "/" in name or "\0" in name:
+            raise ValidationError(f"{key} entry {name!r} is not a plain file name")
+    if len(set(names)) != len(names):
+        raise ValidationError(f"{key} lists a file twice: {list(names)}")
 
 
 @dataclass(frozen=True)
@@ -246,6 +260,7 @@ class EnsembleFile(EnsembleSpec):
         super().validate()
         if len(self.files) != self.members:
             raise ValidationError(f"{len(self.files)} files listed for {self.members} members")
+        _check_file_names(self.files, "files")
         return self
 
 
@@ -276,12 +291,14 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
     """Run one stage unless its manifest proves it already ran.
 
     ``inputs`` maps labels to existing files whose digests gate the
-    resume; ``build(stage_dir)`` writes the artifacts and returns their
-    paths. The manifest is written last, so a crash mid-stage simply
-    reruns it. ``digests`` holds the file digests already taken by the
-    command that runs this stage (see :func:`_file_digest`); a chain of
-    stages shares one, so a file that one stage wrote or checked is not
-    hashed again by the next.
+    resume; ``build(stage_dir)`` writes the artifacts into ``stage_dir``
+    and returns their paths. A rebuild removes each file the old manifest
+    lists and the build did not write, so the directory holds what its
+    manifest lists. The manifest is written last, so a crash mid-stage
+    simply reruns it. ``digests`` holds the file digests already taken
+    by the command that runs this stage (see :func:`_file_digest`); a
+    chain of stages shares one, so a file that one stage wrote or
+    checked is not hashed again by the next.
     """
     digests = {} if digests is None else digests
     stage_dir = Path(out_dir) / name
@@ -289,25 +306,28 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
     config_digest = _digest_of(stage_config)
     input_digests = {label: _file_digest(p, digests) for label, p in sorted(inputs.items())}
 
-    if manifest_path.is_file():
-        try:
-            manifest = container.read_artifact(manifest_path, MANIFEST_FORMAT, Manifest)
-        except (FormatError, OSError):
-            manifest = None
-        if (manifest is not None and manifest.config_digest == config_digest
-                and manifest.inputs == input_digests
-                and all((stage_dir / rel).is_file()
-                        and _file_digest(stage_dir / rel, digests) == digest
-                        for rel, digest in manifest.outputs.items())):
-            log(f"[{name}] up to date, skipping")
-            return StageResult(stage_dir, True)
+    try:
+        old = container.read_artifact(manifest_path, MANIFEST_FORMAT, Manifest)
+    except (FormatError, OSError):  # none or a faulty one: rerun, and remove nothing
+        old = None
+    if (old is not None and old.config_digest == config_digest
+            and old.inputs == input_digests
+            and all((stage_dir / rel).is_file()
+                    and _file_digest(stage_dir / rel, digests) == digest
+                    for rel, digest in old.outputs.items())):
+        log(f"[{name}] up to date, skipping")
+        return StageResult(stage_dir, True)
 
     stage_dir.mkdir(parents=True, exist_ok=True)
     produced = build(stage_dir)
-    outputs = {Path(p).relative_to(stage_dir).as_posix(): _file_digest(p, digests)
-               for p in produced}
-    container.write_artifact(Manifest(name, config_digest, input_digests, outputs),
-                             MANIFEST_FORMAT, manifest_path)
+    manifest = Manifest(name, config_digest, input_digests, {
+        Path(p).relative_to(stage_dir).as_posix(): _file_digest(p, digests)
+        for p in produced}).validate()
+    stale = old.outputs.keys() - manifest.outputs.keys() if old else set()
+    for rel in sorted(stale):
+        if not (stage_dir / rel).is_dir():  # an edited manifest may name one, say ensemble
+            (stage_dir / rel).unlink(missing_ok=True)
+    container.write_artifact(manifest, MANIFEST_FORMAT, manifest_path)
     return StageResult(stage_dir, False)
 
 
@@ -356,8 +376,6 @@ def stage_data(config: RunConfig, log=print, digests: dict | None = None) -> Sta
             log(f"[data] synthesized {table.n_rows} rows of {s.n_features} features "
                 f"(separation {s.separation})")
             train_t, test_t = split_train_test(table, config.train_fraction, seed=config.seed)
-            # an earlier CSV build into this directory left its preprocessor
-            (stage_dir / "preprocessor.json").unlink(missing_ok=True)
             extra = []
         save_features(train_t, stage_dir / "train.json")
         save_features(test_t, stage_dir / "test.json")
@@ -367,23 +385,21 @@ def stage_data(config: RunConfig, log=print, digests: dict | None = None) -> Sta
     return run_stage(config.out, "data", stage_config, inputs, build, log, digests)
 
 
-def stage_train(config: RunConfig, needs: tuple[str, ...], log=print,
+def stage_train(config: RunConfig, method: str, log=print,
                 digests: dict | None = None) -> StageResult:
-    """Train the models named in ``needs`` ("single", "ensemble") under
-    <out>/models: ``cmd_train`` asks for the one its method needs (the
-    single net for mcd, the ensemble otherwise), ``reproduce`` for both."""
+    """Train the model that ``method`` predicts with, as a stage of its
+    own: the single net for mcd under <out>/models, the ensemble
+    otherwise under <out>/models/ensemble."""
     train_path = _require_file(Path(config.out) / "data" / "train.json",
                                "run the preprocess command first")
-    stage_config = {"needs": sorted(needs), "seed": config.seed,
-                    "network": container.to_plain(config.network)}
-    if "ensemble" in needs:
+    stage_config = {"seed": config.seed, "network": container.to_plain(config.network)}
+    if method != METHOD_MCD:
         stage_config["ensemble"] = container.to_plain(config.ensemble)
 
     def build(stage_dir: Path):
         data = load_features(train_path)
         input_units = data.features.shape[1]
-        produced = []
-        if "single" in needs:
+        if method == METHOD_MCD:
             net_config = NetworkConfig(**vars(config.network), input_units=input_units,
                                        seed=derive_seed(config.seed, STREAM_TRAIN))
             log(f"[train] single network {list(net_config.hidden_units)} "
@@ -392,29 +408,25 @@ def stage_train(config: RunConfig, needs: tuple[str, ...], log=print,
             for epoch, loss in enumerate(history, start=1):
                 log(f"[train] single epoch {epoch}/{len(history)} loss {loss:.6f}")
             save_network(net, stage_dir / "single.json")
-            produced.append(stage_dir / "single.json")
-        if "ensemble" in needs:
-            spec = config.ensemble
-            ens_dir = stage_dir / "ensemble"
-            ens_dir.mkdir(exist_ok=True)
+            return [stage_dir / "single.json"]
 
-            def member_log(index, member_cfg, history):
-                log(f"[train] member {index + 1}/{spec.members} "
-                    f"{list(member_cfg.hidden_units)} final loss {history[-1]:.6f}")
+        spec = config.ensemble
 
-            base = NetworkConfig(**vars(config.network), input_units=input_units)
-            members = train_ensemble(spec, base, data, config.seed, log=member_log)
-            files = tuple(f"member_{i:03d}.json" for i in range(len(members)))
-            for net, name in zip(members, files):
-                save_network(net, ens_dir / name)
-                produced.append(ens_dir / name)
-            container.write_artifact(EnsembleFile(spec.members, spec.width_ranges, config.seed,
-                                                  files), ENSEMBLE_FORMAT, ens_dir / "spec.json")
-            produced.append(ens_dir / "spec.json")
-        return produced
+        def member_log(index, member_cfg, history):
+            log(f"[train] member {index + 1}/{spec.members} "
+                f"{list(member_cfg.hidden_units)} final loss {history[-1]:.6f}")
 
-    return run_stage(config.out, "models", stage_config,
-                     {"train": train_path}, build, log, digests)
+        base = NetworkConfig(**vars(config.network), input_units=input_units)
+        members = train_ensemble(spec, base, data, config.seed, log=member_log)
+        files = tuple(f"member_{i:03d}.json" for i in range(len(members)))
+        for net, name in zip(members, files):
+            save_network(net, stage_dir / name)
+        container.write_artifact(EnsembleFile(spec.members, spec.width_ranges, config.seed,
+                                              files), ENSEMBLE_FORMAT, stage_dir / "spec.json")
+        return [stage_dir / "spec.json", *(stage_dir / name for name in files)]
+
+    return run_stage(config.out, "models" if method == METHOD_MCD else "models/ensemble",
+                     stage_config, {"train": train_path}, build, log, digests)
 
 
 def _model_files(method: str, model_path: Path) -> list[Path]:
@@ -455,7 +467,7 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
     passes = config.mc_passes if method != METHOD_ENSEMBLE else None
     # The files are named here so that a tree written with another dump
     # layout (dump.jsonl and dump.csv, read back from the JSONL) reruns
-    # this stage; the rerun removes that layout's dump.csv.
+    # this stage; the rerun removes that layout's dump.csv (see run_stage).
     files = ("dump.jsonl", "dump.json")
     stage_config = {"method": method, "mc_passes": passes, "seed": config.seed,
                     "files": list(files)}
@@ -470,7 +482,6 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
             f"({len(models)} model(s), T={passes if passes else '-'})")
         estimates = predict_table(method, models, table.features,
                                   passes=config.mc_passes, seed=config.seed)
-        (stage_dir / "dump.csv").unlink(missing_ok=True)
         paths = [stage_dir / name for name in files]
         write_dump(*paths, DumpFile(method, estimates, table.labels, config.seed, passes,
                                     _digest_of(stage_config)))
@@ -587,8 +598,7 @@ def cmd_preprocess(config: RunConfig, log=print) -> StageResult:
 
 def cmd_train(config: RunConfig, log=print) -> StageResult:
     _write_config_snapshot(config)
-    needs = ("single",) if config.method == METHOD_MCD else ("ensemble",)
-    return stage_train(config, needs, log)
+    return stage_train(config, config.method, log)
 
 
 def cmd_predict(config: RunConfig, model_path=None, data_path=None, log=print) -> StageResult:
@@ -625,7 +635,8 @@ def cmd_reproduce(config: RunConfig, log=print) -> StageResult:
             "synthetic generator")
     digests: dict = {}
     stage_data(config, log, digests)
-    stage_train(config, ("single", "ensemble"), log, digests)
+    stage_train(config, METHOD_MCD, log, digests)
+    stage_train(config, METHOD_ENSEMBLE, log, digests)
     for method in METHODS:
         stage_predict(config, method, log=log, digests=digests)
         stage_evaluate(config, method, log=log, digests=digests)

@@ -84,9 +84,24 @@ def commands(root):
      "members must be >= 2"),
     ("out/models/ensemble/spec.json", {"width_ranges": [[8, 4], [3, 6], [2, 4]]},
      "width range [8, 4]"),
+    ("out/models/ensemble/spec.json",
+     {"files": ["member_000.json", "../single.json", "member_002.json"]},
+     "files entry '../single.json' is not a plain file name"),
+    ("out/models/ensemble/spec.json",
+     {"files": ["member_000.json", "member_001.json", "member_000.json"]},
+     "files lists a file twice"),
+    *(("out/data/test.json", {"labels": {"shape": shape, "dtype": "int64", "data": data}},
+       f"labels: {key}")
+      for shape, data, key in (
+          ([-1, -1], "AAAAAAAAAAA=", "shape [-1, -1] must list integers >= 0"),
+          ([2**32, 2**32], "", f"payload holds 0 bytes but shape {(2**32, 2**32)} needs"),
+          ([1.7], "AAAAAAAAAAA=", "shape [1.7] must list integers >= 0"),
+          ([True, 1], "AAAAAAAAAAA=", "shape [True, 1] must list integers >= 0"))),
 ], ids=["spec-files-5", "spec-width-range-short", "schema-kinds-list", "schema-missing-5", "schema-unknown-key",
         "schema-unknown-kind", "features-provenance-list", "spec-one-member",
-        "spec-width-range-inverted"])
+        "spec-width-range-inverted", "spec-file-outside", "spec-file-twice",
+        "labels-shape-negative", "labels-shape-overflow", "labels-shape-float",
+        "labels-shape-bool"])
 def test_malformed_artifact_exits_3_naming_file_and_key(work, capsys, rel, change, key):
     path = work / rel
     path.write_text(json.dumps({**json.loads(path.read_text()), **change}))

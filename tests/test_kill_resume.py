@@ -19,7 +19,7 @@ from pathlib import Path
 
 from frauduq import cli
 
-# The smallest run that still goes through all nine stages.
+# The smallest run that still goes through all ten stages.
 TINY = {
     "data": {"synth": {"n_per_class": 10, "n_features": 2, "separation": 2.5}},
     "network": {"hidden_units": [2, 2, 2], "epochs": 1, "batch_size": 16},
@@ -83,8 +83,8 @@ def tree(root: Path) -> dict:
 
 
 def stage_of(rel: str) -> str:
-    parts = rel.split("/")
-    return "/".join(parts[:2]) if parts[0] in ("predictions", "reports") else parts[0]
+    """A file's stage is its directory (config.json is its own)."""
+    return os.path.dirname(rel) or rel
 
 
 def test_reproduce_killed_at_any_replace_resumes_to_the_clean_tree(tmp_path):
@@ -94,7 +94,7 @@ def test_reproduce_killed_at_any_replace_resumes_to_the_clean_tree(tmp_path):
     [(code, replaced)] = run_wrapper([[str(tmp_path / "clean"), 0, "never"]], argv)
     assert code == 0
     clean = tree(tmp_path / "clean")
-    assert len({stage_of(rel) for rel in replaced}) == 10  # config.json and nine stages
+    assert len({stage_of(rel) for rel in replaced}) == 11  # config.json and ten stages
     assert not any(rel.endswith(".tmp") for rel in clean)
 
     runs = [[str(tmp_path / f"{when}_{n}"), n, when] for n in range(1, len(replaced) + 1)

@@ -237,7 +237,7 @@ def test_rerun_skips_completed_stages(tmp_path):
     messages = []
     pipeline.cmd_reproduce(config, log=messages.append)
     skipped = [m for m in messages if "skipping" in m]
-    assert len(skipped) == 9  # data, models, 3 predicts, 3 evaluates, summary
+    assert len(skipped) == 10  # data, 2 models, 3 predicts, 3 evaluates, summary
 
 
 def hash_counter(monkeypatch):
@@ -267,7 +267,7 @@ def test_reproduce_hashes_each_file_once_per_command(tmp_path, monkeypatch):
         digested = sorted(p.resolve() for p in out.rglob("*") if p.is_file()
                           and p.name not in ("manifest.json", "config.json"))
         assert sorted(hashed) == digested, phase
-    assert sum("skipping" in m for m in messages) == 9
+    assert sum("skipping" in m for m in messages) == 10
 
 
 def test_reproduce_rehashes_a_file_edited_between_commands(tmp_path, monkeypatch):
@@ -295,7 +295,7 @@ def test_reproduce_rehashes_a_file_edited_between_commands(tmp_path, monkeypatch
     messages = []
     pipeline.cmd_reproduce(config, log=messages.append)
     skipped = {m.split("]")[0] + "]" for m in messages if m.endswith("up to date, skipping")}
-    assert "[data]" not in skipped and len(skipped) == 8
+    assert "[data]" not in skipped and len(skipped) == 9
     assert tree_digests(out) == before
     counts = Counter(hashed)
     assert counts.pop(test_json.resolve()) == 2  # the edited file, then the one written over it
@@ -335,6 +335,74 @@ def test_synthetic_rebuild_removes_the_csv_preprocessor(tmp_path):
         [*manifest["outputs"], "manifest.json"]) == ["manifest.json", "test.json", "train.json"]
 
 
+def test_each_model_trains_once_whichever_command_asks(tmp_path):
+    """Each model is a stage of its own: after train and train --method
+    emcd, neither reproduce nor another train trains anything."""
+    config = run_config(tmp_path)
+    pipeline.cmd_preprocess(config, log=quiet)
+    messages = []
+    pipeline.cmd_train(config, log=messages.append)
+    pipeline.cmd_train(run_config(tmp_path, method="emcd"), log=messages.append)
+    trained = [m for m in messages if m.startswith("[train]")]
+    assert len(trained) == 1 + TINY["network"]["epochs"] + TINY["ensemble"]["members"]
+    messages.clear()
+    pipeline.cmd_reproduce(config, log=messages.append)
+    pipeline.cmd_train(config, log=messages.append)
+    assert not [m for m in messages if m.startswith("[train]")]
+
+
+def test_a_rebuilt_stage_keeps_only_the_files_it_lists(tmp_path):
+    """An ensemble retrained with fewer members leaves only the member
+    files it lists, and training the ensemble leaves the single net."""
+    out = tmp_path / "out"
+    config = run_config(tmp_path)
+    pipeline.cmd_preprocess(config, log=quiet)
+    pipeline.cmd_train(config, log=quiet)
+    for members in (3, 2):
+        pipeline.cmd_train(pipeline.load_run_config(write_config(
+            tmp_path, {"ensemble": {**TINY["ensemble"], "members": members}}),
+            out=str(out), method="emcd"), log=quiet)
+    ensemble = out / "models" / "ensemble"
+    manifest = json.loads((ensemble / "manifest.json").read_text())
+    assert sorted(p.name for p in ensemble.iterdir()) == sorted(
+        [*manifest["outputs"], "manifest.json"]) == [
+        "manifest.json", "member_000.json", "member_001.json", "spec.json"]
+    assert read_json(ensemble / "spec.json")["files"] == ["member_000.json", "member_001.json"]
+    assert sorted(p.name for p in (out / "models").iterdir()) == [
+        "ensemble", "manifest.json", "single.json"]
+
+
+@pytest.mark.parametrize("stale", [False, True], ids=["current", "stale-config"])
+@pytest.mark.parametrize("kind", ["relative", "absolute", "directory"])
+def test_a_manifest_naming_a_path_reruns_and_removes_nothing(tmp_path, kind, stale):
+    """A manifest output key that is a path, not a file name in the stage
+    directory, is refused like any faulty manifest: the stage reruns, and
+    the rerun removes nothing outside its directory, whether or not the
+    rest of the manifest still matches. A key naming a directory in it
+    reruns the stage too, and the directory stays."""
+    config = run_config(tmp_path)
+    pipeline.cmd_preprocess(config, log=quiet)
+    data = tmp_path / "out" / "data"
+    manifest = data / "manifest.json"
+    good = manifest.read_bytes()
+    victim = {"relative": data.parent, "absolute": tmp_path, "directory": data}[kind] / "victim"
+    key = {"relative": "../victim", "absolute": str(victim), "directory": "victim"}[kind]
+    if kind == "directory":
+        victim.mkdir()
+        victim = victim / "inside"
+    victim.write_text("keep")
+    doctored = json.loads(good)
+    doctored["outputs"][key] = hashlib.sha256(b"keep").hexdigest()
+    if stale:
+        doctored["config_digest"] = "0" * 64
+    manifest.write_text(json.dumps(doctored))
+    messages = []
+    pipeline.stage_data(config, log=messages.append)
+    assert not any("skipping" in m for m in messages)
+    assert victim.read_text() == "keep"
+    assert manifest.read_bytes() == good
+
+
 def test_reproduce_over_the_older_dump_layout_reruns_predict(tmp_path, capsys):
     """A tree whose predictions hold the older dump layout (dump.jsonl,
     read back by evaluate, beside dump.csv) has a stage config digest of
@@ -367,6 +435,7 @@ def test_reproduce_over_the_older_dump_layout_reruns_predict(tmp_path, capsys):
     assert cli_run("reproduce", "--config", str(config_path), "--out", str(old)) == 0
     skipped = [line for line in capsys.readouterr().out.splitlines() if "skipping" in line]
     assert skipped == ["[data] up to date, skipping", "[models] up to date, skipping",
+                       "[models/ensemble] up to date, skipping",
                        "[summary] up to date, skipping"]
     assert tree_digests(old) == tree_digests(fresh)
 
