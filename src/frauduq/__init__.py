@@ -32,8 +32,6 @@ from .errors import (
 from .evaluation import (
     CalibrationBins,
     ClassicMetrics,
-    UqConfusion,
-    UqMetrics,
     UqReport,
     build_report,
     classic_metrics,
@@ -41,8 +39,6 @@ from .evaluation import (
     export_entropy_histogram,
     render_reliability_svg,
     threshold_sweep,
-    uq_confusion,
-    uq_metrics,
 )
 from .network import (
     Network,

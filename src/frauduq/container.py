@@ -147,6 +147,8 @@ def read_json(path) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON at offset {exc.pos}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, or an int over 4,300 digits
+        raise FormatError(f"{path}: not readable as JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: expected a JSON object at top level")
     return obj

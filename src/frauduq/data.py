@@ -54,7 +54,7 @@ class CsvSchema:
 @dataclass
 class RawTable:
     """Columnar parsed CSV: numeric columns hold NaN for missing cells,
-    categorical columns hold None."""
+    categorical columns hold None. ``source`` is the CSV's file name."""
 
     column_names: list[str]
     kinds: list[str]
@@ -109,56 +109,60 @@ def _parse_label(value: str, row_num: int) -> int:
 def load_csv(path, schema: CsvSchema) -> RawTable:
     """Parse a headered CSV into a RawTable, marking missing cells.
 
-    Raises DataError naming the row for ragged rows, bad labels and
-    non-finite numeric cells; when the label column is absent or is the
-    only column; and naming the column when the header repeats a name or
-    the schema gives a kind for a name that is no feature column.
+    Raises DataError naming the row for ragged rows, lines the csv module
+    refuses, bad labels and non-finite numeric cells; when the label
+    column is absent or is the only column; and naming the column when
+    the header repeats a name or the schema gives a kind for a name that
+    is no feature column.
     """
     path = Path(path)
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh, container.utf8_text(path):
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty, no header row") from None
-        if schema.label not in header:
-            raise DataError(f"{path}: label column {schema.label!r} not in header")
-        repeated = next((h for h, count in Counter(header).items() if count > 1), None)
-        if repeated is not None:
-            role = "label column" if repeated == schema.label else "column"
-            raise DataError(f"{path}: the header names the {role} {repeated!r} more than once")
-        label_pos = header.index(schema.label)
-        feature_names = [h for i, h in enumerate(header) if i != label_pos]
-        if not feature_names:
-            raise DataError(f"{path}: no feature column besides the label {schema.label!r}")
-        stray = next((name for name in schema.kinds if name not in feature_names), None)
-        if stray is not None:
-            role = "the label column" if stray == schema.label else "not in the header"
-            raise DataError(f"{path}: the schema gives a kind for {stray!r}, which is {role}, "
-                            f"not a feature column")
+    reader = csv.reader(fh)
+    try:
+        with fh, container.utf8_text(path):
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: file is empty, no header row") from None
+            if schema.label not in header:
+                raise DataError(f"{path}: label column {schema.label!r} not in header")
+            repeated = next((h for h, count in Counter(header).items() if count > 1), None)
+            if repeated is not None:
+                role = "label column" if repeated == schema.label else "column"
+                raise DataError(f"{path}: the header names the {role} {repeated!r} more than once")
+            label_pos = header.index(schema.label)
+            feature_names = [h for i, h in enumerate(header) if i != label_pos]
+            if not feature_names:
+                raise DataError(f"{path}: no feature column besides the label {schema.label!r}")
+            stray = next((name for name in schema.kinds if name not in feature_names), None)
+            if stray is not None:
+                role = "the label column" if stray == schema.label else "not in the header"
+                raise DataError(f"{path}: the schema gives a kind for {stray!r}, which is {role}, "
+                                f"not a feature column")
 
-        missing = set(schema.missing_values)
-        cells: list[list] = [[] for _ in feature_names]
-        labels: list[int] = []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {row_num} has {len(row)} fields, header has {len(header)}"
-                )
-            label_raw = row[label_pos].strip()
-            if label_raw in missing:
-                raise DataError(f"{path}: row {row_num}: label is missing")
-            labels.append(_parse_label(label_raw, row_num))
-            j = 0
-            for i, cell in enumerate(row):
-                if i == label_pos:
-                    continue
-                cells[j].append(None if cell.strip() in missing else cell)
-                j += 1
+            missing = set(schema.missing_values)
+            cells: list[list] = [[] for _ in feature_names]
+            labels: list[int] = []
+            for row_num, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: row {row_num} has {len(row)} fields, header has {len(header)}"
+                    )
+                label_raw = row[label_pos].strip()
+                if label_raw in missing:
+                    raise DataError(f"{path}: row {row_num}: label is missing")
+                labels.append(_parse_label(label_raw, row_num))
+                j = 0
+                for i, cell in enumerate(row):
+                    if i == label_pos:
+                        continue
+                    cells[j].append(None if cell.strip() in missing else cell)
+                    j += 1
+    except csv.Error as exc:  # say, a cell over csv.field_size_limit()
+        raise DataError(f"{path}: row {reader.line_num}: {exc}") from exc
 
     columns, kinds = [], []
     for name, raw in zip(feature_names, cells):
@@ -186,7 +190,7 @@ def load_csv(path, schema: CsvSchema) -> RawTable:
         kinds=kinds,
         columns=columns,
         labels=np.array(labels, dtype=np.int64),
-        source=str(path),
+        source=path.name,
     )
 
 

@@ -45,34 +45,6 @@ class CalibrationBins:
 
 
 @dataclass(frozen=True)
-class UqConfusion:
-    """Counts of the correctness x certainty taxonomy at one threshold:
-    tc = correct & certain, tu = incorrect & uncertain,
-    fu = correct & uncertain, fc = incorrect & certain."""
-
-    threshold: float
-    tc: int
-    tu: int
-    fu: int
-    fc: int
-
-    @property
-    def total(self) -> int:
-        return self.tc + self.tu + self.fu + self.fc
-
-
-@dataclass(frozen=True)
-class UqMetrics:
-    """Uncertainty analogues of accuracy/sensitivity/specificity/precision.
-    A 0/0 ratio is reported as None, never NaN."""
-
-    uacc: float | None
-    usen: float | None
-    uspe: float | None
-    upre: float | None
-
-
-@dataclass(frozen=True)
 class ClassicMetrics:
     accuracy: float | None
     sensitivity: float | None
@@ -92,8 +64,27 @@ class EntropyHistogram:
 
 
 @dataclass(frozen=True)
-class ThresholdRow(UqMetrics, UqConfusion):
-    """One threshold's counts, then its metrics: the ``thresholds.csv`` columns."""
+class ThresholdRow:
+    """One threshold of the sweep, a ``thresholds.csv`` line.
+
+    The counts of the correctness x certainty taxonomy: tc = correct &
+    certain, tu = incorrect & uncertain, fu = correct & uncertain,
+    fc = incorrect & certain. Then their uncertainty analogues of
+    accuracy/sensitivity/specificity/precision; a 0/0 ratio is None, never NaN.
+    """
+
+    threshold: float
+    tc: int
+    tu: int
+    fu: int
+    fc: int
+    uacc: float | None
+    usen: float | None
+    uspe: float | None
+    upre: float | None
+
+
+UQ_METRICS = tuple(f.name for f in fields(ThresholdRow)[5:])  # uacc, usen, uspe, upre
 
 
 @dataclass(frozen=True)
@@ -183,24 +174,6 @@ def _rates(tp: int, tn: int, fp: int, fn: int) -> tuple[float | None, ...]:
         (tp + tn, tp + tn + fp + fn), (tp, tp + fn), (tn, tn + fp), (tp, tp + fp)))
 
 
-def uq_confusion(estimates: Estimates, labels, threshold: float) -> UqConfusion:
-    """Count the four correctness/certainty outcomes at one threshold:
-    the confusion matrix of "uncertain" called against "incorrect".
-
-    Certain means entropy_norm <= threshold (ties are certain).
-    """
-    check_thresholds((threshold,))
-    _check_aligned(estimates, labels)
-    uncertain = ~(estimates.entropy_norm <= threshold)
-    tu, tc, fu, fc = _confusion(uncertain, ~_correctness(estimates, labels))
-    return UqConfusion(threshold, tc, tu, fu, fc)
-
-
-def uq_metrics(c: UqConfusion) -> UqMetrics:
-    """Uncertainty accuracy/sensitivity/specificity/precision from the counts."""
-    return UqMetrics(*_rates(c.tu, c.tc, c.fu, c.fc))
-
-
 def check_thresholds(thresholds) -> tuple[float, ...]:
     """The grid as floats if it is non-empty, in [0, 1] and strictly increasing."""
     grid = tuple(float(t) for t in thresholds)
@@ -214,10 +187,20 @@ def check_thresholds(thresholds) -> tuple[float, ...]:
 
 
 def threshold_sweep(estimates: Estimates, labels,
-                    thresholds=DEFAULT_THRESHOLDS) -> tuple[tuple[UqConfusion, ...], tuple[UqMetrics, ...]]:
-    """Confusion counts and metrics per threshold, flags recomputed each time."""
-    confusions = tuple(uq_confusion(estimates, labels, t) for t in check_thresholds(thresholds))
-    return confusions, tuple(uq_metrics(c) for c in confusions)
+                    thresholds=DEFAULT_THRESHOLDS) -> tuple[ThresholdRow, ...]:
+    """One row per threshold: the confusion matrix of "uncertain" called
+    against "incorrect", and its four rates.
+
+    Certain means entropy_norm <= threshold (ties are certain).
+    """
+    grid = check_thresholds(thresholds)
+    _check_aligned(estimates, labels)
+    incorrect = ~_correctness(estimates, labels)
+    rows = []
+    for t in grid:
+        tu, tc, fu, fc = _confusion(~(estimates.entropy_norm <= t), incorrect)
+        rows.append(ThresholdRow(t, tc, tu, fu, fc, *_rates(tu, tc, fu, fc)))
+    return tuple(rows)
 
 
 def classic_metrics(estimates: Estimates, labels) -> ClassicMetrics:
@@ -250,12 +233,11 @@ def export_entropy_histogram(estimates: Estimates, labels,
 
 def build_report(method: str, estimates: Estimates, labels,
                  thresholds=DEFAULT_THRESHOLDS, m_bins: int = 10) -> UqReport:
-    confusions, metrics = threshold_sweep(estimates, labels, thresholds)
     return UqReport(
         method=method,
         n=len(estimates),
         calibration=compute_ece(estimates, labels, m_bins),
-        thresholds=tuple(ThresholdRow(**vars(c), **vars(m)) for c, m in zip(confusions, metrics)),
+        thresholds=threshold_sweep(estimates, labels, thresholds),
         classic=classic_metrics(estimates, labels),
         entropy_histogram=export_entropy_histogram(estimates, labels),
     )

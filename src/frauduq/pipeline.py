@@ -5,12 +5,13 @@ A resolved RunConfig drives a chain of stages (data -> train -> predict
 config/input/output digests into its own directory. Reruns skip a stage
 when its manifest still matches, so a killed reproduction resumes where
 it stopped. Every artifact is a pure function of (config, seed): no
-timestamps, hostnames, or absolute paths are ever written.
+timestamps, hostnames, or absolute paths are ever written. config.json
+alone keeps a CSV source's paths as given, because --config reads it back.
 """
 
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import container
@@ -30,7 +31,7 @@ from .evaluation import (
     REPORT_FORMAT,
     ReportFile,
     ThresholdRow,
-    UqMetrics,
+    UQ_METRICS,
     UqReport,
     build_report,
     check_thresholds,
@@ -60,8 +61,6 @@ CONFIG_FORMAT = "frauduq-config"
 
 PROFILE_PAPER = "paper"
 PROFILE_DESK = "desk"
-
-UQ_METRICS = tuple(f.name for f in fields(UqMetrics))  # uacc, usen, uspe, upre
 
 
 @dataclass(frozen=True)

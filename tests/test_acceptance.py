@@ -48,7 +48,7 @@ from frauduq.uncertainty import (
     summarize,
     train_ensemble,
 )
-from frauduq.evaluation import compute_ece, uq_confusion, uq_metrics
+from frauduq.evaluation import compute_ece, threshold_sweep
 from frauduq import pipeline
 
 DESK_WIDTHS = ((24, 48), (12, 24), (6, 12))
@@ -188,7 +188,7 @@ def fabricated_estimates(draws) -> Estimates:
 
 
 def test_criterion_4_uq_metric_oracle():
-    """1,000 random fixtures: uq_confusion/uq_metrics match a per-sample
+    """1,000 random fixtures: threshold_sweep's row matches a per-sample
     brute-force recount exactly; the worked fixture TC=8,TU=1,FU=1,FC=0
     gives UAcc=0.9, USen=1.0, USpe=0.889 +/- 0.001, UPre=0.5."""
     rng = np.random.default_rng(4096)
@@ -199,7 +199,7 @@ def test_criterion_4_uq_metric_oracle():
                   float(rng.random())) for _ in range(n)]
         labels = [int(rng.integers(0, 2)) for _ in range(n)]
 
-        c = uq_confusion(fabricated_estimates(draws), labels, threshold)
+        c = threshold_sweep(fabricated_estimates(draws), labels, (threshold,))[0]
         tc = tu = fu = fc = 0
         for (p, _, entropy_norm), y in zip(draws, labels):
             correct = int(p > 0.5) == y
@@ -214,11 +214,10 @@ def test_criterion_4_uq_metric_oracle():
                 fc += 1
         assert (c.tc, c.tu, c.fu, c.fc) == (tc, tu, fu, fc)
 
-        m = uq_metrics(c)
-        assert m.uacc == ((tu + tc) / n if n else None)
-        assert m.usen == (tu / (tu + fc) if tu + fc else None)
-        assert m.uspe == (tc / (tc + fu) if tc + fu else None)
-        assert m.upre == (tu / (tu + fu) if tu + fu else None)
+        assert c.uacc == ((tu + tc) / n if n else None)
+        assert c.usen == (tu / (tu + fc) if tu + fc else None)
+        assert c.uspe == (tc / (tc + fu) if tc + fu else None)
+        assert c.upre == (tu / (tu + fu) if tu + fu else None)
 
     # worked fixture
     fixtures = ([(0.2, 1)] * 8      # TC: correct & certain
@@ -226,7 +225,7 @@ def test_criterion_4_uq_metric_oracle():
                 + [(0.8, 1)])       # FU: correct & uncertain
     estimates = fabricated_estimates([(0.9, entropy, entropy) for entropy, _ in fixtures])
     labels = [label for _, label in fixtures]
-    m = uq_metrics(uq_confusion(estimates, labels, 0.4))
+    m = threshold_sweep(estimates, labels, (0.4,))[0]
     assert m.uacc == pytest.approx(0.9, abs=1e-12)
     assert m.usen == pytest.approx(1.0, abs=1e-12)
     assert m.uspe == pytest.approx(0.889, abs=1e-3)
@@ -361,7 +360,7 @@ def test_criterion_7_paper_numbers_on_real_data():
                                        ("emcd", members, 1000)):
             estimates = predict_table(method, models, test_t.features,
                                       passes=passes, seed=master_seed)
-            metrics = uq_metrics(uq_confusion(estimates, list(test_t.labels), 0.4))
+            metrics = threshold_sweep(estimates, list(test_t.labels), (0.4,))[0]
             uacc[method] = metrics.uacc
             if master_seed == 0:
                 got = (metrics.uacc, metrics.usen, metrics.uspe, metrics.upre)

@@ -70,6 +70,11 @@ def test_load_csv_error_reports_row_numbers(tmp_path):
         with pytest.raises(DataError, match=f"nonfinite.csv: row 3: column 'a'.*'{cell}'"):
             load_csv(path, SCHEMA)
 
+    # a cell over csv.field_size_limit() (131,072 characters)
+    wide = write_csv(tmp_path, "a,y\n1,0\n" + "2" * 200_000 + ",1\n", name="wide.csv")
+    with pytest.raises(DataError, match="wide.csv: row 3: field larger than field limit"):
+        load_csv(wide, SCHEMA)
+
 
 def test_load_csv_refuses_repeated_names_and_stray_schema_kinds(tmp_path):
     """A repeated header name would give two features one name, or leak a

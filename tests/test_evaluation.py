@@ -25,8 +25,6 @@ from frauduq.evaluation import (
     report_to_dict,
     threshold_sweep,
     threshold_table_csv,
-    uq_confusion,
-    uq_metrics,
 )
 from frauduq.uncertainty import Estimates
 
@@ -128,31 +126,30 @@ def fixture_counts(tc, tu, fu, fc, threshold=0.4):
 def test_worked_fixture_metrics():
     """TC=8, TU=1, FU=1, FC=0 -> UAcc 0.9, USen 1.0, USpe 8/9, UPre 0.5."""
     estimates, labels = fixture_counts(8, 1, 1, 0)
-    c = uq_confusion(estimates, labels, 0.4)
-    assert (c.tc, c.tu, c.fu, c.fc) == (8, 1, 1, 0)
-    m = uq_metrics(c)
-    assert m.uacc == pytest.approx(0.9)
-    assert m.usen == pytest.approx(1.0)
-    assert m.uspe == pytest.approx(0.889, abs=1e-3)
-    assert m.upre == pytest.approx(0.5)
+    row = threshold_sweep(estimates, labels, (0.4,))[0]
+    assert (row.tc, row.tu, row.fu, row.fc) == (8, 1, 1, 0)
+    assert row.uacc == pytest.approx(0.9)
+    assert row.usen == pytest.approx(1.0)
+    assert row.uspe == pytest.approx(0.889, abs=1e-3)
+    assert row.upre == pytest.approx(0.5)
 
 
 def test_zero_denominators_are_none_not_nan():
     estimates, labels = fixture_counts(5, 0, 0, 0)
-    m = uq_metrics(uq_confusion(estimates, labels, 0.4))
+    m = threshold_sweep(estimates, labels, (0.4,))[0]
     assert m.uacc == 1.0
     assert m.usen is None  # no incorrect predictions at all
     assert m.upre is None  # no uncertain predictions at all
     assert m.uspe == 1.0
 
     estimates, labels = fixture_counts(0, 0, 3, 0)
-    m = uq_metrics(uq_confusion(estimates, labels, 0.4))
+    m = threshold_sweep(estimates, labels, (0.4,))[0]
     assert m.uspe == 0.0 and m.usen is None and m.upre == 0.0
 
 
 def test_boundary_entropy_counts_as_certain():
     e = est(0.9, entropy_norm=0.4)
-    c = uq_confusion(e, [1], threshold=0.4)
+    c = threshold_sweep(e, [1], (0.4,))[0]
     assert c.tc == 1 and c.fu == 0
 
 
@@ -172,13 +169,13 @@ def brute_force_tables(rng):
 
 
 def test_confusion_brute_force_recount():
-    """uq_confusion and classic_metrics vs per-sample loops on random tables."""
+    """threshold_sweep and classic_metrics vs per-sample loops on random tables."""
     def ratio(num, den):
         return None if den == 0 else num / den
 
     for ps, hs, labels, threshold in brute_force_tables(np.random.default_rng(7)):
         estimates = est(ps, entropy_norm=hs)
-        c = uq_confusion(estimates, labels, threshold)
+        c = threshold_sweep(estimates, labels, (threshold,))[0]
 
         tc = tu = fu = fc = tp = tn = fp = fn = 0
         for p, h, y in zip(ps, hs, labels):
@@ -198,7 +195,7 @@ def test_confusion_brute_force_recount():
             fp += pred == 1 and y == 0
             fn += pred == 0 and y == 1
         assert (c.tc, c.tu, c.fu, c.fc) == (tc, tu, fu, fc)
-        assert c.total == len(ps)
+        assert c.tc + c.tu + c.fu + c.fc == len(ps)
 
         classic = classic_metrics(estimates, labels)
         assert classic == ClassicMetrics(ratio(tp + tn, len(ps)), ratio(tp, tp + fn),
@@ -209,8 +206,8 @@ def test_confusion_brute_force_recount():
 @pytest.mark.parametrize("labels", [[2, 7], [2, -1], [0, 0.5]])
 @pytest.mark.parametrize("evaluate", [
     compute_ece, export_entropy_histogram, classic_metrics,
-    lambda estimates, labels: uq_confusion(estimates, labels, 0.5)],
-    ids=["compute_ece", "export_entropy_histogram", "classic_metrics", "uq_confusion"])
+    threshold_sweep],
+    ids=["compute_ece", "export_entropy_histogram", "classic_metrics", "threshold_sweep"])
 def test_labels_other_than_0_and_1_are_refused(evaluate, labels):
     with pytest.raises(DataError, match="0 or 1"):
         evaluate(est([0.9, 0.2]), labels)
@@ -224,9 +221,9 @@ def test_sweep_certain_count_monotone_and_grid_checked():
     draws = [(float(rng.uniform()), float(rng.random())) for _ in range(60)]
     estimates = est(*zip(*draws))
     labels = [int(rng.integers(0, 2)) for _ in range(60)]
-    confusions, metrics = threshold_sweep(estimates, labels)
-    assert len(confusions) == 9 and len(metrics) == 9
-    certain_counts = [c.tc + c.fc for c in confusions]
+    rows = threshold_sweep(estimates, labels)
+    assert len(rows) == 9
+    certain_counts = [row.tc + row.fc for row in rows]
     assert certain_counts == sorted(certain_counts)
 
     with pytest.raises(ValidationError):
@@ -252,10 +249,10 @@ def test_sweep_high_threshold_uacc_tracks_accuracy():
     spec = EnsembleSpec(members=5, width_ranges=((24, 48), (12, 24), (6, 12)))
     members = train_ensemble(spec, base, train_t, master_seed=11)
     estimates = predict_table("ensemble", members, test_t.features, 1, seed=11)
-    confusions, metrics = threshold_sweep(estimates, list(test_t.labels))
+    rows = threshold_sweep(estimates, list(test_t.labels))
     accuracy = classic_metrics(estimates, list(test_t.labels)).accuracy
-    assert confusions[-1].threshold == pytest.approx(0.9)
-    assert metrics[-1].uacc >= accuracy - 0.01
+    assert rows[-1].threshold == pytest.approx(0.9)
+    assert rows[-1].uacc >= accuracy - 0.01
 
 
 # --- classic metrics ---------------------------------------------------------------

@@ -40,6 +40,10 @@ TINY = {
     "seed": 21,
 }
 
+# JSON that json.loads refuses without a JSONDecodeError: arrays nested
+# past the recursion limit, and an integer of more than 4,300 digits
+UNREADABLE_JSON = ("[" * 3000 + "]" * 3000, '{"seed": ' + "9" * 5000 + "}")
+
 
 def write_config(tmp_path, overrides=None, name="run.json"):
     obj = {**TINY, **(overrides or {})}
@@ -151,6 +155,10 @@ def test_config_validation_rejections(tmp_path):
     broken.write_text("[7]")
     with pytest.raises(ValidationError, match="broken.json: expected a JSON object"):
         pipeline.load_run_config(broken)
+    for text in UNREADABLE_JSON:
+        broken.write_text(text)
+        with pytest.raises(ValidationError, match="broken.json: not readable as JSON"):
+            pipeline.load_run_config(broken)
 
     # format and version may be left out, but a foreign file is refused
     for i, tag in enumerate([{"format": "not-a-config"}, {"version": 99}, {"version": "1"},
@@ -225,10 +233,28 @@ def test_reproduce_chain_writes_everything(tmp_path):
             assert "version=1" in first, path
 
 
-def test_reproduce_is_deterministic_across_directories(tmp_path):
+def test_reproduce_is_deterministic_across_directories(tmp_path, monkeypatch):
+    """Two output directories get the same bytes. So does one CSV named by
+    its relative and by its absolute path, but for config.json, which
+    keeps the paths as given."""
     pipeline.cmd_reproduce(run_config(tmp_path, "a"), log=quiet)
     pipeline.cmd_reproduce(run_config(tmp_path, "b"), log=quiet)
     assert tree_digests(tmp_path / "a") == tree_digests(tmp_path / "b")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rows.csv").write_text(
+        "a,b,y\n" + "".join(f"{i},{'xz'[i % 2]},{i % 2}\n" for i in range(20)))
+    (tmp_path / "rows.schema.json").write_text(
+        '{"format": "frauduq-schema", "version": 1, "label": "y"}')
+    for out, prefix in (("relative", ""), ("absolute", f"{tmp_path}/")):
+        config_path = write_config(tmp_path, {"data": {"csv": {
+            "path": prefix + "rows.csv", "schema": prefix + "rows.schema.json"}}},
+            name=f"{out}.json")
+        pipeline.cmd_reproduce(pipeline.load_run_config(config_path, out=str(tmp_path / out)),
+                               log=quiet)
+    relative, absolute = tree_digests(tmp_path / "relative"), tree_digests(tmp_path / "absolute")
+    assert relative.pop("config.json") != absolute.pop("config.json")
+    assert relative == absolute
 
 
 def test_rerun_skips_completed_stages(tmp_path):
@@ -452,7 +478,7 @@ def test_unreadable_manifest_reruns_the_stage(tmp_path):
     mistyped = [json.dumps({**json.loads(good), "outputs": v}) for v in (5, "x", [1])]
     lacking = [json.dumps({k: v for k, v in json.loads(good).items() if k != key})
                for key in ("stage", "inputs", "outputs")]
-    for doctored in ("{not json", newer, *mistyped, *lacking):
+    for doctored in ("{not json", newer, *mistyped, *lacking, *UNREADABLE_JSON):
         manifest.write_text(doctored)
         messages = []
         pipeline.stage_data(config, log=messages.append)
@@ -751,6 +777,13 @@ def test_cli_data_errors_exit_3(tmp_path, capsys):
     assert cli_run("evaluate", "--config", str(config_path), "--out", out,
                    "--dump", str(not_utf8)) == 3
     assert f"{not_utf8}: not valid UTF-8" in capsys.readouterr().err
+
+    for i, text in enumerate(UNREADABLE_JSON):
+        unreadable = tmp_path / f"unreadable{i}.json"
+        unreadable.write_text(text)
+        assert cli_run("evaluate", "--config", str(config_path), "--out", out,
+                       "--dump", str(unreadable)) == 3
+        assert f"{unreadable}: not readable as JSON" in capsys.readouterr().err
 
     # a CSV whose only column is the label: refused by the data stage,
     # before any network is trained

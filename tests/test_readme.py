@@ -25,7 +25,7 @@ def test_readme_library_example_runs(capsys):
     estimates, test_t = namespace["estimates"], namespace["test_t"]
     assert len(estimates) == test_t.n_rows
     assert estimates.mean_probs.shape == (test_t.n_rows, 2)
-    assert len(namespace["confusions"]) == 9
+    assert len(namespace["rows"]) == 9
     assert "ClassicMetrics" in capsys.readouterr().out
 
 

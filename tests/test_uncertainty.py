@@ -18,7 +18,7 @@ import frauduq.uncertainty as unc
 from frauduq import container
 from frauduq.data import FeatureTable
 from frauduq.errors import DataError, FormatError, NumericError, ShapeError, ValidationError
-from frauduq.evaluation import build_report, uq_confusion
+from frauduq.evaluation import build_report, threshold_sweep
 from frauduq.network import Network, NetworkConfig, forward, init_network, sample_dropout_mask
 from frauduq.seeding import STREAM_PREDICT, substream
 from frauduq.uncertainty import (
@@ -240,7 +240,7 @@ def make_estimate(entropy_norm: float) -> Estimates:
 
 def is_certain(estimate: Estimates, threshold: float) -> bool:
     """A correct prediction lands in TC when flagged certain and in FU otherwise."""
-    c = uq_confusion(estimate, [1], threshold)
+    c = threshold_sweep(estimate, [1], (threshold,))[0]
     assert c.tc + c.fu == 1
     return c.tc == 1
 
@@ -253,7 +253,7 @@ def test_flag_certainty_boundary_is_certain():
 
 def test_flag_certainty_rejects_out_of_range_threshold():
     with pytest.raises(ValidationError):
-        uq_confusion(make_estimate(0.5), [1], 1.5)
+        threshold_sweep(make_estimate(0.5), [1], (1.5,))
 
 
 # --- ensemble construction ---------------------------------------------------------
