@@ -84,32 +84,27 @@ class FeatureTable:
         return len(self.labels)
 
     def validate(self) -> "FeatureTable":
-        if self.features.ndim != 2 or self.features.shape[0] != len(self.labels):
-            raise DataError("features and labels are misaligned")
-        if not np.isfinite(self.features).all():
-            raise DataError("feature matrix contains missing or non-finite entries")
-        if self.labels.dtype.kind not in "iu" or not np.isin(self.labels, (0, 1)).all():
-            raise DataError("labels must all be the integers 0 or 1")
+        if self.features.ndim != 2 or not np.isfinite(self.features).all():
+            raise DataError("features must be a matrix of finite entries, none missing")
+        check_labels(self.labels, len(self.features))
         return self
 
     def take(self, indices: np.ndarray) -> "FeatureTable":
         return replace(self, features=self.features[indices], labels=self.labels[indices])
 
 
-def _parse_label(value: str, row_num: int) -> int:
-    try:
-        as_float = float(value)
-    except ValueError:
-        raise DataError(f"row {row_num}: label {value!r} is not 0 or 1") from None
-    if as_float not in (0.0, 1.0):
-        raise DataError(f"row {row_num}: label {value!r} is not 0 or 1")
-    return int(as_float)
+def check_labels(labels, n: int) -> None:
+    """Refuse anything but an integer (n,) array of 0s and 1s."""
+    if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"
+            and labels.shape == (n,) and np.isin(labels, (0, 1)).all()):
+        raise DataError(f"labels must all be the integers 0 or 1, in an integer ({n},) array")
 
 
 def load_csv(path, schema: CsvSchema) -> RawTable:
     """Parse a headered CSV into a RawTable, marking missing cells.
 
-    Raises DataError naming the row for ragged rows, lines the csv module
+    Raises DataError naming the file and the row (the header is row 1,
+    and each CSV record adds one) for ragged rows, records the csv module
     refuses, bad labels and non-finite numeric cells; when the label
     column is absent or is the only column; and naming the column when
     the header repeats a name or the schema gives a kind for a name that
@@ -120,11 +115,12 @@ def load_csv(path, schema: CsvSchema) -> RawTable:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(fh)
+    records = enumerate(csv.reader(fh), start=1)
+    row_num = 0  # the last record read
     try:
         with fh, container.utf8_text(path):
             try:
-                header = next(reader)
+                row_num, header = next(records)
             except StopIteration:
                 raise DataError(f"{path}: file is empty, no header row") from None
             if schema.label not in header:
@@ -133,8 +129,7 @@ def load_csv(path, schema: CsvSchema) -> RawTable:
             if repeated is not None:
                 role = "label column" if repeated == schema.label else "column"
                 raise DataError(f"{path}: the header names the {role} {repeated!r} more than once")
-            label_pos = header.index(schema.label)
-            feature_names = [h for i, h in enumerate(header) if i != label_pos]
+            feature_names = [h for h in header if h != schema.label]
             if not feature_names:
                 raise DataError(f"{path}: no feature column besides the label {schema.label!r}")
             stray = next((name for name in schema.kinds if name not in feature_names), None)
@@ -144,25 +139,24 @@ def load_csv(path, schema: CsvSchema) -> RawTable:
                                 f"not a feature column")
 
             missing = set(schema.missing_values)
-            cells: list[list] = [[] for _ in feature_names]
-            labels: list[int] = []
-            for row_num, row in enumerate(reader, start=2):
+            cells: list[list] = [[] for _ in header]
+            for row_num, row in records:
                 if len(row) != len(header):
                     raise DataError(
                         f"{path}: row {row_num} has {len(row)} fields, header has {len(header)}"
                     )
-                label_raw = row[label_pos].strip()
-                if label_raw in missing:
-                    raise DataError(f"{path}: row {row_num}: label is missing")
-                labels.append(_parse_label(label_raw, row_num))
-                j = 0
-                for i, cell in enumerate(row):
-                    if i == label_pos:
-                        continue
-                    cells[j].append(None if cell.strip() in missing else cell)
-                    j += 1
+                for column, cell in zip(cells, row):
+                    column.append(None if cell.strip() in missing else cell)
     except csv.Error as exc:  # say, a cell over csv.field_size_limit()
-        raise DataError(f"{path}: row {reader.line_num}: {exc}") from exc
+        raise DataError(f"{path}: row {row_num + 1}: {exc}") from exc
+
+    raw_labels = cells.pop(header.index(schema.label))
+    labels = _parse_numeric(raw_labels)
+    if labels is None or not np.isin(labels, (0.0, 1.0)).all():
+        i, cell = next((i, c) for i, c in enumerate(raw_labels)
+                       if (one := _parse_numeric([c])) is None or one[0] not in (0.0, 1.0))
+        problem = "label is missing" if cell is None else f"label {cell.strip()!r} is not 0 or 1"
+        raise DataError(f"{path}: row {i + 2}: {problem}")
 
     columns, kinds = [], []
     for name, raw in zip(feature_names, cells):
@@ -189,7 +183,7 @@ def load_csv(path, schema: CsvSchema) -> RawTable:
         column_names=feature_names,
         kinds=kinds,
         columns=columns,
-        labels=np.array(labels, dtype=np.int64),
+        labels=labels.astype(np.int64),
         source=path.name,
     )
 

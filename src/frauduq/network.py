@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
+from .data import check_labels
 from .errors import DataError, NumericError, ShapeError, ValidationError
 from .seeding import STREAM_INIT, STREAM_TRAIN, substream
 
@@ -68,6 +69,10 @@ class NetworkConfig(NetworkParams):
         super().validate()
         if self.output_units != 2:
             raise ValidationError(f"output_units must be 2, got {self.output_units}")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1 and self.adam_epsilon > 0):
+            raise ValidationError(
+                f"adam_beta1 and adam_beta2 must be in [0, 1) and adam_epsilon > 0, got "
+                f"{self.adam_beta1}, {self.adam_beta2} and {self.adam_epsilon}")
         return self
 
     @property
@@ -308,12 +313,11 @@ def train(config: NetworkConfig, data) -> tuple[Network, list[float]]:
     deterministic for a fixed ``config.seed``.
     """
     config.validate()
-    x, labels = np.asarray(data.features, dtype=np.float64), np.asarray(data.labels)
+    x, labels = np.asarray(data.features, dtype=np.float64), data.labels
     n = x.shape[0]
     if n == 0:
         raise DataError("training data is empty")
-    if labels.dtype.kind not in "iu" or not np.isin(labels, (0, 1)).all():
-        raise DataError("training labels must all be the integers 0 or 1")
+    check_labels(labels, n)
 
     net = init_network(config)
     state = AdamState.for_network(net)

@@ -508,8 +508,6 @@ def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print,
                                   f"but the method is {method}; pass --method {dump.method}")
         if len(dump.estimates) == 0:
             raise DataError(f"{dump_path}: dump contains no predictions")
-        if dump.labels is None:
-            raise DataError(f"{dump_path}: dump has no labels; evaluation needs them")
         report = build_report(method, dump.estimates, dump.labels,
                               thresholds=config.thresholds, m_bins=config.m_bins)
         meta = {"seed": config.seed, "config_digest": _digest_of(stage_config)}
@@ -552,6 +550,9 @@ def stage_summary(config: RunConfig, log=print, digests: dict | None = None) -> 
         rows, summaries = [], {}
         for m, path in report_paths.items():
             report = container.read_artifact(path, REPORT_FORMAT, ReportFile)
+            if [row.threshold for row in report.thresholds] != list(config.thresholds):
+                raise DataError(f"{path}: the report's threshold grid is not the config's "
+                                f"{list(config.thresholds)}")
             row = _threshold_row(report, config.report_threshold, path)
             uq = {k: getattr(row, k) for k in UQ_METRICS}
             rows.append((m, *uq.values()))

@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import container
+from .data import check_labels
 from .errors import DataError, ValidationError
 from .network import Network, NetworkConfig, first_hidden, forward, sample_dropout_mask, train
 from .seeding import STREAM_MEMBER, STREAM_PREDICT, derive_seed, substream
@@ -233,12 +234,11 @@ ENTROPY_TOLERANCE = 1e-12
 @dataclass(frozen=True)
 class DumpFile:
     """A ``dump.json``: one method's estimates for every row of a table,
-    the table's labels (None if it has none) and the provenance of the
-    stage that predicted them."""
+    the table's labels and the provenance of the stage that made them."""
 
     method: str
     estimates: Estimates
-    labels: np.ndarray | None
+    labels: np.ndarray
     seed: int
     mc_passes: int | None
     config_digest: str
@@ -250,12 +250,16 @@ class DumpFile:
         whose ``predicted_class`` is not their argmax, or whose entropies
         are more than ``ENTROPY_TOLERANCE`` from what
         :func:`predictive_entropy` gives for them (the stored values are
-        the ones evaluated); and labels other than None or an integer
-        array of 0s and 1s, one per row."""
+        the ones evaluated); ``mc_passes`` other than None for the ensemble
+        and an integer >= 1 otherwise; and labels :func:`check_labels` refuses."""
         e = self.estimates
         n = len(e.predicted_class) if np.ndim(e.predicted_class) else -1  # 0-d fits no shape
         if self.method not in METHODS:
             raise DataError(f"method must be one of {list(METHODS)}, got {self.method!r}")
+        if not (self.mc_passes is None if self.method == METHOD_ENSEMBLE
+                else isinstance(self.mc_passes, int) and self.mc_passes >= 1):
+            raise DataError(f"mc_passes must be null for the ensemble and an integer >= 1 "
+                            f"otherwise, got {self.mc_passes!r} for {self.method}")
         floats = (e.mean_probs, e.entropy_raw, e.entropy_norm)
         if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64 and np.isfinite(a).all()
                     for a in floats)
@@ -276,10 +280,7 @@ class DumpFile:
             raise DataError(f"row {np.flatnonzero(wrong)[0]} disagrees with its mean_probs: "
                             f"predicted_class must be their argmax, entropy_raw and "
                             f"entropy_norm their predictive entropy")
-        y = self.labels
-        if y is not None and not (isinstance(y, np.ndarray) and y.dtype.kind in "iu"
-                                  and y.shape == (n,) and np.isin(y, (0, 1)).all()):
-            raise DataError(f"labels must be None or an integer array of {n} 0s and 1s")
+        check_labels(self.labels, n)
         return self
 
 
@@ -297,7 +298,6 @@ def write_dump(path_jsonl, path_json, dump: DumpFile) -> None:
     e, n = dump.estimates, len(dump.estimates)
     header = container.header(DUMP_FORMAT, method=dump.method, n=n, seed=dump.seed,
                               mc_passes=dump.mc_passes, config_digest=dump.config_digest)
-    labels = ["null"] * n if dump.labels is None else dump.labels.tolist()
     p0, p1, raw, norm = (map(repr, a.tolist()) for a in
                          (e.mean_probs[:, 0], e.mean_probs[:, 1], e.entropy_raw, e.entropy_norm))
     with container.open_atomic(path_jsonl) as fh:
@@ -306,7 +306,7 @@ def write_dump(path_jsonl, path_json, dump: DumpFile) -> None:
             f'{{"entropy_norm": {en}, "entropy_raw": {er}, "index": {i}, "label": {y}, '
             f'"mean_probs": [{g}, {f}], "predicted_class": {c}}}\n'
             for i, g, f, c, er, en, y in zip(range(n), p0, p1, e.predicted_class.tolist(),
-                                             raw, norm, labels)])
+                                             raw, norm, dump.labels.tolist())])
     container.write_artifact(dump, DUMP_FORMAT, path_json)
 
 

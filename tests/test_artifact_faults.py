@@ -207,3 +207,53 @@ def test_every_report_leaf_fault_exits_3_naming_the_file(work, capsys):
         if code != expected or (code == 3 and str(path) not in err):
             bad.append(f"{label}: exit {code}, stderr {err!r}")
     assert not bad, "\n".join(bad)
+
+
+@pytest.mark.parametrize("shape", ["scalar", "column"])
+def test_feature_labels_of_another_shape_exit_3_naming_the_file(work, capsys, shape):
+    """A feature table's labels must be one integer per row: a 0-d array,
+    or an (n, 1) column, is refused when the file is read, before any
+    prediction is made."""
+    path = work / "out/data/test.json"
+    table = json.loads(path.read_text())
+    labels = table["labels"]
+    if shape == "scalar":
+        labels.update(shape=[], data="AAAAAAAAAAA=")  # one int64, 0
+    else:
+        labels["shape"] = [*labels["shape"], 1]
+    path.write_text(json.dumps(table))
+    assert cli.main(commands(work)["out/data/test.json"]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: labels must all be the integers 0 or 1" in err, err
+    assert not (work / "again/predictions/mcd/dump.json").exists()
+
+
+def test_member_with_adam_beta2_out_of_range_exits_3_naming_the_file(work, capsys):
+    path = work / "out/models/ensemble/member_000.json"
+    member = json.loads(path.read_text())
+    member["config"]["adam_beta2"] = 1.5
+    path.write_text(json.dumps(member))
+    assert cli.main(commands(work)["out/models/ensemble/member_000.json"]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "adam_beta2 must be in [0, 1)" in err, err
+
+
+def test_report_off_the_config_grid_exits_3_naming_the_file(work, capsys):
+    """The summary stage reads each report at the config's threshold grid:
+    a report that lacks its last threshold row, re-stamped in its stage's
+    manifest so that stage is skipped, is refused."""
+    path = work / "out/reports/mcd/report.json"
+    report = json.loads(path.read_text())
+    del report["thresholds"][-1]
+    text = json.dumps(report).encode()
+    path.write_bytes(text)
+    manifest_path = work / "out/reports/mcd/manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"]["report.json"] = hashlib.sha256(text).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    shutil.rmtree(work / "out/summary")
+    assert cli.main(["reproduce", "--config", str(work / "tiny.json"),
+                     "--out", str(work / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: the report's threshold grid is not the config's" in err, err
+    assert not (work / "out/summary/summary.json").exists()

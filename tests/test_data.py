@@ -56,8 +56,13 @@ def test_load_csv_error_reports_row_numbers(tmp_path):
     with pytest.raises(DataError, match="row 3"):
         load_csv(ragged, SCHEMA)
 
+    # rows count CSV records, not lines: a quoted newline starts no new row
+    split = write_csv(tmp_path, 'a,y\n"x\ny",0\n2\n', name="split.csv")
+    with pytest.raises(DataError, match="split.csv: row 3 has 1 fields"):
+        load_csv(split, SCHEMA)
+
     bad_label = write_csv(tmp_path, "a,y\n1,0\n2,7\n", name="label.csv")
-    with pytest.raises(DataError, match="row 3"):
+    with pytest.raises(DataError, match="label.csv: row 3: label '7' is not 0 or 1"):
         load_csv(bad_label, SCHEMA)
 
     missing = write_csv(tmp_path, "a,b\n1,2\n", name="nolabel.csv")
@@ -74,6 +79,26 @@ def test_load_csv_error_reports_row_numbers(tmp_path):
     wide = write_csv(tmp_path, "a,y\n1,0\n" + "2" * 200_000 + ",1\n", name="wide.csv")
     with pytest.raises(DataError, match="wide.csv: row 3: field larger than field limit"):
         load_csv(wide, SCHEMA)
+    wide = write_csv(tmp_path, 'a,y\n"x\ny",0\n' + "2" * 200_000 + ",1\n", name="wide.csv")
+    with pytest.raises(DataError, match="wide.csv: row 3: field larger than field limit"):
+        load_csv(wide, SCHEMA)
+
+
+@pytest.mark.parametrize("cell, label", [("1.0", 1), (" 1 ", 1), ("-0", 0), ("1e0", 1)])
+def test_load_csv_reads_a_label_in_any_spelling_of_0_or_1(tmp_path, cell, label):
+    table = load_csv(write_csv(tmp_path, f"a,y\n1,0\n2,{cell}\n"), SCHEMA)
+    assert table.labels.tolist() == [0, label] and table.labels.dtype == np.int64
+
+
+@pytest.mark.parametrize("cell, problem", [
+    ("2", "label '2' is not 0 or 1"), ("0.5", "label '0.5' is not 0 or 1"),
+    ("nan", "label 'nan' is not 0 or 1"), ("inf", "label 'inf' is not 0 or 1"),
+    ("", "label is missing"), ("NA", "label is missing"),
+])
+def test_load_csv_refuses_a_label_other_than_0_or_1_naming_file_and_row(tmp_path, cell, problem):
+    path = write_csv(tmp_path, f"a,y\n1,0\n2,{cell}\n3,1\n", name="labels.csv")
+    with pytest.raises(DataError, match=f"labels.csv: row 3: {problem}$"):
+        load_csv(path, SCHEMA)
 
 
 def test_load_csv_refuses_repeated_names_and_stray_schema_kinds(tmp_path):

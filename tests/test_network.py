@@ -207,6 +207,17 @@ def test_adam_rejects_mismatched_shapes():
         assert state.t == 1
 
 
+@pytest.mark.parametrize("key, value", [("adam_beta1", 1.5), ("adam_beta1", -0.1),
+                                        ("adam_beta2", -0.1), ("adam_beta2", 1.0),
+                                        ("adam_epsilon", 0.0), ("adam_epsilon", -1e-8)])
+def test_config_refuses_adam_constants_out_of_range(key, value):
+    """Adam's beta1 and beta2 lie in [0, 1) and its epsilon above 0."""
+    NetworkConfig(input_units=3, adam_beta1=0.0, adam_beta2=0.0).validate()
+    with pytest.raises(ValidationError, match=r"adam_beta1 and adam_beta2 must be in \[0, 1\) "
+                                              rf"and adam_epsilon > 0, got .*{value}"):
+        NetworkConfig(input_units=3, **{key: value}).validate()
+
+
 # --- training ----------------------------------------------------------------
 
 

@@ -529,11 +529,11 @@ def cli_run(*argv):
 
 
 def write_dump_file(path, method, mean_probs, labels):
-    """A checked ``dump.json`` of these distributions and labels (None: unlabeled)."""
+    """A checked ``dump.json`` of these distributions and labels."""
     mean_probs = np.asarray(mean_probs, dtype=np.float64)
     estimates = Estimates(mean_probs, mean_probs.argmax(axis=1), *predictive_entropy(mean_probs))
     write_dump(path.with_suffix(".jsonl"), path, DumpFile(
-        method, estimates, None if labels is None else np.array(labels, dtype=np.int64),
+        method, estimates, np.array(labels, dtype=np.int64),
         seed=21, mc_passes=8, config_digest="ab12"))
     return path
 
@@ -760,10 +760,13 @@ def test_cli_data_errors_exit_3(tmp_path, capsys):
                    "--dump", str(empty)) == 3
     assert f"{empty}: dump contains no predictions" in capsys.readouterr().err
 
-    unlabeled = write_dump_file(tmp_path / "unlabeled.json", "mcd", [[0.6, 0.4]], None)
+    # every dump carries labels: a null is refused when the file is read
+    unlabeled = write_dump_file(tmp_path / "unlabeled.json", "mcd", [[0.6, 0.4]], [0])
+    unlabeled.write_text(json.dumps({**json.loads(unlabeled.read_text()), "labels": None}))
     assert cli_run("evaluate", "--config", str(config_path), "--out", out,
                    "--dump", str(unlabeled)) == 3
-    assert f"{unlabeled}: dump has no labels" in capsys.readouterr().err
+    assert f"{unlabeled}: frauduq-predictions.labels: malformed array record" in (
+        capsys.readouterr().err)
 
     truncated = tmp_path / "truncated.json"
     whole = write_dump_file(tmp_path / "whole.json", "mcd", [[0.6, 0.4], [0.1, 0.9]], [0, 1])

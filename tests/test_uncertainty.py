@@ -521,6 +521,8 @@ def test_non_finite_member_raises_numeric_error_from_a_worker_thread(monkeypatch
 
 
 def dump_of(estimates, labels=None, method="mcd", **provenance):
+    """A dump of these estimates; labels default to 0, 1, 0, 1, ..."""
+    labels = np.arange(len(estimates)) % 2 if labels is None else labels
     return DumpFile(method, estimates, labels, **{"seed": 2, "mc_passes": 4,
                                                   "config_digest": "ab12", **provenance})
 
@@ -537,9 +539,10 @@ def test_dump_round_trip(tmp_path):
     assert_same_estimates(estimates, loaded.estimates)
     assert loaded.labels.tolist() == [0, 1, 1, 0, 1]
 
-    write_dump(*paths, dump_of(estimates, None, "ensemble", mc_passes=None))
+    write_dump(*paths, dump_of(estimates, np.array([1, 1, 0, 0, 1]), "ensemble", mc_passes=None))
     loaded = read_dump(paths[1])
-    assert (loaded.method, loaded.mc_passes, loaded.labels) == ("ensemble", None, None)
+    assert (loaded.method, loaded.mc_passes) == ("ensemble", None)
+    assert loaded.labels.tolist() == [1, 1, 0, 0, 1]
 
 
 def test_failed_writes_leave_old_files_whole(tmp_path, monkeypatch):
@@ -579,11 +582,10 @@ def _reference_jsonl(dump):
     e = dump.estimates
     header = container.header(unc.DUMP_FORMAT, method=dump.method, n=len(e), seed=dump.seed,
                               mc_passes=dump.mc_passes, config_digest=dump.config_digest)
-    labels = [None] * len(e) if dump.labels is None else dump.labels.tolist()
     lines = [json.dumps(header, sort_keys=True)]
     for i, (probs, pred, raw, norm, label) in enumerate(zip(
             e.mean_probs.tolist(), e.predicted_class.tolist(), e.entropy_raw.tolist(),
-            e.entropy_norm.tolist(), labels)):
+            e.entropy_norm.tolist(), dump.labels.tolist())):
         lines.append(json.dumps({"index": i, "mean_probs": probs, "predicted_class": pred,
                                  "entropy_raw": raw, "entropy_norm": norm, "label": label},
                                 sort_keys=True))
@@ -602,7 +604,8 @@ def test_dump_bytes_equal_json_dumps_reference(tmp_path):
     paths = tmp_path / "d.jsonl", tmp_path / "d.json"
     empty = Estimates(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
     for dump in (dump_of(estimates, np.array([1, 0, 1, 1, 1, 0, 1, 0]), "emcd"),
-                 dump_of(estimates, None, "ensemble", mc_passes=None),
+                 dump_of(estimates, np.array([0, 1, 1, 0, 0, 1, 0, 1]), "ensemble",
+                         mc_passes=None),
                  dump_of(empty)):
         write_dump(*paths, dump)
         assert paths[0].read_text() == _reference_jsonl(dump)
@@ -612,9 +615,10 @@ def test_dump_bytes_equal_json_dumps_reference(tmp_path):
 def test_dump_refuses_unwritable_estimates_before_touching_files(tmp_path):
     """Estimates the dump's checks refuse (non-finite, object or non-float
     dtype, wrong shape, a class other than the argmax, an entropy off by
-    1e-9), labels other than an integer array of 0s and 1s, and an unknown
-    method raise before either file is opened: the old files stay byte for
-    byte and no temp file appears."""
+    1e-9), labels other than an integer array of 0s and 1s, an unknown
+    method, and an mc_passes that does not fit the method raise before
+    either file is opened: the old files stay byte for byte and no temp
+    file appears."""
     net = init_network(dataclasses.replace(BASE, seed=6))
     good = predict_table("mcd", [net], np.random.default_rng(47).normal(size=(4, 3)), 4)
     paths = (tmp_path / "d.jsonl", tmp_path / "d.json")
@@ -623,10 +627,16 @@ def test_dump_refuses_unwritable_estimates_before_touching_files(tmp_path):
     for labels in (np.array([0, 2, 1, 0]), np.array([0, -1, 1, 0]), np.array([0.0, 1, 1, 0]),
                    np.array([False, True, True, False]), np.array(["0", "1", "1", "0"]),
                    [0, 1, 1, 0], np.array([0, 1, 1]), np.array([[0, 1, 1, 0]])):
-        with pytest.raises(DataError, match="labels must be None or an integer array of 4"):
+        with pytest.raises(DataError, match=r"labels must all be the integers 0 or 1, "
+                                            r"in an integer \(4,\) array"):
             write_dump(*paths, dump_of(good, labels))
     with pytest.raises(DataError, match="method must be one of"):
         write_dump(*paths, dump_of(good, method="bogus"))
+    # mc_passes is None exactly for the ensemble, as the predict stage writes it
+    for method, passes in (("ensemble", -1), ("ensemble", 4), ("mcd", None), ("emcd", 0)):
+        with pytest.raises(DataError, match=f"mc_passes must be null for the ensemble and an "
+                                            f"integer >= 1 otherwise, got {passes} for {method}"):
+            write_dump(*paths, dump_of(good, method=method, mc_passes=passes))
     nan_probs = good.mean_probs.copy()
     nan_probs[2, 0] = np.nan
     inf_norm = good.entropy_norm.copy()
@@ -700,16 +710,18 @@ def test_read_dump_rejects_foreign_and_truncated(tmp_path):
          "row 0 disagrees"),
         ("short_column", dump_of(dataclasses.replace(good, entropy_norm=good.entropy_norm[:5]),
                                  labels), "estimates need mean_probs"),
-        ("short_labels", dump_of(good, labels[:5]), "labels must be None or an integer array"),
-        ("label_2", dump_of(good, labels + 1), "labels must be None or an integer array"),
+        ("short_labels", dump_of(good, labels[:5]), "labels must all be the integers 0 or 1"),
+        ("label_2", dump_of(good, labels + 1), "labels must all be the integers 0 or 1"),
         ("float_labels", dump_of(good, labels.astype(np.float64)),
-         "labels must be None or an integer array"),
+         "labels must all be the integers 0 or 1"),
         ("float_classes", dump_of(dataclasses.replace(
             good, predicted_class=good.predicted_class.astype(np.float64)), labels),
          "estimates need mean_probs"),
         ("scalar_class", dump_of(dataclasses.replace(good, predicted_class=np.array(0)), labels),
          "estimates need mean_probs"),
         ("method", dump_of(good, labels, "bayes"), "method must be one of"),
+        ("ensemble_passes", dump_of(good, labels, "ensemble"), "mc_passes must be null"),
+        ("emcd_passes", dump_of(good, labels, "emcd", mc_passes=0), "mc_passes must be null"),
     ):
         path = tmp_path / f"{name}.json"
         container.write_artifact(dump, unc.DUMP_FORMAT, path)
@@ -719,8 +731,8 @@ def test_read_dump_rejects_foreign_and_truncated(tmp_path):
     # every key is written, so none may be left out, and each has its kind
     doc = json.loads(text)
     for i, (change, message) in enumerate([
-        ({"labels": None}, None),
-        ({"mc_passes": None}, None),
+        ({"labels": None}, "labels: malformed array record"),
+        ({"mc_passes": None}, "mc_passes must be null for the ensemble"),
         ({"seed": True}, "seed must be an integer"),
         ({"weight": 1.0}, r"unknown frauduq-predictions key\(s\) .*\['weight'\]"),
         ({"estimates": {k: v for k, v in doc["estimates"].items() if k != "entropy_raw"}},
