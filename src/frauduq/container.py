@@ -73,6 +73,9 @@ def encode_array(a: np.ndarray) -> dict:
 def decode_array(d: dict, context: str = "array") -> np.ndarray:
     """Inverse of :func:`encode_array`; raises FormatError on any mismatch,
     a shape of anything but ints >= 0 included."""
+    if not isinstance(d, dict):
+        raise FormatError(f"{context}: malformed array record: must be an object with "
+                          "shape, dtype and data")
     try:
         shape = tuple(d["shape"])
         dtype = _DTYPES[d["dtype"]]

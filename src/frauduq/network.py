@@ -270,6 +270,13 @@ def _loss_and_grads(net, x, labels, masks):
     return (d_weights, d_biases), loss
 
 
+# adam_step updates each parameter in row blocks of about this many entries,
+# so its two scratch arrays stay small and in cache instead of each as large
+# as the largest weight matrix, in every thread that trains. The update is
+# elementwise, so the blocks give the same bits as one pass.
+_ADAM_BLOCK = 8192
+
+
 def adam_step(net: Network, grads: tuple[list, list],
               state: AdamState) -> tuple[Network, AdamState]:
     """One bias-corrected Adam update from :func:`backward`'s
@@ -285,9 +292,10 @@ def adam_step(net: Network, grads: tuple[list, list],
     state.t += 1
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+
+    def update(p, g, m, v):
         # Rounds exactly as p -= lr * (m / c1) / (sqrt(v / c2) + eps),
-        # with two scratch arrays per parameter.
+        # with two scratch arrays per call.
         step = np.multiply(g, 1.0 - b1)
         m *= b1
         m += step
@@ -302,6 +310,14 @@ def adam_step(net: Network, grads: tuple[list, list],
         denom += eps
         step /= denom
         p -= step
+
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        rows = max(1, _ADAM_BLOCK // (p.size // len(p)))
+        if rows >= len(p):  # one block: slicing would only cost small nets time
+            update(p, g, m, v)
+            continue
+        for r in range(0, len(p), rows):
+            update(p[r : r + rows], g[r : r + rows], m[r : r + rows], v[r : r + rows])
     return net, state
 
 
@@ -332,6 +348,7 @@ def train(config: NetworkConfig, data) -> tuple[Network, list[float]]:
             masks = sample_dropout_mask(config, rng, n_rows=len(idx))  # ones at rate 0
             grads, loss = _loss_and_grads(net, x[idx], labels[idx], masks)
             adam_step(net, grads, state)
+            del grads  # else they live on through the next batch's backward pass
             loss_sum += loss * len(idx)
         history.append(loss_sum / n)
         if not all(np.isfinite(w).all() for w in net.weights):

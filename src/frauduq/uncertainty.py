@@ -15,9 +15,11 @@ normalized by ln(num classes) so the certainty threshold lives on a
 [0, 1] axis.
 """
 
+import contextlib
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -135,18 +137,100 @@ def member_config(spec: EnsembleSpec, base: NetworkConfig, index: int,
                    seed=derive_seed(master_seed, STREAM_MEMBER, index, 1))
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity, else the CPU count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _core_pool():
+    """A thread pool for :func:`_on_cores`: one thread per usable core but
+    the caller's. A thread starts only when a task is handed to it."""
+    # imported here, not at the top: it pulls in logging, a start-up cost for every command
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max(_usable_cores() - 1, 1))
+
+
+def _on_cores(task, n: int, pool=None) -> list:
+    """``[task(i) for i in range(n)]``, run by the calling thread together
+    with up to ``usable cores - 1`` threads of ``pool``.
+
+    Each thread takes the next index from one shared iterator, so tasks
+    start in index order; the results come back in index order. With no
+    pool, or one core, the caller runs every task. Once a task fails, even
+    with a KeyboardInterrupt, no index is handed out: the tasks in flight
+    finish, and the lowest failing index's exception is raised, the one
+    the plain loop raises, as every lower index had started. Nothing is
+    built per task up front, so ``n`` may be as large as ``range`` takes.
+    """
+    indices, lock = iter(range(n)), threading.Lock()
+    results, failures = {}, {}
+
+    def share():
+        while True:
+            with lock:
+                i = None if failures else next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = task(i)
+            except BaseException as exc:  # raised by the caller, the lowest index first
+                with lock:
+                    failures[i] = exc
+
+    helpers = [pool.submit(share) for _ in range(min(n, _usable_cores()) - 1)] if pool else []
+    try:
+        share()
+        for helper in helpers:
+            helper.result()
+    except BaseException as exc:  # interrupted while waiting: hand out no more indices
+        with lock:
+            failures.setdefault(n, exc)
+        raise
+    if failures:
+        raise failures[min(failures)]
+    return [results[i] for i in range(n)]
+
+
+# Members train on threads only when a member's Adam step is expected to
+# take at least this many multiply-adds (batch rows times weights, at each
+# width range's mean): numpy releases the GIL only inside its kernels, so
+# threads slow small steps down. On 2 cores with BLAS on one thread they
+# took 1.7-1.8x the serial time at 0.1-0.5M (desk nets), 0.8-1.1x at 2-2.4M
+# and 0.7-0.8x from 2.5M on (paper widths: 7M and up).
+_THREAD_MIN_STEP_MACS = 2_500_000
+
+
 def train_ensemble(spec: EnsembleSpec, base: NetworkConfig, data, master_seed: int = 0,
                    log=None) -> list[Network]:
-    """Train all members of ``base`` independently on the identical training table."""
+    """Train all members of ``base`` independently on the identical training table.
+
+    A member's config and training depend only on (master_seed, index).
+    So when a member's expected step is large enough (``_THREAD_MIN_STEP_MACS``)
+    the members train on every usable core through :func:`_on_cores`,
+    and one after another otherwise; the networks are the same bitwise.
+    ``log(index, config, history)`` is called in member order once every
+    member has trained. If members fail, the members in flight finish, no
+    other member starts, and the lowest failing member's error is raised.
+    """
     spec.validate()
-    members = []
-    for i in range(spec.members):
+
+    def train_member(i):
         config = member_config(spec, base, i, master_seed)
-        net, history = train(config, data)
-        if log is not None:
+        return config, *train(config, data)
+
+    widths = [base.input_units, *((lo + hi) / 2 for lo, hi in spec.width_ranges),
+              base.output_units]
+    step_macs = (min(base.batch_size, len(data.features))
+                 * sum(a * b for a, b in zip(widths, widths[1:])))
+    with _core_pool() if step_macs >= _THREAD_MIN_STEP_MACS else contextlib.nullcontext() as pool:
+        trained = _on_cores(train_member, spec.members, pool)
+    if log is not None:
+        for i, (config, _, history) in enumerate(trained):
             log(i, config, history)
-        members.append(net)
-    return members
+    return [net for _, net, _ in trained]
 
 
 # Input rows are processed in chunks sized so one chunk's sample tensor
@@ -164,10 +248,10 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
     tensor with :func:`summarize`. Layer 1's activation is the same on
     every pass (dropout acts after each hidden ReLU), so it is computed
     once per member per chunk. That member's passes then run through
-    one thread pool for the whole call, one worker per usable core and
-    at most one per pass, each into its own slot: any core count gives
-    the same bytes. With one worker the caller runs them. The members
-    take turns, so one member's layer-1 activation is held at a time.
+    :func:`_on_cores`, on the caller and one pool for the whole call, at
+    most one thread per usable core and per pass, each pass into its own
+    slot: any core count gives the same bytes. The members take turns,
+    so one member's layer-1 activation is held at a time.
 
     A row's MC samples are fixed by (seed, member, pass, chunk): one
     stream per key draws the masks of every row in the chunk. So for mcd
@@ -193,16 +277,9 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
     stochastic = method != METHOD_ENSEMBLE
     n_classes = models[0].config.output_units
 
-    # imported here, not at the top: it pulls in logging, a start-up cost for every command
-    from concurrent.futures import ThreadPoolExecutor
-
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(per_member, cores or 1)
-
     chunk_rows = max(1, min(n, _CHUNK_BUDGET_FLOATS // (n_members * per_member * n_classes)))
     parts = []
-    with ThreadPoolExecutor(workers) as pool:
-        run_passes = pool.map if workers > 1 else map  # one worker: the caller runs them
+    with _core_pool() as pool:
         # An empty table still runs one (empty) chunk, so the columns get their shapes.
         for chunk_no, start in enumerate(range(0, max(n, 1), chunk_rows)):
             block = features[start : start + chunk_rows]
@@ -217,9 +294,7 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
                         mask = sample_dropout_mask(net.config, rng, n_rows=block.shape[0])
                     tensor[:, m, t] = forward(net, block, mask, hidden1)
 
-                # Results are read in pass order, so the lowest failing pass's
-                # error is raised; Executor.map then cancels the passes not started.
-                list(run_passes(one_pass, range(per_member)))
+                _on_cores(one_pass, per_member, pool)
             parts.append(summarize(tensor))
     return Estimates(*(np.concatenate([getattr(p, f.name) for p in parts])
                        for f in fields(Estimates)))

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import frauduq.network as network
 from frauduq.errors import DataError, FormatError, NumericError, ShapeError, ValidationError
 from frauduq.network import (
     AdamState,
@@ -186,6 +187,24 @@ def test_adam_step_matches_one_line_update_bitwise():
             p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
         for got, want in zip(net.weights + net.biases, ref):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 7, 20])
+def test_adam_row_blocks_give_the_bits_of_one_pass(monkeypatch, block):
+    """Blocks of one row, of several rows with a short last block, or of
+    whole small layers update parameters and moments bitwise as one pass
+    over each parameter does."""
+    config = NetworkConfig(input_units=9, hidden_units=(6, 5, 3), seed=3)
+    runs = []
+    for size in (10**9, block):
+        monkeypatch.setattr(network, "_ADAM_BLOCK", size)
+        net = init_network(config)
+        state = AdamState.for_network(net)
+        for t in range(4):
+            x = np.random.default_rng(t).normal(size=(5, 9))
+            adam_step(net, backward(net, x, np.array([0, 1, 1, 0, 1])), state)
+        runs.append(net.weights + net.biases + state.m + state.v)
+    assert all(np.array_equal(a, b) for a, b in zip(*runs, strict=True))
 
 
 def test_adam_rejects_mismatched_shapes():

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import frauduq.uncertainty as unc
 from frauduq import cli, container, network, pipeline
 from frauduq.container import check_header, read_json
 from frauduq.errors import ValidationError
@@ -765,8 +766,8 @@ def test_cli_data_errors_exit_3(tmp_path, capsys):
     unlabeled.write_text(json.dumps({**json.loads(unlabeled.read_text()), "labels": None}))
     assert cli_run("evaluate", "--config", str(config_path), "--out", out,
                    "--dump", str(unlabeled)) == 3
-    assert f"{unlabeled}: frauduq-predictions.labels: malformed array record" in (
-        capsys.readouterr().err)
+    assert f"{unlabeled}: frauduq-predictions.labels: malformed array record: must be an " \
+        "object with shape, dtype and data\n" in capsys.readouterr().err
 
     truncated = tmp_path / "truncated.json"
     whole = write_dump_file(tmp_path / "whole.json", "mcd", [[0.6, 0.4], [0.1, 0.9]], [0, 1])
@@ -857,6 +858,100 @@ def test_cli_non_finite_member_exits_4_without_a_traceback(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("error:") and "non-finite" in err and "Traceback" not in err, err
     assert threading.active_count() == before
+
+
+def test_cli_member_files_and_logs_do_not_depend_on_the_core_count(tmp_path, capsys,
+                                                                    monkeypatch):
+    """With the members on threads, 1 and 2 cores write the same member
+    files and print the same log, bitwise. On two cores the first two
+    members wait for each other, so they train on two threads."""
+    monkeypatch.setattr(unc, "_THREAD_MIN_STEP_MACS", 0)
+    config_path = write_config(tmp_path)
+    train, runs = unc.train, []
+    for cores in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        barrier, threads = threading.Barrier(cores, timeout=10), []
+
+        def on_threads(*args):
+            threads.append(threading.get_ident())
+            if len(threads) <= cores:
+                barrier.wait()
+            return train(*args)
+
+        monkeypatch.setattr(unc, "train", on_threads)
+        out = tmp_path / f"out{cores}"
+        base = ["--config", str(config_path), "--out", str(out), "--method", "ensemble"]
+        assert cli_run("preprocess", *base) == 0
+        capsys.readouterr()
+        before = threading.active_count()
+        assert cli_run("train", *base) == 0
+        assert threading.active_count() == before
+        runs.append((tree_digests(out / "models"), capsys.readouterr().out))
+        assert len(threads) == 3 and len(set(threads)) == cores
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 5  # manifest, spec and 3 members
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_cli_diverging_member_exits_4_with_one_error_line(tmp_path, capsys, monkeypatch):
+    """A member that diverges while the members train on threads ends
+    `train` with exit 4 and one error line; no ensemble file is written
+    and no thread is left."""
+    monkeypatch.setattr(unc, "_THREAD_MIN_STEP_MACS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    member_config = unc.member_config
+
+    def diverging(spec, base, index, master_seed=0):
+        config = member_config(spec, base, index, master_seed)
+        return dataclasses.replace(config, learning_rate=1e300) if index == 1 else config
+
+    monkeypatch.setattr(unc, "member_config", diverging)
+    config_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    base = ["--config", str(config_path), "--out", str(out), "--method", "ensemble"]
+    assert cli_run("preprocess", *base) == 0
+    capsys.readouterr()
+    before = threading.active_count()
+    assert cli_run("train", *base) == 4
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: softmax input contains non-finite values"], err
+    assert "Traceback" not in err and not (out / "models" / "ensemble" / "spec.json").exists()
+    assert threading.active_count() == before
+
+
+def test_cli_reproduce_tree_does_not_depend_on_the_core_count(tmp_path):
+    """A tiny `reproduce` whose members train on threads writes the same
+    tree pinned to one core as on every usable core."""
+    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    if len(cores) < 2:
+        pytest.skip("needs at least 2 usable cores")
+    config = {
+        "data": {"synth": {"n_per_class": 100, "n_features": 30, "separation": 2.5}},
+        "network": {"hidden_units": [256, 64, 16], "epochs": 1, "batch_size": 128},
+        "ensemble": {"members": 2, "width_ranges": [[256, 260], [64, 66], [16, 18]]},
+        "mc_passes": 2,
+        "seed": 5,
+    }
+    widths = [30, 258, 65, 17, 2]  # the mean member; 140 train rows fill a batch
+    assert 128 * sum(a * b for a, b in zip(widths, widths[1:])) >= unc._THREAD_MIN_STEP_MACS
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    core = min(cores)
+    runs = []
+    for pin in (lambda: os.sched_setaffinity(0, {core}), None):
+        out = tmp_path / ("pinned" if pin else "unpinned")
+        done = subprocess.run([sys.executable, "-m", "frauduq", "reproduce", "--config",
+                               str(config_path), "--out", str(out)], env=env, preexec_fn=pin,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append((tree_digests(out), done.stdout))
+    assert runs[0] == runs[1]
 
 
 def test_cli_sweep_prints_threshold_table(tmp_path, capsys):

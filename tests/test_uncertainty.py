@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import frauduq.uncertainty as unc
-from frauduq import container
+from frauduq import container, network
 from frauduq.data import FeatureTable
 from frauduq.errors import DataError, FormatError, NumericError, ShapeError, ValidationError
 from frauduq.evaluation import build_report, threshold_sweep
@@ -333,37 +333,50 @@ def test_predict_table_ensemble_chunking_is_invisible(monkeypatch):
     assert_same_estimates(whole, tiny)
 
 
-# --- sampling across cores ---------------------------------------------------------
+# --- work across cores -------------------------------------------------------------
 
 
 def usable_cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def on_main():
+    return threading.current_thread() is threading.main_thread()
+
+
 def pool_spy(monkeypatch):
-    """Record every pool predict_table opens, and return an event set when
-    one shuts down: by then Executor.map has cancelled every pass that
-    had not started."""
-    opened, shut = [], threading.Event()
+    """Record every pool opened, and return an event set when a thread has
+    left its share of the tasks: a pool thread's share is done, or the
+    caller waits for the pool threads. By then every failure that thread
+    met is recorded, so no index is handed out any more."""
+    opened, left = [], threading.Event()
 
     class Pool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(self)
             super().__init__(*args, **kwargs)
 
-        def shutdown(self, *args, **kwargs):
-            shut.set()
-            super().shutdown(*args, **kwargs)
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            future.add_done_callback(lambda _: left.set())  # a pool thread's share is done
+            wait = future.result
+
+            def result(*a, **k):  # the caller waits for the pool threads
+                left.set()
+                return wait(*a, **k)
+
+            future.result = result
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-    return opened, shut
+    return opened, left
 
 
 def forward_threads(monkeypatch, meet=1):
     """Record the thread of every forward pass, and whether it raised
     NumericError. The first ``meet`` passes wait for each other, so they
-    run on ``meet`` threads at once: otherwise the pool may run them all
-    on one thread, as it starts a thread only when none is idle."""
+    run on ``meet`` threads at once: otherwise one thread may take every
+    pass before another starts."""
     calls = []
     barrier = threading.Barrier(meet, timeout=10)
     order = itertools.count()
@@ -371,13 +384,12 @@ def forward_threads(monkeypatch, meet=1):
     def spy(*args):
         if next(order) < meet:
             barrier.wait()
-        main = threading.current_thread() is threading.main_thread()
         try:
             probs = forward(*args)
         except NumericError:
-            calls.append((threading.get_ident(), main, True))
+            calls.append((threading.get_ident(), on_main(), True))
             raise
-        calls.append((threading.get_ident(), main, False))
+        calls.append((threading.get_ident(), on_main(), False))
         return probs
 
     monkeypatch.setattr(unc, "forward", spy)
@@ -392,7 +404,7 @@ def failing_passes(monkeypatch, fails, error=NumericError, hold=None):
 
     def spy(*key):
         t = key[3]  # (seed, STREAM_PREDICT, member, pass, chunk)
-        started.append((t, threading.current_thread() is threading.main_thread()))
+        started.append((t, on_main()))
         if t in fails:
             raise error(f"pass {t} failed")
         if hold is not None:
@@ -407,10 +419,10 @@ def failing_passes(monkeypatch, fails, error=NumericError, hold=None):
                          [("mcd", 1, 7), ("ensemble", 3, 1), ("emcd", 3, 5)])
 def test_predict_table_bytes_do_not_depend_on_the_core_count(monkeypatch, method, n_members,
                                                               passes):
-    """One pool per call runs each member's passes on at most one thread
-    per usable core; over a 3-chunk table, 1 and 2 cores give the same
-    Estimates bitwise. With one worker (1 core, or the ensemble's single
-    pass) the caller runs every pass."""
+    """One pool per call runs each member's passes on the caller and at
+    most one more thread per further usable core; over a 3-chunk table,
+    1 and 2 cores give the same Estimates bitwise. With one thread (1
+    core, or the ensemble's single pass) the caller runs every pass."""
     members = [init_network(dataclasses.replace(BASE, seed=s)) for s in range(1, n_members + 1)]
     x = np.random.default_rng(61).normal(size=(11, 3))
     monkeypatch.setattr(unc, "_CHUNK_BUDGET_FLOATS", 4 * n_members * passes * 2)  # 4-row chunks
@@ -425,14 +437,14 @@ def test_predict_table_bytes_do_not_depend_on_the_core_count(monkeypatch, method
         runs.append(predict_table(method, members, x, passes=passes, seed=17))
         assert len(calls) == 3 * n_members * passes and len(opened) == 1
         assert len({ident for ident, _, _ in calls}) == (2 if pooled else 1)
-        assert {main for _, main, _ in calls} == {not pooled}
+        assert {main for _, main, _ in calls} == ({True, False} if pooled else {True})
         assert threading.active_count() == before
     assert_same_estimates(*runs)
 
 
 def test_usable_cores_fall_back_to_the_cpu_count(monkeypatch):
-    """Without CPU affinity the worker count is os.cpu_count(), else 1,
-    and one worker means the caller runs every pass."""
+    """Without CPU affinity the thread count is os.cpu_count(), else 1,
+    and one thread means the caller runs every pass."""
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     net = init_network(BASE)
     for cpu_count, n_threads in ((2, 2), (None, 1)):
@@ -441,15 +453,15 @@ def test_usable_cores_fall_back_to_the_cpu_count(monkeypatch):
         before = threading.active_count()
         predict_table("mcd", [net], np.zeros((2, 3)), passes=4, seed=0)
         assert len({ident for ident, _, _ in calls}) == n_threads
-        assert {main for _, main, _ in calls} == {n_threads == 1}
+        assert {main for _, main, _ in calls} == ({True, False} if n_threads == 2 else {True})
         assert threading.active_count() == before
 
 
 def test_pool_raises_the_lowest_failing_pass(monkeypatch):
     """A failure in any pass reaches the caller and the lowest pass wins,
-    whichever thread ran it; every pass below it started, none on the
-    caller, and every worker thread has ended. Repeated with a short
-    switch interval, so the threads interleave in many orders."""
+    whichever thread ran it; every pass below it started, and every pool
+    thread has ended. Repeated with a short switch interval, so the
+    threads interleave in many orders."""
     usable_cores(monkeypatch, 2)
     net = init_network(BASE)
     before = threading.active_count()
@@ -463,7 +475,6 @@ def test_pool_raises_the_lowest_failing_pass(monkeypatch):
                 with pytest.raises(NumericError, match=f"pass {min(fails)} failed"):
                     predict_table("mcd", [net], np.zeros((2, 3)), passes=10, seed=0)
                 assert {t for t, _ in started} >= set(range(min(fails) + 1))
-                assert not any(main for _, main in started)
                 assert threading.active_count() == before
     finally:
         sys.setswitchinterval(interval)
@@ -473,27 +484,28 @@ def test_pool_raises_the_lowest_failing_pass(monkeypatch):
 @pytest.mark.parametrize("error", [KeyboardInterrupt, NumericError], ids=["interrupt", "error"])
 def test_a_failing_pass_cancels_the_passes_not_started(monkeypatch, error, cores):
     """When pass 0 raises, even a KeyboardInterrupt, the call raises it and
-    the passes not started never start. On one core the caller stops at
-    once. On two, every other pass waits until the pool shuts down, so
-    each worker holds at most one when Executor.map cancels the rest.
-    Every worker thread has ended."""
+    no pass starts after the failure. On one core the caller stops at
+    once. On two, the other thread's pass waits until the failing thread
+    has left its share, so that thread holds at most pass 1 when the
+    failure is recorded. One pool per call, and every pool thread has
+    ended."""
     usable_cores(monkeypatch, cores)
-    opened, shut = pool_spy(monkeypatch)
-    started = failing_passes(monkeypatch, {0}, error, hold=shut)
+    opened, left = pool_spy(monkeypatch)
+    started = failing_passes(monkeypatch, {0}, error, hold=left)
     before = threading.active_count()
     with pytest.raises(error, match="pass 0 failed"):
         predict_table("mcd", [init_network(BASE)], np.zeros((2, 3)), passes=20, seed=0)
-    assert (0, cores == 1) in started
-    assert {t for t, _ in started} <= ({0} if cores == 1 else {0, 1, 2})
+    assert 0 in {t for t, _ in started}
+    assert {t for t, _ in started} <= ({0} if cores == 1 else {0, 1})
     assert len(opened) == 1 and threading.active_count() == before
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_member_raises_numeric_error_from_a_worker_thread(monkeypatch):
     """One unit per layer: the logits overflow exactly on a pass that keeps
-    all three units. With a seed whose pass 0 drops one and pass 1 keeps
-    all, pass 1 fails on a worker thread and its NumericError reaches
-    the caller."""
+    all three units. The pool thread's pass draws masks that keep all and
+    the caller's masks that drop one, so the pool thread's pass fails and
+    its NumericError reaches the caller."""
     config = NetworkConfig(input_units=3, hidden_units=(1, 1, 1), dropout_rate=0.3)
     net = init_network(config)
     for w in net.weights:
@@ -507,13 +519,157 @@ def test_non_finite_member_raises_numeric_error_from_a_worker_thread(monkeypatch
         return all(m[0, 0] > 0 for m in masks)
 
     seed = next(s for s in range(1000) if not keeps_all(s, 0) and keeps_all(s, 1))
+    monkeypatch.setattr(unc, "substream", lambda *key: substream(
+        seed, STREAM_PREDICT, 0, 0 if on_main() else 1, 0))
     usable_cores(monkeypatch, 2)
-    calls = forward_threads(monkeypatch)
+    calls = forward_threads(monkeypatch, meet=2)
     before = threading.active_count()
     with pytest.raises(NumericError, match="non-finite"):
         predict_table("mcd", [net], np.zeros((1, 3)), passes=2, seed=seed)
-    # (on the main thread, raised): both passes ran on workers, one failed
-    assert sorted((main, failed) for _, main, failed in calls) == [(False, False), (False, True)]
+    # (on the main thread, raised): the caller's pass ran, the pool thread's failed
+    assert sorted((main, failed) for _, main, failed in calls) == [(False, True), (True, False)]
+    assert threading.active_count() == before
+
+
+def test_on_cores_hands_out_each_index_once_on_many_threads(monkeypatch):
+    """With more threads than this machine has cores and a short switch
+    interval, every index runs exactly once and the results come back in
+    index order: a lost or doubled hand-out would break either."""
+    usable_cores(monkeypatch, 8)
+    ran = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with unc._core_pool() as pool:
+            for _ in range(20):
+                ran.clear()
+                assert unc._on_cores(lambda i: ran.append(i) or -i, 300, pool) == [
+                    -i for i in range(300)]
+                assert sorted(ran) == list(range(300))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_on_cores_builds_nothing_per_task_up_front(monkeypatch, cores):
+    """A map over 10**30 tasks whose task 2 fails raises that error: no
+    storage or list of the indices is built before the tasks run."""
+    usable_cores(monkeypatch, cores)
+
+    def task(i):
+        if i == 2:
+            raise NumericError(f"task {i} failed")
+        return i
+
+    before = threading.active_count()
+    with unc._core_pool() as pool:
+        with pytest.raises(NumericError, match="task 2 failed"):
+            unc._on_cores(task, 10**30, pool)
+        assert unc._on_cores(task, 2, pool) == [0, 1]
+    with pytest.raises(NumericError, match="task 2 failed"):
+        unc._on_cores(task, 10**30)
+    assert threading.active_count() == before
+
+
+# --- ensemble training across cores ---------------------------------------------------
+
+
+def tiny_table(rows=40):
+    x = np.random.default_rng(31).normal(size=(rows, 3))
+    return FeatureTable(features=x, labels=(x.sum(axis=1) > 0).astype(np.int64))
+
+
+TINY_SPEC = EnsembleSpec(members=5, width_ranges=((3, 6), (3, 5), (2, 4)))
+TINY_BASE = NetworkConfig(input_units=3, hidden_units=(1, 1, 1), epochs=2, batch_size=16)
+
+
+def training_spy(monkeypatch, fails=(), error=NumericError, hold=None, meet=1):
+    """Record the (member, on the caller) of every member that starts
+    training. Each member in ``fails`` raises ``error``; every other
+    first waits for the event ``hold``, if given. The first ``meet``
+    members wait for each other, so they train on ``meet`` threads."""
+    index = {member_config(TINY_SPEC, TINY_BASE, i, 8).seed: i for i in range(TINY_SPEC.members)}
+    started, barrier, order = [], threading.Barrier(meet, timeout=10), itertools.count()
+
+    def spy(config, data):
+        i = index[config.seed]
+        started.append((i, on_main()))
+        if next(order) < meet:
+            barrier.wait()
+        if i in fails:
+            raise error(f"member {i} failed")
+        if hold is not None:
+            hold.wait(timeout=10)
+        return network.train(config, data)
+
+    monkeypatch.setattr(unc, "train", spy)
+    return started
+
+
+def test_members_train_on_threads_from_the_step_size_up(monkeypatch):
+    """Members train on the cores exactly when a member's expected step,
+    batch rows times weights at the mean widths, reaches
+    _THREAD_MIN_STEP_MACS; either way the networks and the logs, given
+    in member order, are the same bitwise."""
+    usable_cores(monkeypatch, 2)
+    opened, _ = pool_spy(monkeypatch)
+    step = 16 * (3 * 4.5 + 4.5 * 4 + 4 * 3 + 3 * 2)  # batch 16, widths 3 -> 4.5 -> 4 -> 3 -> 2
+    runs = []
+    for threshold, pooled in ((step + 1, False), (step, True)):
+        monkeypatch.setattr(unc, "_THREAD_MIN_STEP_MACS", threshold)
+        started = training_spy(monkeypatch, meet=2 if pooled else 1)
+        opened.clear()
+        logged = []
+        members = train_ensemble(TINY_SPEC, TINY_BASE, tiny_table(), master_seed=8,
+                                 log=lambda *entry: logged.append(entry))
+        assert len(opened) == int(pooled) and sorted(i for i, _ in started) == list(range(5))
+        assert {main for _, main in started} == ({True, False} if pooled else {True})
+        assert [i for i, _, _ in logged] == list(range(5))
+        runs.append((members, logged))
+    (serial, serial_log), (threaded, threaded_log) = runs
+    assert repr(serial_log) == repr(threaded_log)
+    for a, b in zip(serial, threaded):
+        assert a.config == b.config
+        assert all(np.array_equal(x, y) for x, y in zip(a.weights + a.biases,
+                                                        b.weights + b.biases))
+
+
+def test_train_ensemble_raises_the_lowest_failing_member(monkeypatch):
+    """On two cores a failure in any member reaches the caller, the lowest
+    member wins, every member below it started, and every pool thread has
+    ended. Repeated with a short switch interval."""
+    usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(unc, "_THREAD_MIN_STEP_MACS", 0)
+    data = tiny_table()
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for fails in ({3, 4}, {1, 2}, {0, 1}, {4}):
+            started = training_spy(monkeypatch, fails)
+            for _ in range(5):
+                started.clear()
+                with pytest.raises(NumericError, match=f"member {min(fails)} failed"):
+                    train_ensemble(TINY_SPEC, TINY_BASE, data, master_seed=8)
+                assert {i for i, _ in started} >= set(range(min(fails) + 1))
+                assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_an_interrupted_member_starts_no_new_member(monkeypatch, cores):
+    """A KeyboardInterrupt in member 0 is raised once the member in flight
+    on the other thread has finished, and no member starts after it."""
+    usable_cores(monkeypatch, cores)
+    monkeypatch.setattr(unc, "_THREAD_MIN_STEP_MACS", 0)
+    _, left = pool_spy(monkeypatch)
+    started = training_spy(monkeypatch, {0}, KeyboardInterrupt, hold=left)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt, match="member 0 failed"):
+        train_ensemble(TINY_SPEC, TINY_BASE, tiny_table(), master_seed=8)
+    assert 0 in {i for i, _ in started}
+    assert {i for i, _ in started} <= ({0} if cores == 1 else {0, 1})
     assert threading.active_count() == before
 
 
@@ -731,7 +887,8 @@ def test_read_dump_rejects_foreign_and_truncated(tmp_path):
     # every key is written, so none may be left out, and each has its kind
     doc = json.loads(text)
     for i, (change, message) in enumerate([
-        ({"labels": None}, "labels: malformed array record"),
+        *(({"labels": record}, "labels: malformed array record: must be an object with "
+           "shape, dtype and data$") for record in (None, 3, [0, 1], "0,1")),
         ({"mc_passes": None}, "mc_passes must be null for the ensemble"),
         ({"seed": True}, "seed must be an integer"),
         ({"weight": 1.0}, r"unknown frauduq-predictions key\(s\) .*\['weight'\]"),
