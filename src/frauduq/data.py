@@ -202,7 +202,7 @@ def _parse_numeric(raw: list) -> np.ndarray | None:
 
 # a column kind -> the type of its impute_value and its own keys, sorted
 _COLUMN_KEYS = {NUMERIC: (float, ["mean", "std"]),
-                CATEGORICAL: (str, ["categories", "unknown_index"])}
+                CATEGORICAL: (str, ["categories"])}
 
 
 @dataclass(frozen=True)
@@ -210,9 +210,9 @@ class ColumnParams:
     """One column's fitted statistics. Numeric: the observed mean as
     ``impute_value``, then ``mean`` and population ``std`` after imputing
     (0 for a constant column). Categorical: the mode as ``impute_value``,
-    ``categories`` (code i is the i-th seen) and ``unknown_index``, the
-    code of an unseen value. The other kind's fields are None, so the
-    file leaves their keys out."""
+    ``categories`` (code i is the i-th seen; an unseen value gets code
+    ``len(categories)``). The other kind's fields are None, so the file
+    leaves their keys out."""
 
     name: str
     kind: str
@@ -220,22 +220,17 @@ class ColumnParams:
     mean: float | None = None
     std: float | None = None
     categories: tuple[str, ...] | None = None
-    unknown_index: int | None = None
 
     def validate(self) -> "ColumnParams":
         if self.kind not in _COLUMN_KEYS:
             raise ValidationError(f"column {self.name!r} has unknown kind {self.kind!r}")
         impute, own = _COLUMN_KEYS[self.kind]
-        given = [k for k in ("categories", "mean", "std", "unknown_index")
-                 if getattr(self, k) is not None]
+        given = [k for k in ("categories", "mean", "std") if getattr(self, k) is not None]
         if not isinstance(self.impute_value, impute) or given != own:
             raise ValidationError(
                 f"column {self.name!r}: a {self.kind} column takes a {impute.__name__} "
                 f"impute_value and the keys {own}, got "
                 f"{type(self.impute_value).__name__} and {given}")
-        if self.kind == CATEGORICAL and self.unknown_index != len(self.categories):
-            raise ValidationError(f"column {self.name!r}: unknown_index must be "
-                                  f"{len(self.categories)}, one past the last category")
         return self
 
 
@@ -245,7 +240,6 @@ class PreprocessorState:
     train only: the ``preprocessor.json`` artifact."""
 
     columns: tuple[ColumnParams, ...]
-    fitted: bool = True
 
     def validate(self) -> "PreprocessorState":
         for column in self.columns:
@@ -286,15 +280,12 @@ def fit_preprocessor(train: RawTable) -> PreprocessorState:
             if not counts:
                 raise DataError(f"column {name!r} is entirely missing")
             mode = max(counts, key=counts.get)  # max is stable: first appearance wins ties
-            columns.append(ColumnParams(name, kind, mode, categories=tuple(counts),
-                                        unknown_index=len(counts)))
+            columns.append(ColumnParams(name, kind, mode, categories=tuple(counts)))
     return PreprocessorState(tuple(columns))
 
 
 def apply_preprocessor(state: PreprocessorState, table: RawTable) -> FeatureTable:
     """Transform a RawTable with fitted statistics into a dense FeatureTable."""
-    if not state.fitted:
-        raise DataError("preprocessor state is not fitted")
     if [(p.name, p.kind) for p in state.columns] != list(zip(table.column_names, table.kinds)):
         raise DataError("table columns do not match the fitted preprocessor")
     out = np.empty((table.n_rows, len(state.columns)))
@@ -307,8 +298,8 @@ def apply_preprocessor(state: PreprocessorState, table: RawTable) -> FeatureTabl
                 out[:, j] = (filled - p.mean) / p.std
         else:
             codes = {c: i for i, c in enumerate(p.categories)}
-            out[:, j] = np.array([codes.get(p.impute_value if c is None else c, p.unknown_index)
-                                  for c in col], dtype=np.float64)
+            out[:, j] = np.array([codes.get(p.impute_value if c is None else c,
+                                            len(p.categories)) for c in col], dtype=np.float64)
     return FeatureTable(features=out, labels=table.labels.copy(),
                         provenance=table.source).validate()
 

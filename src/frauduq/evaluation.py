@@ -12,6 +12,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import container
+from .data import check_labels
 from .errors import DataError, ValidationError
 from .uncertainty import Estimates
 
@@ -120,10 +121,7 @@ class ReportFile(UqReport):
 def _check_aligned(estimates, labels):
     if len(estimates) == 0:
         raise DataError("no estimates to evaluate")
-    if len(labels) != len(estimates):
-        raise DataError(f"{len(estimates)} estimates but {len(labels)} labels")
-    if not np.isin(labels, (0, 1)).all():
-        raise DataError("labels must all be 0 or 1")
+    check_labels(np.asarray(labels), len(estimates))
 
 
 def _correctness(estimates: Estimates, labels) -> np.ndarray:

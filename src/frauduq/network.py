@@ -17,6 +17,8 @@ from .errors import DataError, NumericError, ShapeError, ValidationError
 from .seeding import STREAM_INIT, STREAM_TRAIN, substream
 
 N_HIDDEN_LAYERS = 3
+N_CLASSES = 2  # genuine (0) and fraud (1)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # stock Adam
 PROB_FLOOR = 1e-12  # clamp before log so saturated outputs cannot yield -inf
 
 MODEL_FORMAT = "frauduq-network"
@@ -57,28 +59,17 @@ class NetworkConfig(NetworkParams):
     :class:`NetworkParams` plus what the data and the seed fix."""
 
     input_units: int
-    output_units: int = 2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
 
     def validate(self) -> "NetworkConfig":
         if self.input_units < 1:
             raise ValidationError(f"input_units must be >= 1, got {self.input_units}")
-        super().validate()
-        if self.output_units != 2:
-            raise ValidationError(f"output_units must be 2, got {self.output_units}")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1 and self.adam_epsilon > 0):
-            raise ValidationError(
-                f"adam_beta1 and adam_beta2 must be in [0, 1) and adam_epsilon > 0, got "
-                f"{self.adam_beta1}, {self.adam_beta2} and {self.adam_epsilon}")
-        return self
+        return super().validate()
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
         """(rows, cols) of each weight matrix, input to output."""
-        sizes = [self.input_units, *self.hidden_units, self.output_units]
+        sizes = [self.input_units, *self.hidden_units, N_CLASSES]
         return [(sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1)]
 
 
@@ -283,8 +274,7 @@ def adam_step(net: Network, grads: tuple[list, list],
     ``(weight_grads, bias_grads)``, in place; returns the pair for chaining.
     Gradients that do not match the parameters one for one raise ShapeError
     before anything changes."""
-    cfg = net.config
-    lr, b1, b2, eps = cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+    lr, b1, b2, eps = net.config.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     params, grads = net.weights + net.biases, [*grads[0], *grads[1]]
     got, want = [np.shape(g) for g in grads], [p.shape for p in params]
     if got != want:

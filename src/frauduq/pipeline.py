@@ -232,35 +232,25 @@ class Manifest:
     outputs: dict[str, str]  # file name in the stage dir -> sha256
 
     def validate(self) -> "Manifest":
-        _check_file_names(self.outputs, "outputs")
+        """Refuse any output but a plain file name (a path, "", "." or
+        ".."), so that no name read back leaves the stage directory."""
+        for name in self.outputs:
+            if name in ("", ".", "..") or "/" in name or "\0" in name:
+                raise ValidationError(f"outputs entry {name!r} is not a plain file name")
         return self
-
-
-def _check_file_names(names, key: str) -> None:
-    """Refuse a name listed twice, and any name but a plain file name (a
-    path, "", "." or ".."), so that no name read back leaves its directory."""
-    for name in names:
-        if name in ("", ".", "..") or "/" in name or "\0" in name:
-            raise ValidationError(f"{key} entry {name!r} is not a plain file name")
-    if len(set(names)) != len(names):
-        raise ValidationError(f"{key} lists a file twice: {list(names)}")
 
 
 @dataclass(frozen=True)
 class EnsembleFile(EnsembleSpec):
     """An ensemble directory's ``spec.json``: the config's ensemble
-    section plus the master seed and the member files, in member order,
-    checked by the same rules as the config."""
+    section plus the master seed, checked by the same rules as the config."""
 
     master_seed: int = 0
-    files: tuple[str, ...] = ()
 
-    def validate(self) -> "EnsembleFile":
-        super().validate()
-        if len(self.files) != self.members:
-            raise ValidationError(f"{len(self.files)} files listed for {self.members} members")
-        _check_file_names(self.files, "files")
-        return self
+    @property
+    def files(self) -> tuple[str, ...]:
+        """The member files, in member order."""
+        return tuple(f"member_{i:03d}.json" for i in range(self.members))
 
 
 @dataclass
@@ -417,12 +407,11 @@ def stage_train(config: RunConfig, method: str, log=print,
 
         base = NetworkConfig(**vars(config.network), input_units=input_units)
         members = train_ensemble(spec, base, data, config.seed, log=member_log)
-        files = tuple(f"member_{i:03d}.json" for i in range(len(members)))
-        for net, name in zip(members, files):
+        spec_file = EnsembleFile(spec.members, spec.width_ranges, config.seed)
+        for net, name in zip(members, spec_file.files):
             save_network(net, stage_dir / name)
-        container.write_artifact(EnsembleFile(spec.members, spec.width_ranges, config.seed,
-                                              files), ENSEMBLE_FORMAT, stage_dir / "spec.json")
-        return [stage_dir / "spec.json", *(stage_dir / name for name in files)]
+        container.write_artifact(spec_file, ENSEMBLE_FORMAT, stage_dir / "spec.json")
+        return [stage_dir / "spec.json", *(stage_dir / name for name in spec_file.files)]
 
     return run_stage(config.out, "models" if method == METHOD_MCD else "models/ensemble",
                      stage_config, {"train": train_path}, build, log, digests)

@@ -27,7 +27,8 @@ import numpy as np
 from . import container
 from .data import check_labels
 from .errors import DataError, ValidationError
-from .network import Network, NetworkConfig, first_hidden, forward, sample_dropout_mask, train
+from .network import (N_CLASSES, Network, NetworkConfig, first_hidden, forward,
+                      sample_dropout_mask, train)
 from .seeding import STREAM_MEMBER, STREAM_PREDICT, derive_seed, substream
 
 METHOD_MCD = "mcd"
@@ -211,26 +212,32 @@ def train_ensemble(spec: EnsembleSpec, base: NetworkConfig, data, master_seed: i
     So when a member's expected step is large enough (``_THREAD_MIN_STEP_MACS``)
     the members train on every usable core through :func:`_on_cores`,
     and one after another otherwise; the networks are the same bitwise.
-    ``log(index, config, history)`` is called in member order once every
-    member has trained. If members fail, the members in flight finish, no
-    other member starts, and the lowest failing member's error is raised.
+    ``log(index, config, history)`` is called for member i as soon as it
+    and every lower member have trained, so in member order, by the thread
+    that trained the last of them. If members fail, the members in flight
+    finish, no other member starts, and the lowest failing member's error
+    is raised.
     """
     spec.validate()
+    finished, lock, next_log = {}, threading.Lock(), 0
 
     def train_member(i):
+        nonlocal next_log
         config = member_config(spec, base, i, master_seed)
-        return config, *train(config, data)
+        net, history = train(config, data)
+        if log is not None:
+            with lock:  # held while logging, so the lines come in member order
+                finished[i] = config, history
+                while next_log in finished:
+                    log(next_log, *finished.pop(next_log))
+                    next_log += 1
+        return net
 
-    widths = [base.input_units, *((lo + hi) / 2 for lo, hi in spec.width_ranges),
-              base.output_units]
+    widths = [base.input_units, *((lo + hi) / 2 for lo, hi in spec.width_ranges), N_CLASSES]
     step_macs = (min(base.batch_size, len(data.features))
                  * sum(a * b for a, b in zip(widths, widths[1:])))
     with _core_pool() if step_macs >= _THREAD_MIN_STEP_MACS else contextlib.nullcontext() as pool:
-        trained = _on_cores(train_member, spec.members, pool)
-    if log is not None:
-        for i, (config, _, history) in enumerate(trained):
-            log(i, config, history)
-    return [net for _, net, _ in trained]
+        return _on_cores(train_member, spec.members, pool)
 
 
 # Input rows are processed in chunks sized so one chunk's sample tensor
@@ -275,15 +282,14 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
     n_members = len(models)
     per_member = 1 if method == METHOD_ENSEMBLE else passes
     stochastic = method != METHOD_ENSEMBLE
-    n_classes = models[0].config.output_units
 
-    chunk_rows = max(1, min(n, _CHUNK_BUDGET_FLOATS // (n_members * per_member * n_classes)))
+    chunk_rows = max(1, min(n, _CHUNK_BUDGET_FLOATS // (n_members * per_member * N_CLASSES)))
     parts = []
     with _core_pool() as pool:
         # An empty table still runs one (empty) chunk, so the columns get their shapes.
         for chunk_no, start in enumerate(range(0, max(n, 1), chunk_rows)):
             block = features[start : start + chunk_rows]
-            tensor = np.empty((block.shape[0], n_members, per_member, n_classes))
+            tensor = np.empty((block.shape[0], n_members, per_member, N_CLASSES))
             for m, net in enumerate(models):
                 hidden1 = first_hidden(net, block)
 

@@ -72,7 +72,6 @@ def commands(root):
 
 
 @pytest.mark.parametrize("rel, change, key", [
-    ("out/models/ensemble/spec.json", {"files": 5}, "files must be a list"),
     ("out/models/ensemble/spec.json", {"width_ranges": [[8], [3, 6], [2, 4]]},
      "width_ranges[0] must be a list of 2 items"),
     ("rows.schema.json", {"kinds": [1]}, "kinds must be an object"),
@@ -80,16 +79,9 @@ def commands(root):
     ("rows.schema.json", {"colour": "red"}, "unknown frauduq-schema key(s)"),
     ("rows.schema.json", {"kinds": {"colour": "ordinal"}}, "unknown kind 'ordinal'"),
     ("out/data/test.json", {"provenance": [1]}, "provenance must be a string"),
-    ("out/models/ensemble/spec.json", {"members": 1, "files": ["member_000.json"]},
-     "members must be >= 2"),
+    ("out/models/ensemble/spec.json", {"members": 1}, "members must be >= 2"),
     ("out/models/ensemble/spec.json", {"width_ranges": [[8, 4], [3, 6], [2, 4]]},
      "width range [8, 4]"),
-    ("out/models/ensemble/spec.json",
-     {"files": ["member_000.json", "../single.json", "member_002.json"]},
-     "files entry '../single.json' is not a plain file name"),
-    ("out/models/ensemble/spec.json",
-     {"files": ["member_000.json", "member_001.json", "member_000.json"]},
-     "files lists a file twice"),
     *(("out/data/test.json", {"labels": {"shape": shape, "dtype": "int64", "data": data}},
        f"labels: {key}")
       for shape, data, key in (
@@ -97,11 +89,10 @@ def commands(root):
           ([2**32, 2**32], "", f"payload holds 0 bytes but shape {(2**32, 2**32)} needs"),
           ([1.7], "AAAAAAAAAAA=", "shape [1.7] must list integers >= 0"),
           ([True, 1], "AAAAAAAAAAA=", "shape [True, 1] must list integers >= 0"))),
-], ids=["spec-files-5", "spec-width-range-short", "schema-kinds-list", "schema-missing-5", "schema-unknown-key",
+], ids=["spec-width-range-short", "schema-kinds-list", "schema-missing-5", "schema-unknown-key",
         "schema-unknown-kind", "features-provenance-list", "spec-one-member",
-        "spec-width-range-inverted", "spec-file-outside", "spec-file-twice",
-        "labels-shape-negative", "labels-shape-overflow", "labels-shape-float",
-        "labels-shape-bool"])
+        "spec-width-range-inverted", "labels-shape-negative", "labels-shape-overflow",
+        "labels-shape-float", "labels-shape-bool"])
 def test_malformed_artifact_exits_3_naming_file_and_key(work, capsys, rel, change, key):
     path = work / rel
     path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
@@ -228,14 +219,24 @@ def test_feature_labels_of_another_shape_exit_3_naming_the_file(work, capsys, sh
     assert not (work / "again/predictions/mcd/dump.json").exists()
 
 
-def test_member_with_adam_beta2_out_of_range_exits_3_naming_the_file(work, capsys):
-    path = work / "out/models/ensemble/member_000.json"
-    member = json.loads(path.read_text())
-    member["config"]["adam_beta2"] = 1.5
-    path.write_text(json.dumps(member))
-    assert cli.main(commands(work)["out/models/ensemble/member_000.json"]) == 3
+@pytest.mark.parametrize("rel, old, key", [
+    ("out/models/ensemble/member_000.json", lambda d: d["config"].update(adam_beta2=0.999),
+     "unknown frauduq-network key(s) in frauduq-network.config: ['adam_beta2']"),
+    ("out/models/ensemble/spec.json",
+     lambda d: d.update(files=[f"member_{i:03d}.json" for i in range(3)]),
+     "unknown frauduq-ensemble key(s) in frauduq-ensemble: ['files']"),
+], ids=["member-adam-beta2", "spec-files"])
+def test_model_file_of_an_older_tree_exits_3_naming_file_and_key(work, capsys, rel, old, key):
+    """Network files and spec.json no longer store the class count, Adam's
+    constants or the member file names: a file that still holds one is
+    refused, with no reader for the older layout."""
+    path = work / rel
+    doc = json.loads(path.read_text())
+    old(doc)
+    path.write_text(json.dumps(doc))
+    assert cli.main(commands(work)[rel]) == 3
     err = capsys.readouterr().err
-    assert str(path) in err and "adam_beta2 must be in [0, 1)" in err, err
+    assert str(path) in err and key in err, err
 
 
 def test_report_off_the_config_grid_exits_3_naming_the_file(work, capsys):

@@ -232,20 +232,15 @@ PREP_ROWS = "a,c,y\n1.25,u,0\nNA,v,1\n-3.5,u,0\n8,w,1\n"
 
 
 @pytest.mark.parametrize("fault, named", [
-    (lambda d: d.update(fitted="no"), "frauduq-preprocessor.fitted"),
     (lambda d: d["columns"][0].update(std=True), "frauduq-preprocessor.columns[0].std"),
     (lambda d: d["columns"][0].update(mean="1.5"), "frauduq-preprocessor.columns[0].mean"),
-    (lambda d: d["columns"][1].update(unknown_index=2.7), "frauduq-preprocessor.columns[1].unknown_index"),
     (lambda d: d["columns"][1].update(categories="TF"), "frauduq-preprocessor.columns[1].categories"),
     (lambda d: d["columns"][0].update(scale=2.0), "frauduq-preprocessor.columns[0]: ['scale']"),
     (lambda d: d.update(columns_v2=[]), "['columns_v2']"),
     (lambda d: d["columns"][0].update(categories=["u"]), "column 'a'"),
     (lambda d: d["columns"][1].update(impute_value=1.0), "column 'c'"),
-    (lambda d: d.update(fitted=1), "fitted"),
-    (lambda d: d["columns"][1].update(unknown_index=0), "column 'c': unknown_index"),
-], ids=["fitted-string", "std-bool", "mean-string", "unknown-index-float", "categories-string",
-        "unknown-column-key", "unknown-top-key", "numeric-with-categories",
-        "categorical-number-impute", "fitted-int", "unknown-index-collides"])
+], ids=["std-bool", "mean-string", "categories-string", "unknown-column-key",
+        "unknown-top-key", "numeric-with-categories", "categorical-number-impute"])
 def test_doctored_preprocessor_is_refused_naming_file_and_key(tmp_path, fault, named):
     state_path = tmp_path / "prep.json"
     fit_preprocessor(load_csv(write_csv(tmp_path, PREP_ROWS), SCHEMA)).save(state_path)
@@ -259,9 +254,6 @@ def test_doctored_preprocessor_is_refused_naming_file_and_key(tmp_path, fault, n
 
 def test_apply_rejects_unfitted_and_mismatched(tmp_path):
     table = load_csv(write_csv(tmp_path, "a,y\n1,0\n2,1\n"), SCHEMA)
-    with pytest.raises(DataError):
-        apply_preprocessor(PreprocessorState((), fitted=False), table)
-
     other = load_csv(write_csv(tmp_path, "b,y\n1,0\n2,1\n", name="o.csv"), SCHEMA)
     with pytest.raises(DataError):
         apply_preprocessor(fit_preprocessor(table), other)

@@ -203,7 +203,7 @@ def test_confusion_brute_force_recount():
     assert classic == ClassicMetrics(0.5, 0.5, None, 1.0)  # the last, fixed table
 
 
-@pytest.mark.parametrize("labels", [[2, 7], [2, -1], [0, 0.5]])
+@pytest.mark.parametrize("labels", [[2, 7], [2, -1], [0, 0.5], [0, 1, 0], [0, 2]])
 @pytest.mark.parametrize("evaluate", [
     compute_ece, export_entropy_histogram, classic_metrics,
     threshold_sweep],

@@ -394,7 +394,6 @@ def test_a_rebuilt_stage_keeps_only_the_files_it_lists(tmp_path):
     assert sorted(p.name for p in ensemble.iterdir()) == sorted(
         [*manifest["outputs"], "manifest.json"]) == [
         "manifest.json", "member_000.json", "member_001.json", "spec.json"]
-    assert read_json(ensemble / "spec.json")["files"] == ["member_000.json", "member_001.json"]
     assert sorted(p.name for p in (out / "models").iterdir()) == [
         "ensemble", "manifest.json", "single.json"]
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from frauduq import cli, pipeline
 from frauduq.evaluation import ThresholdRow
+from frauduq.network import NetworkConfig, NetworkParams
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,6 +42,13 @@ def test_readme_config_example_is_the_desk_profile(tmp_path):
     path.write_text(example, encoding="utf-8")
     config = pipeline.load_run_config(path)
     assert config == replace(pipeline.PROFILES["desk"], seed=21)
+
+
+def test_readme_names_the_fields_network_config_adds():
+    text = " ".join(section("## Config file").split())
+    added = re.search(r"`NetworkConfig`[^.]* is `NetworkParams` plus ([^:.]*)", text)[1]
+    assert sorted(re.findall(r"`(\w+)`", added)) == sorted(
+        {f.name for f in fields(NetworkConfig)} - {f.name for f in fields(NetworkParams)})
 
 
 def test_readme_profiles_table_matches_the_code():

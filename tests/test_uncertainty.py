@@ -634,6 +634,45 @@ def test_members_train_on_threads_from_the_step_size_up(monkeypatch):
                                                         b.weights + b.biases))
 
 
+@pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+def test_each_member_is_logged_once_it_and_every_lower_member_have_trained(monkeypatch,
+                                                                           threaded):
+    """Line i comes after members 0 to i have trained, each line comes
+    once and in member order, and one after another line i comes before
+    member i + 1 starts, so a long ensemble shows its progress. On threads
+    it runs on more threads than cores, with a short switch interval."""
+    usable_cores(monkeypatch, 4)
+    if threaded:
+        monkeypatch.setattr(unc, "_THREAD_MIN_STEP_MACS", 0)
+    index = {member_config(TINY_SPEC, TINY_BASE, i, 8).seed: i for i in range(TINY_SPEC.members)}
+    events = []
+
+    def spy(config, data):
+        events.append(("start", index[config.seed]))
+        trained = network.train(config, data)
+        events.append(("trained", index[config.seed]))
+        return trained
+
+    monkeypatch.setattr(unc, "train", spy)
+    members = range(TINY_SPEC.members)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            events.clear()
+            train_ensemble(TINY_SPEC, TINY_BASE, tiny_table(), master_seed=8,
+                           log=lambda i, config, history: events.append(("log", i)))
+            at = {event: k for k, event in enumerate(events)}
+            assert len(at) == len(events) == 3 * len(members)
+            assert [i for kind, i in events if kind == "log"] == list(members)
+            for i in members:
+                assert all(at[("trained", j)] < at[("log", i)] for j in range(i + 1))
+                if not threaded and i + 1 in members:
+                    assert at[("log", i)] < at[("start", i + 1)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_train_ensemble_raises_the_lowest_failing_member(monkeypatch):
     """On two cores a failure in any member reaches the caller, the lowest
     member wins, every member below it started, and every pool thread has
