@@ -84,6 +84,8 @@ class FeatureTable:
         return len(self.labels)
 
     def validate(self) -> "FeatureTable":
+        if self.features.dtype != np.float64:
+            raise DataError(f"features must be a float64 array, got {self.features.dtype}")
         if self.features.ndim != 2 or not np.isfinite(self.features).all():
             raise DataError("features must be a matrix of finite entries, none missing")
         check_labels(self.labels, len(self.features))
@@ -112,7 +114,7 @@ def load_csv(path, schema: CsvSchema) -> RawTable:
     """
     path = Path(path)
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")  # drops a leading BOM
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     records = enumerate(csv.reader(fh), start=1)

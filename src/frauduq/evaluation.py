@@ -99,24 +99,6 @@ class UqReport:
     classic: ClassicMetrics
     entropy_histogram: EntropyHistogram
 
-    def validate(self) -> "UqReport":
-        cal, hist = self.calibration, self.entropy_histogram
-        if cal.bin_count != len(cal.bins):
-            raise ValidationError(f"calibration.bin_count is {cal.bin_count}, "
-                                  f"but {len(cal.bins)} bins follow")
-        if not len(hist.bin_edges) - 1 == len(hist.correct_counts) == len(hist.incorrect_counts):
-            raise ValidationError("entropy_histogram.bin_edges must be one longer than "
-                                  "its correct_counts and incorrect_counts")
-        return self
-
-
-@dataclass(frozen=True)
-class ReportFile(UqReport):
-    """A ``report.json``: the report plus the provenance of its stage."""
-
-    seed: int
-    config_digest: str
-
 
 def _check_aligned(estimates, labels):
     if len(estimates) == 0:
@@ -242,8 +224,8 @@ def build_report(method: str, estimates: Estimates, labels,
 
 
 def report_to_dict(report: UqReport, meta: dict | None = None) -> dict:
-    """The ``report.json`` object: ``meta`` (a ReportFile's seed and
-    config digest) and the report's fields."""
+    """The ``report.json`` object: ``meta`` (the stage's seed and config
+    digest) and the report's fields. Nothing reads the file back."""
     return container.header(REPORT_FORMAT, **(meta or {}), **container.to_plain(report))
 
 

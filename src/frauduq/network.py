@@ -86,8 +86,12 @@ class Network:
     config: NetworkConfig
 
     def validate(self) -> "Network":
-        """Check the config and that every array has its layer's shape."""
+        """Check the config and that every array is float64 with its layer's shape."""
         dims = self.config.validate().layer_dims
+        for key in ("weights", "biases"):
+            for i, array in enumerate(getattr(self, key)):
+                if array.dtype != np.float64:
+                    raise DataError(f"{key}[{i}] must be a float64 array, got {array.dtype}")
         shapes = [w.shape for w in self.weights] + [b.shape for b in self.biases]
         declared = dims + [(out_units,) for out_units, _ in dims]
         if shapes != declared:

@@ -28,8 +28,6 @@ from .data import (
 from .errors import DataError, FormatError, ValidationError
 from .evaluation import (
     DEFAULT_THRESHOLDS,
-    REPORT_FORMAT,
-    ReportFile,
     ThresholdRow,
     UQ_METRICS,
     UqReport,
@@ -418,9 +416,10 @@ def stage_train(config: RunConfig, method: str, log=print,
 
 
 def _model_files(method: str, model_path: Path) -> list[Path]:
-    """Every file making up the model artifact (for an ensemble, spec.json
-    and then its member files), all verified to exist, with mismatches
-    rejected before any network is read."""
+    """Every file making up the model artifact: the network file, or an
+    ensemble's spec.json and then the member files beside it. None is
+    decoded here, so an up-to-date stage skips unread; the predict build
+    checks the members against spec.json."""
     if method == METHOD_MCD:
         if model_path.is_dir():
             raise ValidationError(
@@ -429,10 +428,9 @@ def _model_files(method: str, model_path: Path) -> list[Path]:
     if model_path.is_file():
         raise ValidationError(
             f"method {method} expects an ensemble directory, got single network file {model_path}")
-    spec_path = _require_file(model_path / "spec.json", "train an ensemble first")
-    spec = container.read_artifact(spec_path, ENSEMBLE_FORMAT, EnsembleFile)
-    return [spec_path, *(_require_file(model_path / name, "the ensemble directory is incomplete")
-                         for name in spec.files)]
+    return [_require_file(model_path / "spec.json", "train an ensemble first"),
+            *sorted(model_path.glob("member_*.json"),  # in member order, 999 before 1000
+                    key=lambda p: (len(p.name), p.name))]
 
 
 def stage_predict(config: RunConfig, method: str, model_path=None,
@@ -463,6 +461,13 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
     inputs.update({f"model_{i}": Path(p) for i, p in enumerate(model_files)})
 
     def build(stage_dir: Path):
+        if method != METHOD_MCD:
+            spec = container.read_artifact(model_files[0], ENSEMBLE_FORMAT, EnsembleFile)
+            listed, found = set(spec.files), {p.name for p in model_files[1:]}
+            if found != listed:
+                raise ValidationError(
+                    f"{model_path} does not hold the member files its spec.json lists: "
+                    f"missing {sorted(listed - found)}, extra {sorted(found - listed)}")
         models = [load_network(p) for p in
                   (model_files if method == METHOD_MCD else model_files[1:])]
         table = load_features(data_path)
@@ -479,6 +484,19 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
                      digests)
 
 
+def _report(config: RunConfig, method: str, dump_path: Path) -> UqReport:
+    """Score the dump at ``dump_path``, refused unless it holds some of
+    ``method``'s predictions. The evaluate and summary stages both call it."""
+    dump = read_dump(dump_path)
+    if dump.method != method:
+        raise ValidationError(f"{dump_path} holds {dump.method} predictions, "
+                              f"but the method is {method}; pass --method {dump.method}")
+    if len(dump.estimates) == 0:
+        raise DataError(f"{dump_path}: dump contains no predictions")
+    return build_report(method, dump.estimates, dump.labels,
+                        thresholds=config.thresholds, m_bins=config.m_bins)
+
+
 def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print,
                    digests: dict | None = None) -> StageResult:
     """Score one prediction dump: report JSON/CSVs + reliability SVG
@@ -491,20 +509,13 @@ def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print,
                     "seed": config.seed}
 
     def build(stage_dir: Path):
-        dump = read_dump(dump_path)
-        if dump.method != method:
-            raise ValidationError(f"{dump_path} holds {dump.method} predictions, "
-                                  f"but the method is {method}; pass --method {dump.method}")
-        if len(dump.estimates) == 0:
-            raise DataError(f"{dump_path}: dump contains no predictions")
-        report = build_report(method, dump.estimates, dump.labels,
-                              thresholds=config.thresholds, m_bins=config.m_bins)
+        report = _report(config, method, dump_path)
         meta = {"seed": config.seed, "config_digest": _digest_of(stage_config)}
         container.write_json(report_to_dict(report, meta), stage_dir / "report.json")
         threshold_table_csv(report, stage_dir / "thresholds.csv", meta)
         entropy_histogram_csv(report, stage_dir / "entropy_histogram.csv", meta)
         render_reliability_svg(report.calibration, stage_dir / "reliability.svg", meta)
-        row = _threshold_row(report, config.report_threshold, dump_path)
+        row = _threshold_row(report, config.report_threshold)
         log(f"[evaluate] {report.method}: n={report.n} acc={report.classic.accuracy:.4f} "
             f"ece={report.calibration.ece:.4f} | t={config.report_threshold:g} "
             + " ".join(f"{k}={_fmt(getattr(row, k))}" for k in UQ_METRICS))
@@ -519,30 +530,28 @@ def _fmt(value) -> str:
     return "NA" if value is None else f"{value:.4f}"
 
 
-def _threshold_row(report: UqReport, threshold: float, where) -> ThresholdRow:
-    for row in report.thresholds:
-        if math.isclose(row.threshold, threshold, abs_tol=1e-9):
-            return row
-    raise DataError(f"{where}: no threshold row at {threshold}")
+def _threshold_row(report: UqReport, threshold: float) -> ThresholdRow:
+    """The row at ``threshold``, which a validated config keeps on its grid."""
+    return next(row for row in report.thresholds
+                if math.isclose(row.threshold, threshold, abs_tol=1e-9))
 
 
 def stage_summary(config: RunConfig, log=print, digests: dict | None = None) -> StageResult:
-    """Side-by-side UQ metrics of all methods at the report threshold."""
+    """Side-by-side UQ metrics of all methods at the report threshold,
+    scored from the dumps as the evaluate stage scores them."""
     out = Path(config.out)
-    report_paths = {m: _require_file(out / "reports" / m / "report.json",
-                                     "run the evaluate command first")
-                    for m in METHODS}
-    stage_config = {"methods": list(METHODS), "report_threshold": config.report_threshold,
+    dump_paths = {m: _require_file(out / "predictions" / m / "dump.json",
+                                   "run the predict command first")
+                  for m in METHODS}
+    stage_config = {"methods": list(METHODS), "thresholds": list(config.thresholds),
+                    "m_bins": config.m_bins, "report_threshold": config.report_threshold,
                     "seed": config.seed}
 
     def build(stage_dir: Path):
         rows, summaries = [], {}
-        for m, path in report_paths.items():
-            report = container.read_artifact(path, REPORT_FORMAT, ReportFile)
-            if [row.threshold for row in report.thresholds] != list(config.thresholds):
-                raise DataError(f"{path}: the report's threshold grid is not the config's "
-                                f"{list(config.thresholds)}")
-            row = _threshold_row(report, config.report_threshold, path)
+        for m, path in dump_paths.items():
+            report = _report(config, m, path)
+            row = _threshold_row(report, config.report_threshold)
             uq = {k: getattr(row, k) for k in UQ_METRICS}
             rows.append((m, *uq.values()))
             summaries[m] = {**uq, "accuracy": report.classic.accuracy,
@@ -560,7 +569,7 @@ def stage_summary(config: RunConfig, log=print, digests: dict | None = None) -> 
             log(f"  {m:<8}" + "".join(f"{_fmt(v):>8}" for v in metrics))
         return [stage_dir / "summary.json", stage_dir / "summary.csv"]
 
-    return run_stage(config.out, "summary", stage_config, report_paths, build, log, digests)
+    return run_stage(config.out, "summary", stage_config, dump_paths, build, log, digests)
 
 
 # --- commands -------------------------------------------------------------

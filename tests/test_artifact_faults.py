@@ -1,7 +1,6 @@
 """Bad artifacts read back from disk exit 3 naming the file, never with a
-traceback: pinned faults, a non-UTF-8 CSV, and sweeps that break every
-leaf of every JSON artifact a command takes by path, and of the
-``report.json`` that the summary stage reads back.
+traceback: pinned faults, a non-UTF-8 CSV, and a sweep that breaks every
+leaf of every JSON artifact a command takes by path.
 
 One tiny run tree (1 epoch, 2 MC passes) is built once for the module;
 each test edits copies of its files.
@@ -165,39 +164,106 @@ def test_every_artifact_leaf_fault_exits_0_or_3_naming_the_file(work, capsys):
     assert not bad, "\n".join(bad)
 
 
-# The report keys whose value may be undefined (a 0/0 ratio, the mean
-# entropy of an empty group): null is their None and reads back.
-UNDEFINED = {"accuracy", "sensitivity", "specificity", "precision", "confidence",
-             "uacc", "usen", "uspe", "upre", "mean_entropy_correct", "mean_entropy_incorrect"}
-
-
-def test_every_report_leaf_fault_exits_3_naming_the_file(work, capsys):
-    """reproduce reads each report.json back in its summary stage. Each
-    fault is re-stamped in the report stage's manifest, so that stage is
-    skipped, and summary/ is removed, so the summary stage reads the
-    broken file. A deleted key or a wrong kind exits 3 naming the file; a
-    null exits 0 on a value that may be undefined and 3 anywhere else."""
-    path = work / "out/reports/mcd/report.json"
-    manifest_path = work / "out/reports/mcd/manifest.json"
+def reseal(manifest_path, section, key, text):
+    """Record the digest of ``text`` as a stage manifest's ``section``
+    entry ``key``, so the stage takes the edited file as its own."""
     manifest = json.loads(manifest_path.read_text())
-    argv = ["reproduce", "--config", str(work / "tiny.json"), "--out", str(work / "out")]
-    bad = []
-    for label, text in faults(json.loads(path.read_text())):
-        path.write_bytes(text)
-        manifest["outputs"]["report.json"] = hashlib.sha256(text).hexdigest()
-        manifest_path.write_text(json.dumps(manifest))
-        shutil.rmtree(work / "out/summary", ignore_errors=True)
-        try:
-            code = cli.main(argv)
-        except Exception as exc:  # noqa: BLE001 - the sweep reports every escape
-            bad.append(f"{label}: raised {exc!r}")
-            continue
-        err = capsys.readouterr().err
-        key, fault = label.split(" ", 1)
-        expected = 0 if fault == "null" and key.rsplit(".", 1)[-1] in UNDEFINED else 3
-        if code != expected or (code == 3 and str(path) not in err):
-            bad.append(f"{label}: exit {code}, stderr {err!r}")
-    assert not bad, "\n".join(bad)
+    manifest[section][key] = hashlib.sha256(text).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def test_summary_equals_each_report_at_the_report_threshold(tree):
+    """The summary scores the dumps as the evaluate stage does, so its
+    numbers are the reports' at the report threshold, for every method."""
+    out = tree / "out"
+    summary = json.loads((out / "summary/summary.json").read_text())
+    assert sorted(summary["methods"]) == ["emcd", "ensemble", "mcd"]
+    for method, scores in summary["methods"].items():
+        report = json.loads((out / "reports" / method / "report.json").read_text())
+        row, = (r for r in report["thresholds"] if r["threshold"] == summary["threshold"])
+        assert scores == {**{k: row[k] for k in ("uacc", "usen", "uspe", "upre")},
+                          "accuracy": report["classic"]["accuracy"],
+                          "ece": report["calibration"]["ece"], "n": report["n"]}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda report: report["thresholds"].pop(),
+    lambda report: report["thresholds"][3].update(upre=3.0),
+    lambda report: report["thresholds"][3].update(tc=-5),
+], ids=["last-row-deleted", "upre-3", "tc-negative"])
+def test_edited_report_leaves_the_summary_unchanged(work, capsys, edit):
+    """Nothing reads report.json back. A report edited in place and
+    re-sealed in its stage's manifest is kept, and a rebuilt summary is
+    byte-identical to the clean tree's."""
+    summary = work / "out/summary"
+    clean = {name: (summary / name).read_bytes() for name in ("summary.json", "summary.csv")}
+    path = work / "out/reports/mcd/report.json"
+    report = json.loads(path.read_text())
+    edit(report)
+    path.write_text(json.dumps(report))
+    reseal(work / "out/reports/mcd/manifest.json", "outputs", "report.json", path.read_bytes())
+    shutil.rmtree(summary)
+    assert cli.main(["reproduce", "--config", str(work / "tiny.json"),
+                     "--out", str(work / "out")]) == 0
+    assert "[reports/mcd] up to date, skipping" in capsys.readouterr().out
+    assert {name: (summary / name).read_bytes() for name in clean} == clean
+
+
+def test_up_to_date_ensemble_stages_skip_without_reading_spec(work, capsys):
+    """The predict stages list an ensemble's files without decoding
+    spec.json: one with a key frauduq does not know, re-sealed in the
+    ensemble stage and in both predict stages that take it, leaves every
+    stage of a rerun skipped."""
+    path = work / "out/models/ensemble/spec.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "note": "edited"}))
+    text = path.read_bytes()
+    reseal(work / "out/models/ensemble/manifest.json", "outputs", "spec.json", text)
+    for method in ("ensemble", "emcd"):
+        reseal(work / f"out/predictions/{method}/manifest.json", "inputs", "model_0", text)
+    assert cli.main(["reproduce", "--config", str(work / "tiny.json"),
+                     "--out", str(work / "out")]) == 0
+    stages = [line for line in capsys.readouterr().out.splitlines()
+              if not line.startswith("[reproduce]")]
+    assert len(stages) == 10 and all(line.endswith("] up to date, skipping")
+                                     for line in stages), stages
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda ensemble: (ensemble / "member_001.json").unlink(),
+     "missing ['member_001.json'], extra []"),
+    (lambda ensemble: shutil.copy(ensemble / "member_000.json", ensemble / "member_009.json"),
+     "missing [], extra ['member_009.json']"),
+], ids=["member-deleted", "member-stray"])
+def test_ensemble_directory_unlike_its_spec_exits_2_naming_the_files(work, capsys, change,
+                                                                     named):
+    """The member files must be exactly those spec.json lists: a missing
+    or a stray one is refused, naming the directory and the file, before
+    any dump is written."""
+    ensemble = work / "out/models/ensemble"
+    change(ensemble)
+    assert cli.main(commands(work)["out/models/ensemble/spec.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"{ensemble} does not hold the member files its spec.json lists: {named}" in err, err
+    assert not (work / "again/predictions/ensemble/dump.json").exists()
+
+
+@pytest.mark.parametrize("rel, array, key", [
+    ("out/models/single.json", lambda doc: doc["weights"][2], "weights[2]"),
+    ("out/models/ensemble/member_000.json", lambda doc: doc["biases"][0], "biases[0]"),
+    ("out/data/test.json", lambda doc: doc["features"], "features"),
+], ids=["single-weights-2", "member-biases-0", "test-features"])
+def test_float_array_relabelled_int64_exits_3_naming_file_and_key(work, capsys, rel, array,
+                                                                   key):
+    """Weights, biases and features are float64. The same bytes labelled
+    int64 would load as integers near 4.6e18, so the file is refused."""
+    path = work / rel
+    doc = json.loads(path.read_text())
+    array(doc)["dtype"] = "int64"
+    path.write_text(json.dumps(doc))
+    assert cli.main(commands(work)[rel]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: {key} must be a float64 array, got int64" in err, err
+    assert not list((work / "again").glob("predictions/*/dump.json"))
 
 
 @pytest.mark.parametrize("shape", ["scalar", "column"])
@@ -237,24 +303,3 @@ def test_model_file_of_an_older_tree_exits_3_naming_file_and_key(work, capsys, r
     assert cli.main(commands(work)[rel]) == 3
     err = capsys.readouterr().err
     assert str(path) in err and key in err, err
-
-
-def test_report_off_the_config_grid_exits_3_naming_the_file(work, capsys):
-    """The summary stage reads each report at the config's threshold grid:
-    a report that lacks its last threshold row, re-stamped in its stage's
-    manifest so that stage is skipped, is refused."""
-    path = work / "out/reports/mcd/report.json"
-    report = json.loads(path.read_text())
-    del report["thresholds"][-1]
-    text = json.dumps(report).encode()
-    path.write_bytes(text)
-    manifest_path = work / "out/reports/mcd/manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["outputs"]["report.json"] = hashlib.sha256(text).hexdigest()
-    manifest_path.write_text(json.dumps(manifest))
-    shutil.rmtree(work / "out/summary")
-    assert cli.main(["reproduce", "--config", str(work / "tiny.json"),
-                     "--out", str(work / "out")]) == 3
-    err = capsys.readouterr().err
-    assert f"{path}: the report's threshold grid is not the config's" in err, err
-    assert not (work / "out/summary/summary.json").exists()

@@ -120,6 +120,16 @@ def test_load_csv_refuses_repeated_names_and_stray_schema_kinds(tmp_path):
             load_csv(path, schema)
 
 
+@pytest.mark.parametrize("text", ["y,a\n0,1.5\n1,2.5\n", "a,y\n1.5,0\n2.5,1\n"],
+                         ids=["label-first", "feature-first"])
+def test_load_csv_ignores_a_leading_byte_order_mark(tmp_path, text):
+    """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark,
+    which is no part of the first column's name."""
+    table = load_csv(write_csv(tmp_path, "\ufeff" + text), SCHEMA)
+    assert table.column_names == ["a"] and list(table.labels) == [0, 1]
+    assert list(table.columns[0]) == [1.5, 2.5]
+
+
 def test_load_csv_header_only_gives_empty_table(tmp_path):
     for schema in (SCHEMA, CsvSchema(label="y", kinds={"a": "numeric"})):
         table = load_csv(write_csv(tmp_path, "a,y\n"), schema)
