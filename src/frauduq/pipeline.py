@@ -25,7 +25,7 @@ from .data import (
     split_train_test,
     synth_generate,
 )
-from .errors import DataError, FormatError, ValidationError
+from .errors import DataError, FormatError, ShapeError, ValidationError
 from .evaluation import (
     DEFAULT_THRESHOLDS,
     ThresholdRow,
@@ -385,6 +385,8 @@ def stage_train(config: RunConfig, method: str, log=print,
 
     def build(stage_dir: Path):
         data = load_features(train_path)
+        if data.n_rows == 0:
+            raise DataError(f"{train_path}: training data is empty")
         input_units = data.features.shape[1]
         if method == METHOD_MCD:
             net_config = NetworkConfig(**vars(config.network), input_units=input_units,
@@ -468,16 +470,20 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
                 raise ValidationError(
                     f"{model_path} does not hold the member files its spec.json lists: "
                     f"missing {sorted(listed - found)}, extra {sorted(found - listed)}")
-        models = [load_network(p) for p in
-                  (model_files if method == METHOD_MCD else model_files[1:])]
+        net_files = model_files if method == METHOD_MCD else model_files[1:]
+        models = [load_network(p) for p in net_files]
         table = load_features(data_path)
+        for path, net in zip(net_files, models):
+            if net.config.input_units != table.features.shape[1]:
+                raise ShapeError(f"{data_path} has {table.features.shape[1]} features but "
+                                 f"{path} expects {net.config.input_units}")
         log(f"[predict] {method} on {table.n_rows} rows "
             f"({len(models)} model(s), T={passes if passes else '-'})")
         estimates = predict_table(method, models, table.features,
                                   passes=config.mc_passes, seed=config.seed)
         paths = [stage_dir / name for name in files]
-        write_dump(*paths, DumpFile(method, estimates, table.labels, config.seed, passes,
-                                    _digest_of(stage_config)))
+        write_dump(*paths, DumpFile(method, estimates.mean_probs, table.labels, config.seed,
+                                    passes, _digest_of(stage_config)))
         return paths
 
     return run_stage(config.out, f"predictions/{method}", stage_config, inputs, build, log,

@@ -16,11 +16,12 @@ normalized by ln(num classes) so the certainty threshold lives on a
 """
 
 import contextlib
+import functools
 import json
 import math
 import os
 import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,16 +81,25 @@ def predictive_entropy(mean_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Uses the 0*ln(0) := 0 convention; the normalized value is clamped to
     [0, 1] against last-ulp rounding. Rejects vectors that are not a
-    probability distribution rather than returning a meaningless number.
+    probability distribution, naming the first, rather than returning a
+    meaningless number.
     """
     p = np.asarray(mean_probs, dtype=np.float64)
     bad = ~((p.min(axis=-1) >= -1e-9) & (np.abs(p.sum(axis=-1) - 1.0) <= 1e-6))  # NaN is bad
     if bad.any():
-        raise DataError(f"not a probability distribution: {p[bad][0].tolist()}")
+        raise DataError(f"not a probability distribution in row {np.flatnonzero(bad)[0]}: "
+                        f"{p[bad][0].tolist()}")
     terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
     raw = np.maximum(-terms.sum(axis=-1) + 0.0, 0.0)  # +0.0 normalizes -0.0
     norm = np.clip(raw / math.log(p.shape[-1]), 0.0, 1.0)
     return raw, norm
+
+
+def estimates_of(mean_probs: np.ndarray) -> Estimates:
+    """The :class:`Estimates` of (n, num_classes) mean distributions: their
+    argmax, ties going to the lower class (genuine), and entropy."""
+    raw, norm = predictive_entropy(mean_probs)
+    return Estimates(mean_probs, mean_probs.argmax(axis=1), raw, norm)
 
 
 def _centered_mean(x: np.ndarray, axis: int) -> np.ndarray:
@@ -113,15 +123,12 @@ def summarize(samples: np.ndarray) -> Estimates:
     Each member's passes are averaged first, then the member means, which
     equals the flat mean over all samples up to rounding. The tensor is
     overwritten (centered in place), so besides it the reduction only
-    holds arrays of one pass per member. Argmax ties resolve to the lower
-    class index (genuine).
+    holds arrays of one pass per member. The mean distributions then go
+    through :func:`estimates_of`.
     """
     if 0 in samples.shape[1:3]:
         raise DataError("cannot summarize an empty sample set")
-    mean_probs = _centered_mean(_centered_mean(samples, axis=2), axis=1)
-    raw, norm = predictive_entropy(mean_probs)
-    return Estimates(mean_probs=mean_probs, predicted_class=mean_probs.argmax(axis=1),
-                     entropy_raw=raw, entropy_norm=norm)
+    return estimates_of(_centered_mean(_centered_mean(samples, axis=2), axis=1))
 
 
 def member_config(spec: EnsembleSpec, base: NetworkConfig, index: int,
@@ -251,14 +258,15 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
     """Uncertainty estimates for every row of a feature matrix (a vector is one row).
 
     Runs whole-chunk forward passes per (member, pass) with a fresh
-    per-row dropout mask each pass, and reduces each chunk's sample
-    tensor with :func:`summarize`. Layer 1's activation is the same on
-    every pass (dropout acts after each hidden ReLU), so it is computed
-    once per member per chunk. That member's passes then run through
-    :func:`_on_cores`, on the caller and one pool for the whole call, at
-    most one thread per usable core and per pass, each pass into its own
-    slot: any core count gives the same bytes. The members take turns,
-    so one member's layer-1 activation is held at a time.
+    per-row dropout mask each pass, reduces each chunk's sample tensor to
+    mean distributions with :func:`summarize`, and takes
+    :func:`estimates_of` their concatenation. Layer 1's activation is the
+    same on every pass (dropout acts after each hidden ReLU), so it is
+    computed once per member per chunk. That member's passes then run
+    through :func:`_on_cores`, on the caller and one pool for the whole
+    call, at most one thread per usable core and per pass, each pass into
+    its own slot: any core count gives the same bytes. The members take
+    turns, so one member's layer-1 activation is held at a time.
 
     A row's MC samples are fixed by (seed, member, pass, chunk): one
     stream per key draws the masks of every row in the chunk. So for mcd
@@ -284,7 +292,7 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
     stochastic = method != METHOD_ENSEMBLE
 
     chunk_rows = max(1, min(n, _CHUNK_BUDGET_FLOATS // (n_members * per_member * N_CLASSES)))
-    parts = []
+    means = []
     with _core_pool() as pool:
         # An empty table still runs one (empty) chunk, so the columns get their shapes.
         for chunk_no, start in enumerate(range(0, max(n, 1), chunk_rows)):
@@ -301,67 +309,51 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
                     tensor[:, m, t] = forward(net, block, mask, hidden1)
 
                 _on_cores(one_pass, per_member, pool)
-            parts.append(summarize(tensor))
-    return Estimates(*(np.concatenate([getattr(p, f.name) for p in parts])
-                       for f in fields(Estimates)))
+            means.append(summarize(tensor).mean_probs)
+    return estimates_of(np.concatenate(means))
 
 
 DUMP_FORMAT = "frauduq-predictions"
-# How far a dump's stored entropies may sit from the ones recomputed on
-# reading: np.log may differ in the last ulp between numpy builds and CPUs.
-ENTROPY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
 class DumpFile:
-    """A ``dump.json``: one method's estimates for every row of a table,
-    the table's labels and the provenance of the stage that made them."""
+    """A ``dump.json``: one method's mean distributions for every row of a
+    table, the table's labels and the provenance of the stage that made
+    them. The other estimate columns are derived (``estimates``), not stored."""
 
     method: str
-    estimates: Estimates
+    mean_probs: np.ndarray
     labels: np.ndarray
     seed: int
     mc_passes: int | None
     config_digest: str
 
+    @functools.cached_property
+    def estimates(self) -> Estimates:
+        return estimates_of(self.mean_probs)
+
     def validate(self) -> "DumpFile":
         """Refuse a dump that :func:`predict_table` cannot have made: an
-        unknown method, columns of another dtype, shape or length, or a
-        row whose ``mean_probs`` is not a distribution over two classes,
-        whose ``predicted_class`` is not their argmax, or whose entropies
-        are more than ``ENTROPY_TOLERANCE`` from what
-        :func:`predictive_entropy` gives for them (the stored values are
-        the ones evaluated); ``mc_passes`` other than None for the ensemble
-        and an integer >= 1 otherwise; and labels :func:`check_labels` refuses."""
-        e = self.estimates
-        n = len(e.predicted_class) if np.ndim(e.predicted_class) else -1  # 0-d fits no shape
+        unknown method, ``mc_passes`` other than None for the ensemble and
+        an integer >= 1 otherwise, ``mean_probs`` that is not a finite
+        float64 (n, 2) array whose rows are distributions, and labels
+        :func:`check_labels` refuses."""
         if self.method not in METHODS:
             raise DataError(f"method must be one of {list(METHODS)}, got {self.method!r}")
         if not (self.mc_passes is None if self.method == METHOD_ENSEMBLE
                 else isinstance(self.mc_passes, int) and self.mc_passes >= 1):
             raise DataError(f"mc_passes must be null for the ensemble and an integer >= 1 "
                             f"otherwise, got {self.mc_passes!r} for {self.method}")
-        floats = (e.mean_probs, e.entropy_raw, e.entropy_norm)
-        if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64 and np.isfinite(a).all()
-                    for a in floats)
-                and isinstance(e.predicted_class, np.ndarray)
-                and e.predicted_class.dtype.kind in "iu"
-                and [a.shape for a in (*floats, e.predicted_class)] == [(n, 2), (n,), (n,), (n,)]):
-            raise DataError("estimates need mean_probs as a finite float64 (n, 2) array, "
-                            "entropy_raw and entropy_norm as finite float64 (n,) arrays, and "
-                            "predicted_class as an integer (n,) array")
+        p = self.mean_probs
+        if not (isinstance(p, np.ndarray) and p.dtype == np.float64 and p.shape[1:] == (2,)
+                and np.isfinite(p).all()):
+            raise DataError("mean_probs must be a finite float64 (n, 2) array")
         try:
-            expected = predictive_entropy(e.mean_probs)
+            self.estimates  # derived and cached: a row that is no distribution fails here
         except DataError as exc:
             raise DataError(f"mean_probs: {exc}") from exc
-        wrong = e.predicted_class != e.mean_probs.argmax(axis=1)
-        for stored, recomputed in zip((e.entropy_raw, e.entropy_norm), expected):
-            wrong |= ~(np.abs(stored - recomputed) <= ENTROPY_TOLERANCE)
-        if wrong.any():
-            raise DataError(f"row {np.flatnonzero(wrong)[0]} disagrees with its mean_probs: "
-                            f"predicted_class must be their argmax, entropy_raw and "
-                            f"entropy_norm their predictive entropy")
-        check_labels(self.labels, n)
+        check_labels(self.labels, len(p))
         return self
 
 

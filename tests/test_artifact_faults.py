@@ -11,9 +11,11 @@ import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from frauduq import cli
+from frauduq.data import FeatureTable, save_features
 
 TINY = {
     "data": {"synth": {"n_per_class": 20, "n_features": 3, "separation": 2.5}},
@@ -291,11 +293,15 @@ def test_feature_labels_of_another_shape_exit_3_naming_the_file(work, capsys, sh
     ("out/models/ensemble/spec.json",
      lambda d: d.update(files=[f"member_{i:03d}.json" for i in range(3)]),
      "unknown frauduq-ensemble key(s) in frauduq-ensemble: ['files']"),
-], ids=["member-adam-beta2", "spec-files"])
+    ("out/predictions/mcd/dump.json",
+     lambda d: d.update(estimates={"mean_probs": d.pop("mean_probs")}),
+     "unknown frauduq-predictions key(s) in frauduq-predictions: ['estimates']"),
+], ids=["member-adam-beta2", "spec-files", "dump"])
 def test_model_file_of_an_older_tree_exits_3_naming_file_and_key(work, capsys, rel, old, key):
     """Network files and spec.json no longer store the class count, Adam's
-    constants or the member file names: a file that still holds one is
-    refused, with no reader for the older layout."""
+    constants or the member file names, and dump.json keeps its mean
+    distributions at the top level, with no derived columns: a file of
+    the older layout is refused, with no reader for it."""
     path = work / rel
     doc = json.loads(path.read_text())
     old(doc)
@@ -303,3 +309,25 @@ def test_model_file_of_an_older_tree_exits_3_naming_file_and_key(work, capsys, r
     assert cli.main(commands(work)[rel]) == 3
     err = capsys.readouterr().err
     assert str(path) in err and key in err, err
+
+
+@pytest.mark.parametrize("rel", ["out/models/single.json", "out/models/ensemble/member_000.json"])
+def test_feature_table_of_another_width_exits_3_naming_table_and_model(work, capsys, rel):
+    """A table whose width is not a network's input width is refused
+    before any prediction, naming the table and that network's file."""
+    table = work / "wide.json"
+    save_features(FeatureTable(np.zeros((4, 5)), np.array([0, 1, 0, 1])), table)
+    argv = commands(work)[rel]
+    argv[argv.index("--data") + 1] = str(table)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{table} has 5 features but {work / rel} expects 3" in err, err
+    assert not list((work / "again").glob("predictions/*/dump.json"))
+
+
+def test_empty_training_table_exits_3_naming_the_file(work, capsys):
+    train = work / "out/data/train.json"
+    save_features(FeatureTable(np.zeros((0, 3)), np.zeros(0, dtype=np.int64)), train)
+    assert cli.main(["train", "--config", str(work / "tiny.json"),
+                     "--out", str(work / "out")]) == 3
+    assert f"{train}: training data is empty" in capsys.readouterr().err

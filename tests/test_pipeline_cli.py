@@ -28,8 +28,6 @@ from frauduq.uncertainty import (
     METHODS,
     DumpFile,
     EnsembleSpec,
-    Estimates,
-    predictive_entropy,
     write_dump,
 )
 
@@ -530,10 +528,8 @@ def cli_run(*argv):
 
 def write_dump_file(path, method, mean_probs, labels):
     """A checked ``dump.json`` of these distributions and labels."""
-    mean_probs = np.asarray(mean_probs, dtype=np.float64)
-    estimates = Estimates(mean_probs, mean_probs.argmax(axis=1), *predictive_entropy(mean_probs))
     write_dump(path.with_suffix(".jsonl"), path, DumpFile(
-        method, estimates, np.array(labels, dtype=np.int64),
+        method, np.asarray(mean_probs, dtype=np.float64), np.array(labels, dtype=np.int64),
         seed=21, mc_passes=8, config_digest="ab12"))
     return path
 

@@ -18,7 +18,7 @@ import frauduq.uncertainty as unc
 from frauduq import container, network
 from frauduq.data import FeatureTable
 from frauduq.errors import DataError, FormatError, NumericError, ShapeError, ValidationError
-from frauduq.evaluation import build_report, threshold_sweep
+from frauduq.evaluation import threshold_sweep
 from frauduq.network import Network, NetworkConfig, forward, init_network, sample_dropout_mask
 from frauduq.seeding import STREAM_PREDICT, substream
 from frauduq.uncertainty import (
@@ -75,6 +75,10 @@ def test_entropy_rejects_garbage():
         predictive_entropy(np.array([1.2, -0.2]))
     with pytest.raises(DataError):
         predictive_entropy(np.array([np.nan, np.nan]))
+    # in a matrix, the first row that is not a distribution is named
+    with pytest.raises(DataError,
+                       match=r"not a probability distribution in row 2: \[0\.5, 0\.7\]"):
+        predictive_entropy(np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.7], [0.2, 0.2]]))
 
 
 # --- summarize: the tensor reduction --------------------------------------------------
@@ -715,11 +719,11 @@ def test_an_interrupted_member_starts_no_new_member(monkeypatch, cores):
 # --- prediction dumps -----------------------------------------------------------------
 
 
-def dump_of(estimates, labels=None, method="mcd", **provenance):
-    """A dump of these estimates; labels default to 0, 1, 0, 1, ..."""
-    labels = np.arange(len(estimates)) % 2 if labels is None else labels
-    return DumpFile(method, estimates, labels, **{"seed": 2, "mc_passes": 4,
-                                                  "config_digest": "ab12", **provenance})
+def dump_of(mean_probs, labels=None, method="mcd", **provenance):
+    """A dump of these mean distributions; labels default to 0, 1, 0, 1, ..."""
+    labels = np.arange(len(mean_probs)) % 2 if labels is None else labels
+    return DumpFile(method, mean_probs, labels, **{"seed": 2, "mc_passes": 4,
+                                                   "config_digest": "ab12", **provenance})
 
 
 def test_dump_round_trip(tmp_path):
@@ -727,17 +731,28 @@ def test_dump_round_trip(tmp_path):
     x = np.random.default_rng(47).normal(size=(5, 3))
     estimates = predict_table("mcd", [net], x, passes=10, seed=2)
     paths = tmp_path / "d.jsonl", tmp_path / "d.json"
-    write_dump(*paths, dump_of(estimates, np.array([0, 1, 1, 0, 1])))
+    write_dump(*paths, dump_of(estimates.mean_probs, np.array([0, 1, 1, 0, 1])))
     loaded = read_dump(paths[1])
     assert (loaded.method, loaded.seed, loaded.mc_passes, loaded.config_digest) == \
         ("mcd", 2, 4, "ab12")
     assert_same_estimates(estimates, loaded.estimates)
     assert loaded.labels.tolist() == [0, 1, 1, 0, 1]
 
-    write_dump(*paths, dump_of(estimates, np.array([1, 1, 0, 0, 1]), "ensemble", mc_passes=None))
+    write_dump(*paths, dump_of(estimates.mean_probs, np.array([1, 1, 0, 0, 1]), "ensemble",
+                               mc_passes=None))
     loaded = read_dump(paths[1])
     assert (loaded.method, loaded.mc_passes) == ("ensemble", None)
     assert loaded.labels.tolist() == [1, 1, 0, 0, 1]
+
+
+def test_dump_json_stores_only_what_sampling_made(tmp_path):
+    """dump.json keeps the mean distributions, the labels and the
+    provenance; the other estimate columns are derived on reading."""
+    paths = tmp_path / "d.jsonl", tmp_path / "d.json"
+    write_dump(*paths, dump_of(np.array([[0.9, 0.1], [0.5, 0.5]])))
+    assert sorted(json.loads(paths[1].read_text())) == [
+        "config_digest", "format", "labels", "mc_passes", "mean_probs", "method", "seed",
+        "version"]
 
 
 def test_failed_writes_leave_old_files_whole(tmp_path, monkeypatch):
@@ -754,9 +769,10 @@ def test_failed_writes_leave_old_files_whole(tmp_path, monkeypatch):
     assert target.read_text() == "old\n"
 
     net = init_network(dataclasses.replace(BASE, seed=6))
-    estimates = predict_table("mcd", [net], np.random.default_rng(47).normal(size=(5, 3)), 4)
+    mean_probs = predict_table("mcd", [net], np.random.default_rng(47).normal(size=(5, 3)),
+                               4).mean_probs
     jsonl, dump_json = tmp_path / "d.jsonl", tmp_path / "d.json"
-    write_dump(jsonl, dump_json, dump_of(estimates))
+    write_dump(jsonl, dump_json, dump_of(mean_probs))
     old = {p: p.read_bytes() for p in (jsonl, dump_json)}
 
     # the JSON fails after the JSONL is complete: the JSONL is replaced,
@@ -766,7 +782,7 @@ def test_failed_writes_leave_old_files_whole(tmp_path, monkeypatch):
 
     monkeypatch.setattr(container, "dumps_canonical", disk_full)
     with pytest.raises(OSError, match="no space"):
-        write_dump(jsonl, dump_json, dump_of(estimates, np.array([0, 1, 1, 0, 1])))
+        write_dump(jsonl, dump_json, dump_of(mean_probs, np.array([0, 1, 1, 0, 1])))
     assert jsonl.read_bytes() != old[jsonl] and '"label": 1' in jsonl.read_text()
     assert dump_json.read_bytes() == old[dump_json]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "d.jsonl", "note.txt"]
@@ -794,28 +810,26 @@ def test_dump_bytes_equal_json_dumps_reference(tmp_path):
     fraud = np.array([5e-324, 1e-320, 0.1, 1 / 3, 1 - 2**-53, 0.0, 1.0, 0.5])
     mean_probs = np.stack([1.0 - fraud, fraud], axis=1)
     mean_probs[1] = [1e-320, 1.0 - 1e-320]
-    raw, norm = predictive_entropy(mean_probs)
-    estimates = Estimates(mean_probs, mean_probs.argmax(axis=1), raw, norm)
     paths = tmp_path / "d.jsonl", tmp_path / "d.json"
-    empty = Estimates(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
-    for dump in (dump_of(estimates, np.array([1, 0, 1, 1, 1, 0, 1, 0]), "emcd"),
-                 dump_of(estimates, np.array([0, 1, 1, 0, 0, 1, 0, 1]), "ensemble",
+    for dump in (dump_of(mean_probs, np.array([1, 0, 1, 1, 1, 0, 1, 0]), "emcd"),
+                 dump_of(mean_probs, np.array([0, 1, 1, 0, 0, 1, 0, 1]), "ensemble",
                          mc_passes=None),
-                 dump_of(empty)):
+                 dump_of(np.empty((0, 2)))):
         write_dump(*paths, dump)
         assert paths[0].read_text() == _reference_jsonl(dump)
         assert_same_estimates(read_dump(paths[1]).estimates, dump.estimates)
 
 
 def test_dump_refuses_unwritable_estimates_before_touching_files(tmp_path):
-    """Estimates the dump's checks refuse (non-finite, object or non-float
-    dtype, wrong shape, a class other than the argmax, an entropy off by
-    1e-9), labels other than an integer array of 0s and 1s, an unknown
-    method, and an mc_passes that does not fit the method raise before
-    either file is opened: the old files stay byte for byte and no temp
-    file appears."""
+    """Mean distributions the dump's checks refuse (non-finite, object or
+    non-float64 dtype, wrong shape, a row that is not a distribution),
+    labels other than an integer array of 0s and 1s, an unknown method,
+    and an mc_passes that does not fit the method raise before either
+    file is opened: the old files stay byte for byte and no temp file
+    appears."""
     net = init_network(dataclasses.replace(BASE, seed=6))
-    good = predict_table("mcd", [net], np.random.default_rng(47).normal(size=(4, 3)), 4)
+    good = predict_table("mcd", [net], np.random.default_rng(47).normal(size=(4, 3)),
+                         4).mean_probs
     paths = (tmp_path / "d.jsonl", tmp_path / "d.json")
     write_dump(*paths, dump_of(good, np.array([0, 1, 1, 0])))
     kept = [p.read_bytes() for p in paths]
@@ -832,40 +846,29 @@ def test_dump_refuses_unwritable_estimates_before_touching_files(tmp_path):
         with pytest.raises(DataError, match=f"mc_passes must be null for the ensemble and an "
                                             f"integer >= 1 otherwise, got {passes} for {method}"):
             write_dump(*paths, dump_of(good, method=method, mc_passes=passes))
-    nan_probs = good.mean_probs.copy()
+    nan_probs = good.copy()
     nan_probs[2, 0] = np.nan
-    inf_norm = good.entropy_norm.copy()
-    inf_norm[1] = np.inf
-    for bad in (
-        dataclasses.replace(good, mean_probs=nan_probs),
-        dataclasses.replace(good, entropy_norm=inf_norm),
-        dataclasses.replace(good, mean_probs=good.mean_probs.astype(object)),
-        dataclasses.replace(good, entropy_raw=good.entropy_raw.astype(np.float32)),
-        dataclasses.replace(good, entropy_raw=good.entropy_raw.tolist()),
-        dataclasses.replace(good, predicted_class=good.predicted_class.astype(np.float64)),
-        dataclasses.replace(good, predicted_class=good.predicted_class.astype(bool)),
-        dataclasses.replace(good, mean_probs=good.mean_probs[:, :1]),
-        dataclasses.replace(good, mean_probs=good.mean_probs.T),
-        dataclasses.replace(good, entropy_norm=good.entropy_norm[:3]),
-        dataclasses.replace(good, entropy_raw=good.entropy_raw[:, None]),
-    ):
-        with pytest.raises(DataError, match="estimates need mean_probs as a finite float64"):
-            write_dump(*paths, dump_of(bad))
-    off = good.entropy_raw.copy()
-    off[2] += 1e-9
-    for bad in (dataclasses.replace(good, predicted_class=1 - good.predicted_class),
-                dataclasses.replace(good, entropy_raw=off)):
-        with pytest.raises(DataError, match="disagrees with its mean_probs"):
-            write_dump(*paths, dump_of(bad))
+    inf_probs = good.copy()
+    inf_probs[1] = [np.inf, -np.inf]
+    for bad in (nan_probs, inf_probs, good.astype(object), good.astype(np.float32),
+                good.tolist(), good[:, :1], good.T, good[0], good[None]):
+        with pytest.raises(DataError,
+                           match=r"mean_probs must be a finite float64 \(n, 2\) array"):
+            write_dump(*paths, dump_of(bad, np.array([0, 1, 1, 0])))
+    over_one = good.copy()
+    over_one[2] = [0.5, 0.7]
+    with pytest.raises(DataError, match="mean_probs: not a probability distribution in row 2"):
+        write_dump(*paths, dump_of(over_one))
     assert sorted(tmp_path.iterdir()) == sorted(paths)
     assert [p.read_bytes() for p in paths] == kept
 
 
 def test_read_dump_rejects_foreign_and_truncated(tmp_path):
-    """A foreign, truncated or inconsistent dump.json is refused naming the
+    """A foreign, truncated or malformed dump.json is refused naming the
     file: each fault class that DumpFile.validate() and the reader check."""
     net = init_network(dataclasses.replace(BASE, seed=6))
-    good = predict_table("mcd", [net], np.random.default_rng(53).normal(size=(6, 3)), 4)
+    good = predict_table("mcd", [net], np.random.default_rng(53).normal(size=(6, 3)),
+                         4).mean_probs
     labels = np.array([0, 1, 1, 0, 1, 0])
     whole = tmp_path / "whole.json"
     write_dump(tmp_path / "whole.jsonl", whole, dump_of(good, labels))
@@ -886,34 +889,17 @@ def test_read_dump_rejects_foreign_and_truncated(tmp_path):
             read_dump(path)
 
     # each fault written as write_dump would, but without its checks
-    over_one = good.mean_probs.copy()
+    over_one = good.copy()
     over_one[1] = [0.5, 0.7]
-    three = np.concatenate([good.mean_probs, np.zeros((6, 1))], axis=1)
-    raw_off, norm_off = good.entropy_raw.copy(), good.entropy_norm.copy()
-    raw_off[3] = 0.5
-    norm_off[0] += 2e-12
+    three = np.concatenate([good, np.zeros((6, 1))], axis=1)
     for name, dump, message in (
-        ("over_one", dump_of(dataclasses.replace(good, mean_probs=over_one), labels),
-         "mean_probs: not a probability distribution"),
-        ("three_probs", dump_of(dataclasses.replace(good, mean_probs=three), labels),
-         "estimates need mean_probs"),
-        ("flipped", dump_of(dataclasses.replace(good, predicted_class=1 - good.predicted_class),
-                            labels), "row 0 disagrees"),
-        ("raw_off", dump_of(dataclasses.replace(good, entropy_raw=raw_off), labels),
-         "row 3 disagrees"),
-        ("norm_off", dump_of(dataclasses.replace(good, entropy_norm=norm_off), labels),
-         "row 0 disagrees"),
-        ("short_column", dump_of(dataclasses.replace(good, entropy_norm=good.entropy_norm[:5]),
-                                 labels), "estimates need mean_probs"),
+        ("over_one", dump_of(over_one, labels),
+         r"mean_probs: not a probability distribution in row 1: \[0\.5, 0\.7\]"),
+        ("three_probs", dump_of(three, labels), "mean_probs must be a finite float64"),
         ("short_labels", dump_of(good, labels[:5]), "labels must all be the integers 0 or 1"),
         ("label_2", dump_of(good, labels + 1), "labels must all be the integers 0 or 1"),
         ("float_labels", dump_of(good, labels.astype(np.float64)),
          "labels must all be the integers 0 or 1"),
-        ("float_classes", dump_of(dataclasses.replace(
-            good, predicted_class=good.predicted_class.astype(np.float64)), labels),
-         "estimates need mean_probs"),
-        ("scalar_class", dump_of(dataclasses.replace(good, predicted_class=np.array(0)), labels),
-         "estimates need mean_probs"),
         ("method", dump_of(good, labels, "bayes"), "method must be one of"),
         ("ensemble_passes", dump_of(good, labels, "ensemble"), "mc_passes must be null"),
         ("emcd_passes", dump_of(good, labels, "emcd", mc_passes=0), "mc_passes must be null"),
@@ -931,28 +917,11 @@ def test_read_dump_rejects_foreign_and_truncated(tmp_path):
         ({"mc_passes": None}, "mc_passes must be null for the ensemble"),
         ({"seed": True}, "seed must be an integer"),
         ({"weight": 1.0}, r"unknown frauduq-predictions key\(s\) .*\['weight'\]"),
-        ({"estimates": {k: v for k, v in doc["estimates"].items() if k != "entropy_raw"}},
-         r"estimates lacks key\(s\) \['entropy_raw'\]"),
         *(({key: "__deleted__"}, rf"lacks key\(s\) \['{key}'\]")
-          for key in ("labels", "mc_passes", "seed", "config_digest", "method")),
+          for key in ("mean_probs", "labels", "mc_passes", "seed", "config_digest", "method")),
     ]):
         probe = tmp_path / f"probe_{i}.json"
         probe.write_text(json.dumps({k: v for k, v in {**doc, **change}.items()
                                      if v != "__deleted__"}))
-        if message is None:
-            read_dump(probe)
-            continue
         with pytest.raises(FormatError, match=f"probe_{i}.json: .*{message}"):
             read_dump(probe)
-
-    # np.log may differ in the last ulp across numpy builds and CPUs, so
-    # stored entropies one ulp off are read back, and evaluated, as stored
-    nudged = dataclasses.replace(
-        good, entropy_raw=np.nextafter(good.entropy_raw, 1.0),
-        entropy_norm=np.nextafter(good.entropy_norm, -1.0))
-    path = tmp_path / "ulp.json"
-    container.write_artifact(dump_of(nudged, labels), unc.DUMP_FORMAT, path)
-    loaded = read_dump(path)
-    assert_same_estimates(loaded.estimates, nudged)
-    report = build_report("mcd", loaded.estimates, loaded.labels, thresholds=(0.5,), m_bins=2)
-    assert report == build_report("mcd", nudged, labels, thresholds=(0.5,), m_bins=2)
