@@ -59,10 +59,11 @@ def encode_array(a: np.ndarray) -> dict:
         name = "float64"
     elif np.issubdtype(a.dtype, np.integer):
         name = "int64"
-        a = a.astype(np.int64)
     else:
         raise TypeError(f"unsupported dtype {a.dtype}")
-    payload = np.ascontiguousarray(a).astype(_DTYPES[name]).tobytes(order="C")
+    # row-major little-endian bytes, copied only if ``a`` is not already
+    # laid out so; base64 reads them through the buffer protocol
+    payload = np.ascontiguousarray(a, dtype=_DTYPES[name])
     return {
         "shape": list(a.shape),
         "dtype": name,

@@ -261,20 +261,69 @@ def _digest_of(obj) -> str:
     return container.sha256_text(container.dumps_canonical(obj))
 
 
-def _file_digest(path, digests: dict) -> str:
-    """The sha256 of ``path``, hashed only if ``digests`` holds none for
-    this very file: the same absolute path, inode, size and mtime. A
-    stage that reruns replaces its files (see ``open_atomic``), which
-    gives them new inodes, so a digest of the old file is never reused."""
+@dataclass
+class _Known:
+    """What one command knows of one file: its sha256 and its decoded
+    artifact, each once taken (None until then)."""
+
+    sha256: str | None = None
+    artifact: object = None
+
+
+def _known(path, memo: dict) -> _Known:
+    """The ``memo`` entry of this very file: the same absolute path, inode,
+    size and mtime. A stage that reruns replaces its files (see
+    ``open_atomic``), which gives them new inodes, so nothing known of the
+    old file is ever reused."""
     st = os.stat(path)
-    key = (os.path.abspath(path), st.st_ino, st.st_size, st.st_mtime_ns)
-    if key not in digests:
-        digests[key] = container.sha256_file(path)
-    return digests[key]
+    return memo.setdefault((os.path.abspath(path), st.st_ino, st.st_size, st.st_mtime_ns),
+                           _Known())
+
+
+def _file_digest(path, memo: dict) -> str:
+    """The sha256 of ``path``, hashed only if ``memo`` holds none for it."""
+    known = _known(path, memo)
+    if known.sha256 is None:
+        known.sha256 = container.sha256_file(path)
+    return known.sha256
+
+
+def _artifact(path, read, memo: dict | None):
+    """The artifact at ``path``: the one ``memo`` holds for it, else
+    ``read(path)``, which then stays in ``memo`` for later readers. A
+    stage run on its own has no memo (None)."""
+    if memo is None:
+        return read(path)
+    known = _known(path, memo)
+    if known.artifact is None:
+        known.artifact = read(path)
+    return known.artifact
+
+
+def _hand_over(path, artifact, memo: dict | None) -> None:
+    """Keep ``artifact``, just written to ``path``, in ``memo`` for the
+    stages after this one, if it passes the ``validate()`` that a read of
+    the file runs; else they read the file, and the read names it."""
+    if memo is None:
+        return
+    try:
+        artifact.validate()
+    except (DataError, ValidationError):
+        return
+    _known(path, memo).artifact = artifact
+
+
+def _drop(path, memo: dict) -> None:
+    """Let go of the artifact ``memo`` holds for ``path``, which no later
+    stage reads, so that its arrays are freed; its digest stays."""
+    where = os.path.abspath(path)
+    for key, known in memo.items():
+        if key[0] == where:
+            known.artifact = None
 
 
 def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
-              build, log=print, digests: dict | None = None) -> StageResult:
+              build, log=print, memo: dict | None = None) -> StageResult:
     """Run one stage unless its manifest proves it already ran.
 
     ``inputs`` maps labels to existing files whose digests gate the
@@ -282,16 +331,20 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
     and returns their paths. A rebuild removes each file the old manifest
     lists and the build did not write, so the directory holds what its
     manifest lists. The manifest is written last, so a crash mid-stage
-    simply reruns it. ``digests`` holds the file digests already taken
-    by the command that runs this stage (see :func:`_file_digest`); a
-    chain of stages shares one, so a file that one stage wrote or
-    checked is not hashed again by the next.
+    simply reruns it. ``memo`` holds what the command that runs this
+    stage already knows of its files, keyed by path, inode, size and
+    mtime (see :func:`_known`): their digests, and the artifacts it wrote
+    or read. A chain of stages shares one, so a file that one stage
+    wrote or checked is not hashed again by the next, and an artifact
+    that one stage wrote or read is not decoded again by the next; a
+    build reads through :func:`_artifact` and hands what it writes over
+    with :func:`_hand_over`.
     """
-    digests = {} if digests is None else digests
+    memo = {} if memo is None else memo
     stage_dir = Path(out_dir) / name
     manifest_path = stage_dir / "manifest.json"
     config_digest = _digest_of(stage_config)
-    input_digests = {label: _file_digest(p, digests) for label, p in sorted(inputs.items())}
+    input_digests = {label: _file_digest(p, memo) for label, p in sorted(inputs.items())}
 
     try:
         old = container.read_artifact(manifest_path, MANIFEST_FORMAT, Manifest)
@@ -300,7 +353,7 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
     if (old is not None and old.config_digest == config_digest
             and old.inputs == input_digests
             and all((stage_dir / rel).is_file()
-                    and _file_digest(stage_dir / rel, digests) == digest
+                    and _file_digest(stage_dir / rel, memo) == digest
                     for rel, digest in old.outputs.items())):
         log(f"[{name}] up to date, skipping")
         return StageResult(stage_dir, True)
@@ -308,7 +361,7 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
     stage_dir.mkdir(parents=True, exist_ok=True)
     produced = build(stage_dir)
     manifest = Manifest(name, config_digest, input_digests, {
-        Path(p).relative_to(stage_dir).as_posix(): _file_digest(p, digests)
+        Path(p).relative_to(stage_dir).as_posix(): _file_digest(p, memo)
         for p in produced}).validate()
     stale = old.outputs.keys() - manifest.outputs.keys() if old else set()
     for rel in sorted(stale):
@@ -333,7 +386,7 @@ def _write_config_snapshot(config: RunConfig) -> None:
 # --- stages ---------------------------------------------------------------
 
 
-def stage_data(config: RunConfig, log=print, digests: dict | None = None) -> StageResult:
+def stage_data(config: RunConfig, log=print, memo: dict | None = None) -> StageResult:
     """Materialize train/test FeatureTables (and, for CSV data, the
     fitted preprocessor) under <out>/data."""
     if config.uses_csv:
@@ -364,16 +417,17 @@ def stage_data(config: RunConfig, log=print, digests: dict | None = None) -> Sta
                 f"(separation {s.separation})")
             train_t, test_t = split_train_test(table, config.train_fraction, seed=config.seed)
             extra = []
-        save_features(train_t, stage_dir / "train.json")
-        save_features(test_t, stage_dir / "test.json")
+        for part, name in ((train_t, "train.json"), (test_t, "test.json")):
+            save_features(part, stage_dir / name)
+            _hand_over(stage_dir / name, part, memo)
         log(f"[data] split {train_t.n_rows} train / {test_t.n_rows} test rows")
         return [stage_dir / "train.json", stage_dir / "test.json", *extra]
 
-    return run_stage(config.out, "data", stage_config, inputs, build, log, digests)
+    return run_stage(config.out, "data", stage_config, inputs, build, log, memo)
 
 
 def stage_train(config: RunConfig, method: str, log=print,
-                digests: dict | None = None) -> StageResult:
+                memo: dict | None = None) -> StageResult:
     """Train the model that ``method`` predicts with, as a stage of its
     own: the single net for mcd under <out>/models, the ensemble
     otherwise under <out>/models/ensemble."""
@@ -384,7 +438,7 @@ def stage_train(config: RunConfig, method: str, log=print,
         stage_config["ensemble"] = container.to_plain(config.ensemble)
 
     def build(stage_dir: Path):
-        data = load_features(train_path)
+        data = _artifact(train_path, load_features, memo)
         if data.n_rows == 0:
             raise DataError(f"{train_path}: training data is empty")
         input_units = data.features.shape[1]
@@ -397,6 +451,7 @@ def stage_train(config: RunConfig, method: str, log=print,
             for epoch, loss in enumerate(history, start=1):
                 log(f"[train] single epoch {epoch}/{len(history)} loss {loss:.6f}")
             save_network(net, stage_dir / "single.json")
+            _hand_over(stage_dir / "single.json", net, memo)
             return [stage_dir / "single.json"]
 
         spec = config.ensemble
@@ -410,11 +465,12 @@ def stage_train(config: RunConfig, method: str, log=print,
         spec_file = EnsembleFile(spec.members, spec.width_ranges, config.seed)
         for net, name in zip(members, spec_file.files):
             save_network(net, stage_dir / name)
+            _hand_over(stage_dir / name, net, memo)
         container.write_artifact(spec_file, ENSEMBLE_FORMAT, stage_dir / "spec.json")
         return [stage_dir / "spec.json", *(stage_dir / name for name in spec_file.files)]
 
     return run_stage(config.out, "models" if method == METHOD_MCD else "models/ensemble",
-                     stage_config, {"train": train_path}, build, log, digests)
+                     stage_config, {"train": train_path}, build, log, memo)
 
 
 def _model_files(method: str, model_path: Path) -> list[Path]:
@@ -436,7 +492,7 @@ def _model_files(method: str, model_path: Path) -> list[Path]:
 
 
 def stage_predict(config: RunConfig, method: str, model_path=None,
-                  data_path=None, log=print, digests: dict | None = None) -> StageResult:
+                  data_path=None, log=print, memo: dict | None = None) -> StageResult:
     """Predict the test table with one UQ method; dump under
     <out>/predictions/<method>."""
     out = Path(config.out)
@@ -471,8 +527,8 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
                     f"{model_path} does not hold the member files its spec.json lists: "
                     f"missing {sorted(listed - found)}, extra {sorted(found - listed)}")
         net_files = model_files if method == METHOD_MCD else model_files[1:]
-        models = [load_network(p) for p in net_files]
-        table = load_features(data_path)
+        models = [_artifact(p, load_network, memo) for p in net_files]
+        table = _artifact(data_path, load_features, memo)
         for path, net in zip(net_files, models):
             if net.config.input_units != table.features.shape[1]:
                 raise ShapeError(f"{data_path} has {table.features.shape[1]} features but "
@@ -482,18 +538,20 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
         estimates = predict_table(method, models, table.features,
                                   passes=config.mc_passes, seed=config.seed)
         paths = [stage_dir / name for name in files]
-        write_dump(*paths, DumpFile(method, estimates.mean_probs, table.labels, config.seed,
-                                    passes, _digest_of(stage_config)))
+        dump = DumpFile(method, estimates.mean_probs, table.labels, config.seed, passes,
+                        _digest_of(stage_config))
+        write_dump(*paths, dump)
+        _hand_over(paths[1], dump, memo)
         return paths
 
     return run_stage(config.out, f"predictions/{method}", stage_config, inputs, build, log,
-                     digests)
+                     memo)
 
 
-def _report(config: RunConfig, method: str, dump_path: Path) -> UqReport:
+def _report(config: RunConfig, method: str, dump_path: Path, memo: dict | None) -> UqReport:
     """Score the dump at ``dump_path``, refused unless it holds some of
     ``method``'s predictions. The evaluate and summary stages both call it."""
-    dump = read_dump(dump_path)
+    dump = _artifact(dump_path, read_dump, memo)
     if dump.method != method:
         raise ValidationError(f"{dump_path} holds {dump.method} predictions, "
                               f"but the method is {method}; pass --method {dump.method}")
@@ -504,7 +562,7 @@ def _report(config: RunConfig, method: str, dump_path: Path) -> UqReport:
 
 
 def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print,
-                   digests: dict | None = None) -> StageResult:
+                   memo: dict | None = None) -> StageResult:
     """Score one prediction dump: report JSON/CSVs + reliability SVG
     under <out>/reports/<method>."""
     if dump_path is None:
@@ -515,7 +573,7 @@ def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print,
                     "seed": config.seed}
 
     def build(stage_dir: Path):
-        report = _report(config, method, dump_path)
+        report = _report(config, method, dump_path, memo)
         meta = {"seed": config.seed, "config_digest": _digest_of(stage_config)}
         container.write_json(report_to_dict(report, meta), stage_dir / "report.json")
         threshold_table_csv(report, stage_dir / "thresholds.csv", meta)
@@ -529,7 +587,7 @@ def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print,
                 stage_dir / "entropy_histogram.csv", stage_dir / "reliability.svg"]
 
     return run_stage(config.out, f"reports/{method}", stage_config,
-                     {"dump": dump_path}, build, log, digests)
+                     {"dump": dump_path}, build, log, memo)
 
 
 def _fmt(value) -> str:
@@ -542,7 +600,7 @@ def _threshold_row(report: UqReport, threshold: float) -> ThresholdRow:
                 if math.isclose(row.threshold, threshold, abs_tol=1e-9))
 
 
-def stage_summary(config: RunConfig, log=print, digests: dict | None = None) -> StageResult:
+def stage_summary(config: RunConfig, log=print, memo: dict | None = None) -> StageResult:
     """Side-by-side UQ metrics of all methods at the report threshold,
     scored from the dumps as the evaluate stage scores them."""
     out = Path(config.out)
@@ -556,7 +614,7 @@ def stage_summary(config: RunConfig, log=print, digests: dict | None = None) -> 
     def build(stage_dir: Path):
         rows, summaries = [], {}
         for m, path in dump_paths.items():
-            report = _report(config, m, path)
+            report = _report(config, m, path, memo)
             row = _threshold_row(report, config.report_threshold)
             uq = {k: getattr(row, k) for k in UQ_METRICS}
             rows.append((m, *uq.values()))
@@ -575,7 +633,7 @@ def stage_summary(config: RunConfig, log=print, digests: dict | None = None) -> 
             log(f"  {m:<8}" + "".join(f"{_fmt(v):>8}" for v in metrics))
         return [stage_dir / "summary.json", stage_dir / "summary.csv"]
 
-    return run_stage(config.out, "summary", stage_config, dump_paths, build, log, digests)
+    return run_stage(config.out, "summary", stage_config, dump_paths, build, log, memo)
 
 
 # --- commands -------------------------------------------------------------
@@ -628,20 +686,28 @@ def cmd_reproduce(config: RunConfig, log=print) -> StageResult:
     three methods (EMCD reuses the ensemble members) -> evaluate each ->
     summary. Finished stages are skipped on rerun.
 
-    The stages share one digest memo, so the command hashes each file at
-    most once. It lives only as long as the command: a file edited in
-    place between two commands is hashed afresh by the next, even if its
-    size and mtime were kept.
+    The stages share one memo (see :func:`run_stage`), so the command
+    hashes each file at most once, and decodes each artifact at most once:
+    a table, network or dump that one stage wrote or read is handed to
+    the stages after it. The training table leaves the memo after the
+    last model stage, and the single network after the mcd predict
+    stage, so that neither is held through the sampling that follows.
+    The memo lives only as long as the command: a file edited in place
+    between two commands is hashed and read afresh by the next, even if
+    its size and mtime were kept.
     """
     _write_config_snapshot(config)
     if not config.uses_csv:
         log("[reproduce] no csv data source configured; using the built-in "
             "synthetic generator")
-    digests: dict = {}
-    stage_data(config, log, digests)
-    stage_train(config, METHOD_MCD, log, digests)
-    stage_train(config, METHOD_ENSEMBLE, log, digests)
+    out, memo = Path(config.out), {}
+    stage_data(config, log, memo)
+    stage_train(config, METHOD_MCD, log, memo)
+    stage_train(config, METHOD_ENSEMBLE, log, memo)
+    _drop(out / "data" / "train.json", memo)
     for method in METHODS:
-        stage_predict(config, method, log=log, digests=digests)
-        stage_evaluate(config, method, log=log, digests=digests)
-    return stage_summary(config, log, digests)
+        stage_predict(config, method, log=log, memo=memo)
+        if method == METHOD_MCD:
+            _drop(out / "models" / "single.json", memo)
+        stage_evaluate(config, method, log=log, memo=memo)
+    return stage_summary(config, log, memo)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import frauduq.network as network
+from frauduq import container
 from frauduq.errors import DataError, FormatError, NumericError, ShapeError, ValidationError
 from frauduq.network import (
     AdamState,
@@ -449,6 +450,23 @@ def test_save_load_round_trip_bitwise(tmp_path):
 
     x = rng.normal(size=(5, 4))
     assert np.array_equal(forward(net, x), forward(loaded, x))
+
+
+def test_array_records_hold_row_major_little_endian_bytes_whatever_the_layout():
+    """A Fortran-ordered float array and an int32 one are written as the
+    row-major float64 and int64 bytes that decode_array reads back."""
+    fortran = np.asfortranarray([[1.0, -2.5, 0.125], [3.0, 1e-300, -0.0]])
+    narrow = np.array([[0, 1], [-3, 2**31 - 1]], dtype=np.int32)
+    records = [container.encode_array(fortran), container.encode_array(narrow)]
+    assert records == [
+        {"shape": [2, 3], "dtype": "float64",
+         "data": "AAAAAAAA8D8AAAAAAAAEwAAAAAAAAMA/AAAAAAAACEBZ8/jCH26lAQAAAAAAAACA"},
+        {"shape": [2, 2], "dtype": "int64",
+         "data": "AAAAAAAAAAABAAAAAAAAAP3/////////////fwAAAAA="},
+    ]
+    for array, record in zip((fortran, narrow), records):
+        back = container.decode_array(record)
+        assert back.flags.c_contiguous and np.array_equal(back, array)
 
 
 def test_load_rejects_truncated_and_mismatched_files(tmp_path):

@@ -6,6 +6,7 @@ seconds; the full desk-profile checks live in the acceptance suite.
 """
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ import sys
 import threading
 import types
 import typing
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -325,6 +327,129 @@ def test_reproduce_rehashes_a_file_edited_between_commands(tmp_path, monkeypatch
     counts = Counter(hashed)
     assert counts.pop(test_json.resolve()) == 2  # the edited file, then the one written over it
     assert set(counts.values()) == {1}
+
+
+READERS = ("load_features", "load_network", "read_dump")
+WRITERS = ("save_features", "save_network", "write_dump")
+
+
+def spy_on(monkeypatch, names, seen):
+    """Wrap each ``pipeline`` function in ``names`` (perfbench's tracer
+    wraps the same globals) so that ``seen(name, args, result)`` runs
+    after every call."""
+    for name in names:
+        def spied(*args, _real=getattr(pipeline, name), _name=name):
+            result = _real(*args)
+            seen(_name, args, result)
+            return result
+        monkeypatch.setattr(pipeline, name, spied)
+
+
+def test_reproduce_decodes_each_artifact_at_most_once(tmp_path, monkeypatch):
+    """A cold chain decodes no array: each stage takes the tables, networks
+    and dumps that the stages before it wrote. A rerun with fewer members
+    decodes only what no stage of the command wrote or read before:
+    train.json, test.json and the mcd dump, one record for each array."""
+    decoded, read = [], []
+    real = container.decode_array
+    monkeypatch.setattr(container, "decode_array",
+                        lambda d, context="array": decoded.append(context) or real(d, context))
+    spy_on(monkeypatch, READERS, lambda name, args, result: read.append(Path(args[0])))
+    out = tmp_path / "out"
+    config = pipeline.load_run_config(profile="desk", out=str(out), mc_passes=5)
+    pipeline.cmd_reproduce(config, log=quiet)
+    assert decoded == [] and read == []
+
+    fewer = dataclasses.replace(config, ensemble=dataclasses.replace(config.ensemble, members=3))
+    pipeline.cmd_reproduce(fewer, log=quiet)
+    assert sorted(read) == [out / "data" / "test.json", out / "data" / "train.json",
+                            out / "predictions" / "mcd" / "dump.json"]
+    assert sorted(decoded) == sorted(["frauduq-features.features", "frauduq-features.labels"] * 2
+                                     + ["frauduq-predictions.mean_probs",
+                                        "frauduq-predictions.labels"])
+
+
+def assert_same_artifact(given, read, where):
+    """``given`` is what a read of its file returns: the same class, equal
+    plain fields, and arrays of the same dtype and shape, C-contiguous and
+    bitwise equal."""
+    assert type(given) is type(read), where
+    if dataclasses.is_dataclass(read):
+        for f in dataclasses.fields(read):
+            assert_same_artifact(getattr(given, f.name), getattr(read, f.name),
+                                 f"{where}.{f.name}")
+    elif isinstance(read, (list, tuple)):
+        assert len(given) == len(read), where
+        for i, (a, b) in enumerate(zip(given, read)):
+            assert_same_artifact(a, b, f"{where}[{i}]")
+    elif isinstance(read, np.ndarray):
+        assert (given.dtype, given.shape) == (read.dtype, read.shape), where
+        assert given.flags.c_contiguous and given.tobytes() == read.tobytes(), where
+    else:
+        assert given == read, where
+
+
+def test_handed_over_artifacts_are_what_a_read_returns(tmp_path, monkeypatch):
+    """Every table, network and dump a cold chain hands from stage to stage
+    equals a fresh read of its file once the chain has ended, so no stage
+    read anything else, nor changed a shared object in place."""
+    handed = []
+    real = pipeline._hand_over
+    monkeypatch.setattr(pipeline, "_hand_over", lambda path, artifact, memo: (
+        handed.append((Path(path), artifact)), real(path, artifact, memo)))
+    out = tmp_path / "out"
+    pipeline.cmd_reproduce(pipeline.load_run_config(profile="desk", out=str(out),
+                                                    mc_passes=5), log=quiet)
+    files = sorted(p for d in ("data", "models", "predictions") for p in (out / d).rglob("*.json")
+                   if p.name not in ("manifest.json", "spec.json"))
+    assert sorted(path for path, _ in handed) == files
+    readers = {"train.json": pipeline.load_features, "test.json": pipeline.load_features,
+               "dump.json": pipeline.read_dump}  # and the networks
+    for path, artifact in handed:
+        read = readers.get(path.name, pipeline.load_network)(path)
+        assert_same_artifact(artifact, read, path.relative_to(out).as_posix())
+
+
+def test_reproduce_lets_go_of_what_no_later_stage_reads(tmp_path, monkeypatch):
+    """The training table is freed before the first predict stage starts,
+    the single network before the ensemble predict stage, and nothing the
+    chain wrote or read outlives the command; cold, and rerun with fewer
+    members, when train.json and test.json are read from their files."""
+    refs = {}  # file name -> weak references to the objects written or read there
+
+    def seen(name, args, result):
+        if name in READERS:
+            path, artifact = args[0], result
+        elif name == "write_dump":  # dump.jsonl, dump.json, dump
+            _, path, artifact = args
+        else:
+            artifact, path = args
+        refs.setdefault(Path(path).name, []).append(weakref.ref(artifact))
+
+    spy_on(monkeypatch, WRITERS + READERS, seen)
+
+    def alive(name):
+        gc.collect()
+        return [ref for ref in refs.get(name, ()) if ref() is not None]
+
+    starts = []
+    real_predict = pipeline.stage_predict
+
+    def predict(config, method, *args, **kwargs):
+        starts.append((method, alive("train.json"), alive("single.json")))
+        return real_predict(config, method, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "stage_predict", predict)
+    config = pipeline.load_run_config(profile="desk", out=str(tmp_path / "out"), mc_passes=5)
+    fewer = dataclasses.replace(config, ensemble=dataclasses.replace(config.ensemble, members=3))
+    for run in (config, fewer):
+        refs.clear()
+        starts.clear()
+        pipeline.cmd_reproduce(run, log=quiet)
+        assert refs["train.json"] and refs["test.json"] and refs["dump.json"]
+        assert [(m, t, s != []) for m, t, s in starts] == [
+            ("mcd", [], run is config), ("ensemble", [], False), ("emcd", [], False)]
+        assert [name for name in refs if alive(name)] == []
 
 
 def test_stage_reruns_when_config_changes(tmp_path):
