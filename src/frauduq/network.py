@@ -307,9 +307,6 @@ def adam_step(net: Network, grads: tuple[list, list],
 
     for p, g, m, v in zip(params, grads, state.m, state.v):
         rows = max(1, _ADAM_BLOCK // (p.size // len(p)))
-        if rows >= len(p):  # one block: slicing would only cost small nets time
-            update(p, g, m, v)
-            continue
         for r in range(0, len(p), rows):
             update(p[r : r + rows], g[r : r + rows], m[r : r + rows], v[r : r + rows])
     return net, state

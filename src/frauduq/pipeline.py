@@ -288,38 +288,31 @@ def _file_digest(path, memo: dict) -> str:
     return known.sha256
 
 
-def _artifact(path, read, memo: dict | None):
+def _artifact(path, read, memo: dict):
     """The artifact at ``path``: the one ``memo`` holds for it, else
-    ``read(path)``, which then stays in ``memo`` for later readers. A
-    stage run on its own has no memo (None)."""
-    if memo is None:
-        return read(path)
+    ``read(path)``, which then stays in ``memo`` for later readers. Every
+    build reads this way, in a chain or alone (see :func:`run_stage`)."""
     known = _known(path, memo)
     if known.artifact is None:
         known.artifact = read(path)
     return known.artifact
 
 
-def _hand_over(path, artifact, memo: dict | None) -> None:
+def _hand_over(path, artifact, memo: dict) -> None:
     """Keep ``artifact``, just written to ``path``, in ``memo`` for the
-    stages after this one, if it passes the ``validate()`` that a read of
-    the file runs; else they read the file, and the read names it."""
-    if memo is None:
-        return
-    try:
-        artifact.validate()
-    except (DataError, ValidationError):
-        return
+    stages after this one, in a chain or alone. It is not validated again:
+    every build makes an object that passes the ``validate()`` a read runs
+    (the feature tables by construction, ``train`` and ``write_dump`` by
+    checking it)."""
     _known(path, memo).artifact = artifact
 
 
 def _drop(path, memo: dict) -> None:
     """Let go of the artifact ``memo`` holds for ``path``, which no later
-    stage reads, so that its arrays are freed; its digest stays."""
-    where = os.path.abspath(path)
-    for key, known in memo.items():
-        if key[0] == where:
-            known.artifact = None
+    stage reads, so that its arrays are freed; its digest stays. No stage
+    of a command rewrites a file that an earlier one read, so the file's
+    one entry is its live one."""
+    _known(path, memo).artifact = None
 
 
 def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
@@ -327,18 +320,19 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
     """Run one stage unless its manifest proves it already ran.
 
     ``inputs`` maps labels to existing files whose digests gate the
-    resume; ``build(stage_dir)`` writes the artifacts into ``stage_dir``
-    and returns their paths. A rebuild removes each file the old manifest
-    lists and the build did not write, so the directory holds what its
-    manifest lists. The manifest is written last, so a crash mid-stage
-    simply reruns it. ``memo`` holds what the command that runs this
-    stage already knows of its files, keyed by path, inode, size and
+    resume; ``build(stage_dir, memo)`` writes the artifacts into
+    ``stage_dir`` and returns their paths. A rebuild removes each file the
+    old manifest lists and the build did not write, so the directory holds
+    what its manifest lists. The manifest is written last, so a crash
+    mid-stage simply reruns it. ``memo`` holds what the command that runs
+    this stage already knows of its files, keyed by path, inode, size and
     mtime (see :func:`_known`): their digests, and the artifacts it wrote
     or read. A chain of stages shares one, so a file that one stage
     wrote or checked is not hashed again by the next, and an artifact
     that one stage wrote or read is not decoded again by the next; a
-    build reads through :func:`_artifact` and hands what it writes over
-    with :func:`_hand_over`.
+    stage run on its own gets a fresh one here. Either way the build
+    reads through :func:`_artifact` and hands what it writes over with
+    :func:`_hand_over`.
     """
     memo = {} if memo is None else memo
     stage_dir = Path(out_dir) / name
@@ -359,7 +353,7 @@ def run_stage(out_dir, name: str, stage_config: dict, inputs: dict,
         return StageResult(stage_dir, True)
 
     stage_dir.mkdir(parents=True, exist_ok=True)
-    produced = build(stage_dir)
+    produced = build(stage_dir, memo)
     manifest = Manifest(name, config_digest, input_digests, {
         Path(p).relative_to(stage_dir).as_posix(): _file_digest(p, memo)
         for p in produced}).validate()
@@ -398,7 +392,7 @@ def stage_data(config: RunConfig, log=print, memo: dict | None = None) -> StageR
                         "train_fraction": config.train_fraction, "seed": config.seed}
         inputs = {}
 
-    def build(stage_dir: Path):
+    def build(stage_dir: Path, memo: dict):
         if config.uses_csv:
             schema = CsvSchema.from_file(config.data.csv.schema)
             raw = load_csv(config.data.csv.path, schema)
@@ -437,7 +431,7 @@ def stage_train(config: RunConfig, method: str, log=print,
     if method != METHOD_MCD:
         stage_config["ensemble"] = container.to_plain(config.ensemble)
 
-    def build(stage_dir: Path):
+    def build(stage_dir: Path, memo: dict):
         data = _artifact(train_path, load_features, memo)
         if data.n_rows == 0:
             raise DataError(f"{train_path}: training data is empty")
@@ -518,14 +512,17 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
     inputs = {"data": Path(data_path)}
     inputs.update({f"model_{i}": Path(p) for i, p in enumerate(model_files)})
 
-    def build(stage_dir: Path):
+    def build(stage_dir: Path, memo: dict):
         if method != METHOD_MCD:
             spec = container.read_artifact(model_files[0], ENSEMBLE_FORMAT, EnsembleFile)
-            listed, found = set(spec.files), {p.name for p in model_files[1:]}
+            found = {p.name for p in model_files[1:]}
+            refusal = f"{model_path} does not hold the member files its spec.json lists"
+            if spec.members > len(found) + 10:  # counted, as there may be too many to name
+                raise ValidationError(f"{refusal}: {spec.members} listed, {len(found)} found")
+            listed = set(spec.files)
             if found != listed:
-                raise ValidationError(
-                    f"{model_path} does not hold the member files its spec.json lists: "
-                    f"missing {sorted(listed - found)}, extra {sorted(found - listed)}")
+                raise ValidationError(f"{refusal}: missing {sorted(listed - found)}, "
+                                      f"extra {sorted(found - listed)}")
         net_files = model_files if method == METHOD_MCD else model_files[1:]
         models = [_artifact(p, load_network, memo) for p in net_files]
         table = _artifact(data_path, load_features, memo)
@@ -548,7 +545,7 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
                      memo)
 
 
-def _report(config: RunConfig, method: str, dump_path: Path, memo: dict | None) -> UqReport:
+def _report(config: RunConfig, method: str, dump_path: Path, memo: dict) -> UqReport:
     """Score the dump at ``dump_path``, refused unless it holds some of
     ``method``'s predictions. The evaluate and summary stages both call it."""
     dump = _artifact(dump_path, read_dump, memo)
@@ -572,7 +569,7 @@ def stage_evaluate(config: RunConfig, method: str, dump_path=None, log=print,
                     "m_bins": config.m_bins, "report_threshold": config.report_threshold,
                     "seed": config.seed}
 
-    def build(stage_dir: Path):
+    def build(stage_dir: Path, memo: dict):
         report = _report(config, method, dump_path, memo)
         meta = {"seed": config.seed, "config_digest": _digest_of(stage_config)}
         container.write_json(report_to_dict(report, meta), stage_dir / "report.json")
@@ -611,7 +608,7 @@ def stage_summary(config: RunConfig, log=print, memo: dict | None = None) -> Sta
                     "m_bins": config.m_bins, "report_threshold": config.report_threshold,
                     "seed": config.seed}
 
-    def build(stage_dir: Path):
+    def build(stage_dir: Path, memo: dict):
         rows, summaries = [], {}
         for m, path in dump_paths.items():
             report = _report(config, m, path, memo)

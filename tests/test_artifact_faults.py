@@ -1,6 +1,7 @@
 """Bad artifacts read back from disk exit 3 naming the file, never with a
-traceback: pinned faults, a non-UTF-8 CSV, and a sweep that breaks every
-leaf of every JSON artifact a command takes by path.
+traceback: pinned faults, a non-UTF-8 CSV, a sweep that breaks every
+leaf of every JSON artifact a command takes by path, and a seeded fuzzer
+that changes one leaf of a run tree's artifact before a reproduce.
 
 One tiny run tree (1 epoch, 2 MC passes) is built once for the module;
 each test edits copies of its files.
@@ -9,7 +10,9 @@ each test edits copies of its files.
 import copy
 import hashlib
 import json
+import random
 import shutil
+import signal
 
 import numpy as np
 import pytest
@@ -249,6 +252,21 @@ def test_ensemble_directory_unlike_its_spec_exits_2_naming_the_files(work, capsy
     assert not (work / "again/predictions/ensemble/dump.json").exists()
 
 
+def test_spec_listing_more_members_than_memory_can_name_exits_2(work, capsys):
+    """A spec.json whose member count is 2**63, re-sealed as the ensemble
+    stage's own, is refused at once by the predict stage that reads it:
+    the files are counted, as there are too many to name."""
+    ensemble = work / "out/models/ensemble"
+    path = ensemble / "spec.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "members": 2**63}))
+    reseal(ensemble / "manifest.json", "outputs", "spec.json", path.read_bytes())
+    assert cli.main(["reproduce", "--config", str(work / "tiny.json"),
+                     "--out", str(work / "out")]) == 2
+    err = capsys.readouterr().err
+    assert (f"{ensemble} does not hold the member files its spec.json lists: "
+            f"{2**63} listed, 3 found") in err, err
+
+
 @pytest.mark.parametrize("rel, array, key", [
     ("out/models/single.json", lambda doc: doc["weights"][2], "weights[2]"),
     ("out/models/ensemble/member_000.json", lambda doc: doc["biases"][0], "biases[0]"),
@@ -331,3 +349,84 @@ def test_empty_training_table_exits_3_naming_the_file(work, capsys):
     assert cli.main(["train", "--config", str(work / "tiny.json"),
                      "--out", str(work / "out")]) == 3
     assert f"{train}: training data is empty" in capsys.readouterr().err
+
+
+# The fuzzer's files: every JSON artifact a later stage of reproduce reads.
+FUZZED = ("data/train.json", "data/test.json", "models/single.json",
+          *(f"models/ensemble/member_{i:03d}.json" for i in range(TINY["ensemble"]["members"])),
+          "models/ensemble/spec.json",
+          *(f"predictions/{method}/dump.json" for method in ("mcd", "ensemble", "emcd")))
+
+
+def mutants(value):
+    """What the fuzzer may put in place of one leaf: a huge int or float,
+    a value of another type, the sign flipped, or a string cut in half."""
+    if isinstance(value, str):
+        return [2**63, 1e308, len(value), value[: len(value) // 2]]
+    flipped = [-value] if type(value) in (int, float) else []
+    return [2**63, 1e308, str(value), *flipped]
+
+
+def files_of(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
+def timed_out(*_):
+    raise TimeoutError("the run took over 5 s")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_leaf_mutations_exit_0_or_3_naming_the_file(tree, tmp_path, capsys, seed):
+    """100 runs: each restores the clean tree, changes one leaf of one
+    artifact, re-seals the file in its stage manifest and reproduces. No
+    exception escapes, exit 3 names the file, exit 2 is only spec.json's
+    member-set refusal, and exit 0 leaves every other file as it was.
+    A run that takes over 5 s is stopped and fails (exit 5)."""
+    rng = random.Random(seed)
+    clean, out = files_of(tree / "out"), tmp_path / "out"
+    argv = ["reproduce", "--config", str(tree / "tiny.json"), "--out", str(out)]
+    bad, codes = [], []
+    old_handler = signal.signal(signal.SIGALRM, timed_out)
+    try:
+        for _ in range(100):
+            shutil.rmtree(out, ignore_errors=True)
+            shutil.copytree(tree / "out", out)
+            rel = rng.choice(FUZZED)
+            path = out / rel
+            doc = json.loads(path.read_text())
+            *parents, last = rng.choice(list(leaf_paths(doc)))
+            node = doc
+            for key in parents:
+                node = node[key]
+            node[last] = rng.choice(mutants(node[last]))
+            label = f"{rel} {'.'.join(map(str, (*parents, last)))} = {node[last]!r}"
+            text = json.dumps(doc).encode()
+            path.write_bytes(text)
+            reseal(path.parent / "manifest.json", "outputs", path.name, text)
+            signal.alarm(5)
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # noqa: BLE001 - the fuzzer reports every escape
+                bad.append(f"{label}: raised {exc!r}")
+                continue
+            finally:
+                signal.alarm(0)
+            codes.append(code)
+            err = capsys.readouterr().err
+            if code == 0:
+                now = files_of(out)
+                changed = sorted(name for name in now.keys() | clean.keys()
+                                 if name != rel and now.get(name) != clean.get(name))
+                if not changed:
+                    continue
+                err = f"changed {changed}"
+            elif code == 3 and str(path) in err or (
+                    code == 2 and rel.endswith("spec.json")
+                    and "does not hold the member files its spec.json lists" in err):
+                continue
+            bad.append(f"{label}: exit {code}, {err!r}")
+    finally:
+        signal.signal(signal.SIGALRM, old_handler)
+    assert not bad, "\n".join(bad)
+    assert 0 in codes and 3 in codes

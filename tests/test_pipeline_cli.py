@@ -501,6 +501,29 @@ def test_each_model_trains_once_whichever_command_asks(tmp_path):
     assert not [m for m in messages if m.startswith("[train]")]
 
 
+def test_stages_run_as_commands_write_what_reproduce_writes(tmp_path):
+    """A stage run by a command of its own takes the path it takes inside
+    reproduce: preprocess, then train, predict and evaluate for each
+    method, write the bytes that reproduce writes, and a reproduce over
+    their tree builds only the summary."""
+    pipeline.cmd_preprocess(run_config(tmp_path, "alone"), log=quiet)
+    for method in METHODS:
+        config = run_config(tmp_path, "alone", method=method)
+        pipeline.cmd_train(config, log=quiet)
+        pipeline.cmd_predict(config, log=quiet)
+        pipeline.cmd_evaluate(config, log=quiet)
+    pipeline.cmd_reproduce(run_config(tmp_path, "chain"), log=quiet)
+    alone, chain = ({rel: digest for rel, digest in tree_digests(tmp_path / out).items()
+                     if rel.split("/")[0] in ("data", "models", "predictions", "reports")}
+                    for out in ("alone", "chain"))
+    assert alone == chain and len(alone) == 34
+    messages = []
+    pipeline.cmd_reproduce(run_config(tmp_path, "alone"), log=messages.append)
+    skipped = [m for m in messages if m.endswith("] up to date, skipping")]
+    assert len(skipped) == 9 and not any(m.startswith("[summary]") for m in skipped)
+    assert (tmp_path / "alone/summary/summary.json").is_file()
+
+
 def test_a_rebuilt_stage_keeps_only_the_files_it_lists(tmp_path):
     """An ensemble retrained with fewer members leaves only the member
     files it lists, and training the ensemble leaves the single net."""
