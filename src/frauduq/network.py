@@ -44,6 +44,7 @@ class NetworkParams:
             )
         if any(h < 1 for h in self.hidden_units):
             raise ValidationError(f"hidden layer widths must be >= 1, got {list(self.hidden_units)}")
+        check_allocatable("hidden_units", list(self.hidden_units), self.hidden_units)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValidationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.learning_rate <= 0:
@@ -51,6 +52,17 @@ class NetworkParams:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be >= 1")
         return self
+
+
+def check_allocatable(key: str, value, widths) -> None:
+    """Refuse hidden ``widths`` (what ``key`` holds: ``value``) that give a
+    weight matrix more float64 values than numpy can allocate, whatever
+    the input width; ``np.intp`` bounds an array's bytes."""
+    sizes = [1, *widths, N_CLASSES]
+    for cols, rows in zip(sizes, sizes[1:]):
+        if rows * cols * 8 > np.iinfo(np.intp).max:
+            raise ValidationError(f"{key} {value} makes a weight matrix of at least "
+                                  f"{rows * cols} values, more than numpy can allocate")
 
 
 @dataclass(frozen=True, kw_only=True)

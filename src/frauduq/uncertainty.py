@@ -28,8 +28,8 @@ import numpy as np
 from . import container
 from .data import check_labels
 from .errors import DataError, ValidationError
-from .network import (N_CLASSES, Network, NetworkConfig, first_hidden, forward,
-                      sample_dropout_mask, train)
+from .network import (N_CLASSES, Network, NetworkConfig, check_allocatable, first_hidden,
+                      forward, sample_dropout_mask, train)
 from .seeding import STREAM_MEMBER, STREAM_PREDICT, derive_seed, substream
 
 METHOD_MCD = "mcd"
@@ -72,6 +72,8 @@ class EnsembleSpec:
             if len(r) != 2 or not 1 <= r[0] < r[1]:
                 raise ValidationError(f"width range {list(r)} must be [low, high] "
                                       f"with 1 <= low < high")
+        check_allocatable("width_ranges", [list(r) for r in self.width_ranges],
+                          [high for _, high in self.width_ranges])
         return self
 
 
@@ -202,49 +204,138 @@ def _on_cores(task, n: int, pool=None) -> list:
     return [results[i] for i in range(n)]
 
 
-# Members train on threads only when a member's Adam step is expected to
-# take at least this many multiply-adds (batch rows times weights, at each
-# width range's mean): numpy releases the GIL only inside its kernels, so
-# threads slow small steps down. On 2 cores with BLAS on one thread they
-# took 1.7-1.8x the serial time at 0.1-0.5M (desk nets), 0.8-1.1x at 2-2.4M
-# and 0.7-0.8x from 2.5M on (paper widths: 7M and up).
-_THREAD_MIN_STEP_MACS = 2_500_000
+def _in_workers(task, n: int):
+    """Yield ``task(i)`` for i in range(n), in index order, each computed in
+    one of the worker processes forked from the caller, one per usable core.
+
+    The caller hands an idle worker the next index over a pipe, and the
+    worker sends back the pickled result or exception. A result is
+    yielded as soon as it and every lower one are back. Once a task
+    fails, no index is handed out, and the lowest failing index's
+    exception is raised after every lower result, the one the plain loop
+    raises; a worker that dies in a task fails it with a ChildProcessError
+    naming the member and the signal or exit status. However the caller
+    leaves (done, raised, interrupted or closed early), it kills and reaps
+    every worker and closes every pipe. The workers block SIGINT, so a
+    Ctrl-C reaches the caller alone, which abandons the tasks in flight.
+    With one usable core, or no ``os.fork``, the caller runs every task.
+    """
+    n_workers = min(n, _usable_cores())
+    if n_workers < 2 or not hasattr(os, "fork"):
+        yield from map(task, range(n))
+        return
+    import pickle
+    import select
+    import signal
+    import warnings
+
+    indices, replies, failed = iter(range(n)), {}, False
+    fds, pids, busy = [], [], {}  # busy: a reply pipe -> (worker pid, its task pipe, index)
+    poller = select.poll()
+
+    def hand_out(pid, task_w, reply_r):
+        i = None if failed else next(indices, None)
+        if i is not None:
+            busy[reply_r] = pid, task_w, i
+            poller.register(reply_r, select.POLLIN)
+            with contextlib.suppress(BrokenPipeError):  # a dead worker shows as end of file
+                os.write(task_w, pickle.dumps(i))
+
+    try:
+        for _ in range(n_workers):
+            fds += os.pipe()
+            fds += os.pipe()
+            task_r, task_w, reply_r, reply_w = fds[-4:]
+            # A Ctrl-C stays pending until the worker is recorded, as CPython discards an
+            # interrupt raised in an at-fork hook; the worker keeps SIGINT blocked for good.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12 warns at a fork beside other threads. With no other Python
+                    # thread alive they are native, as OpenBLAS's, which its fork handler stops.
+                    if threading.active_count() == 1:
+                        warnings.filterwarnings("ignore", ".* is multi-threaded",
+                                                DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:  # a worker: serve tasks until it is killed
+                    try:
+                        for fd in fds:
+                            if fd not in (task_r, reply_w):
+                                os.close(fd)
+                        tasks, out = open(task_r, "rb"), open(reply_w, "wb")
+                        while True:
+                            i = pickle.load(tasks)
+                            try:
+                                reply = True, task(i)
+                            except BaseException as exc:  # the caller raises it
+                                reply = False, exc
+                            pickle.dump(reply, out)
+                            out.flush()
+                    finally:
+                        os._exit(1)
+                pids.append(pid)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for fd in (task_r, reply_w):
+                fds.remove(fd)
+                os.close(fd)
+            hand_out(pid, task_w, reply_r)
+        for i in range(n):
+            while i not in replies:
+                for reply_r, _ in poller.poll():
+                    poller.unregister(reply_r)
+                    pid, task_w, j = busy.pop(reply_r)
+                    try:
+                        with open(reply_r, "rb", closefd=False) as reply:
+                            replies[j] = pickle.load(reply)
+                    except (EOFError, pickle.UnpicklingError):  # the worker died in the task
+                        os.kill(pid, signal.SIGKILL)
+                        pids.remove(pid)
+                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                        how = (f"was killed by signal {-code} ({signal.strsignal(-code)})"
+                               if code < 0 else f"exited with status {code}")
+                        replies[j] = False, ChildProcessError(
+                            f"ensemble member {j + 1}/{n}: its worker process {how}")
+                    failed = failed or not replies[j][0]
+                    if pid in pids:
+                        hand_out(pid, task_w, reply_r)
+            ok, result = replies.pop(i)
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def train_ensemble(spec: EnsembleSpec, base: NetworkConfig, data, master_seed: int = 0,
                    log=None) -> list[Network]:
     """Train all members of ``base`` independently on the identical training table.
 
-    A member's config and training depend only on (master_seed, index).
-    So when a member's expected step is large enough (``_THREAD_MIN_STEP_MACS``)
-    the members train on every usable core through :func:`_on_cores`,
-    and one after another otherwise; the networks are the same bitwise.
-    ``log(index, config, history)`` is called for member i as soon as it
-    and every lower member have trained, so in member order, by the thread
-    that trained the last of them. If members fail, the members in flight
-    finish, no other member starts, and the lowest failing member's error
-    is raised.
+    A member's config and training depend only on (master_seed, index),
+    so the members train in worker processes through :func:`_in_workers`,
+    one per usable core, and the networks are the same bitwise on any
+    core count. ``log(index, config, history)`` is called for member i as
+    soon as it and every lower member have trained, so in member order.
+    If members fail, no other member starts, and the lowest failing
+    member's error is raised once every lower member has trained.
     """
     spec.validate()
-    finished, lock, next_log = {}, threading.Lock(), 0
 
     def train_member(i):
-        nonlocal next_log
-        config = member_config(spec, base, i, master_seed)
-        net, history = train(config, data)
-        if log is not None:
-            with lock:  # held while logging, so the lines come in member order
-                finished[i] = config, history
-                while next_log in finished:
-                    log(next_log, *finished.pop(next_log))
-                    next_log += 1
-        return net
+        return train(member_config(spec, base, i, master_seed), data)
 
-    widths = [base.input_units, *((lo + hi) / 2 for lo, hi in spec.width_ranges), N_CLASSES]
-    step_macs = (min(base.batch_size, len(data.features))
-                 * sum(a * b for a, b in zip(widths, widths[1:])))
-    with _core_pool() if step_macs >= _THREAD_MIN_STEP_MACS else contextlib.nullcontext() as pool:
-        return _on_cores(train_member, spec.members, pool)
+    members = []
+    with contextlib.closing(_in_workers(train_member, spec.members)) as trained:
+        for i, (net, history) in enumerate(trained):
+            if log is not None:
+                log(i, net.config, history)
+            members.append(net)
+    return members
 
 
 # Input rows are processed in chunks sized so one chunk's sample tensor

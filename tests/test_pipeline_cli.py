@@ -10,6 +10,8 @@ import gc
 import hashlib
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import threading
@@ -814,6 +816,28 @@ def test_cli_mistyped_config_values_exit_2(tmp_path, capsys, overrides, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"network": {"hidden_units": [2**63 - 1, 5, 4]}}, "hidden_units"),
+    ({"network": {"hidden_units": [4, 2**62, 4]}}, "hidden_units"),
+    ({"ensemble": {"width_ranges": [[4, 2**63 - 1], [2, 5], [2, 3]]}}, "width_ranges"),
+], ids=["first-width", "inner-widths", "width-range"])
+@pytest.mark.parametrize("method", ["mcd", "ensemble"])
+def test_cli_width_numpy_cannot_allocate_exits_2_naming_the_key(tmp_path, capsys, overrides,
+                                                                key, method):
+    """A hidden width, or the top of a width range, whose weight matrix is
+    larger than numpy can allocate at any input width is refused before
+    `train` starts on a preprocessed tree: exit 2, one error line naming
+    the key, and no model written."""
+    out = tmp_path / "out"
+    assert cli_run("preprocess", "--config", str(write_config(tmp_path)), "--out", str(out)) == 0
+    huge = write_config(tmp_path, overrides, name="huge.json")
+    capsys.readouterr()
+    assert cli_run("train", "--config", str(huge), "--out", str(out), "--method", method) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {key} ") and "more than numpy can allocate" in line, line
+    assert not (out / "models").exists()
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ,
@@ -1003,35 +1027,42 @@ def test_cli_non_finite_member_exits_4_without_a_traceback(tmp_path, capsys, mon
     assert threading.active_count() == before
 
 
+def no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
 def test_cli_member_files_and_logs_do_not_depend_on_the_core_count(tmp_path, capsys,
                                                                     monkeypatch):
-    """With the members on threads, 1 and 2 cores write the same member
-    files and print the same log, bitwise. On two cores the first two
-    members wait for each other, so they train on two threads."""
-    monkeypatch.setattr(unc, "_THREAD_MIN_STEP_MACS", 0)
+    """1 and 2 cores write the same member files and print the same log,
+    bitwise. On one core the caller trains every member; on two, two
+    worker processes do, and none is left."""
     config_path = write_config(tmp_path)
-    train, runs = unc.train, []
+    train, runs, pids = unc.train, [], tmp_path / "pids"
+
+    def recording(*args):
+        with open(pids, "a") as fh:  # from a worker too: a list would not come back
+            fh.write(f"{os.getpid()}\n")
+        return train(*args)
+
+    monkeypatch.setattr(unc, "train", recording)
     for cores in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)
-        barrier, threads = threading.Barrier(cores, timeout=10), []
-
-        def on_threads(*args):
-            threads.append(threading.get_ident())
-            if len(threads) <= cores:
-                barrier.wait()
-            return train(*args)
-
-        monkeypatch.setattr(unc, "train", on_threads)
+        pids.write_text("")
         out = tmp_path / f"out{cores}"
         base = ["--config", str(config_path), "--out", str(out), "--method", "ensemble"]
         assert cli_run("preprocess", *base) == 0
         capsys.readouterr()
-        before = threading.active_count()
         assert cli_run("train", *base) == 0
-        assert threading.active_count() == before
         runs.append((tree_digests(out / "models"), capsys.readouterr().out))
-        assert len(threads) == 3 and len(set(threads)) == cores
+        trained_in = pids.read_text().split()
+        assert len(trained_in) == 3 and no_child_is_left()
+        if cores == 1:
+            assert set(trained_in) == {str(os.getpid())}
+        else:
+            assert len(set(trained_in)) == 2 and str(os.getpid()) not in trained_in
     assert runs[0] == runs[1]
     assert len(runs[0][0]) == 5  # manifest, spec and 3 members
 
@@ -1039,10 +1070,9 @@ def test_cli_member_files_and_logs_do_not_depend_on_the_core_count(tmp_path, cap
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_cli_diverging_member_exits_4_with_one_error_line(tmp_path, capsys, monkeypatch):
-    """A member that diverges while the members train on threads ends
-    `train` with exit 4 and one error line; no ensemble file is written
-    and no thread is left."""
-    monkeypatch.setattr(unc, "_THREAD_MIN_STEP_MACS", 0)
+    """A member that diverges in a worker process ends `train` with exit 4
+    and one error line; no ensemble file is written and no worker is
+    left."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     member_config = unc.member_config
 
@@ -1056,45 +1086,103 @@ def test_cli_diverging_member_exits_4_with_one_error_line(tmp_path, capsys, monk
     base = ["--config", str(config_path), "--out", str(out), "--method", "ensemble"]
     assert cli_run("preprocess", *base) == 0
     capsys.readouterr()
-    before = threading.active_count()
     assert cli_run("train", *base) == 4
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         "error: softmax input contains non-finite values"], err
     assert "Traceback" not in err and not (out / "models" / "ensemble" / "spec.json").exists()
-    assert threading.active_count() == before
+    assert no_child_is_left()
+
+
+def test_cli_killed_worker_exits_5_naming_the_member_and_the_signal(tmp_path, capsys,
+                                                                     monkeypatch):
+    """A worker killed by SIGKILL in the middle of member 2, as the kernel
+    kills a process out of memory, ends `train` with exit 5 and one error
+    line naming the member and the signal; no ensemble file is written and
+    no worker is left."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    train, config_path = unc.train, write_config(tmp_path)
+    member_2 = unc.member_config(EnsembleSpec(**TINY["ensemble"]), network.NetworkConfig(
+        input_units=1, **TINY["network"]), 1, TINY["seed"]).seed
+
+    def killed(config, data):
+        if config.seed == member_2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return train(config, data)
+
+    monkeypatch.setattr(unc, "train", killed)
+    out = tmp_path / "out"
+    base = ["--config", str(config_path), "--out", str(out), "--method", "ensemble"]
+    assert cli_run("preprocess", *base) == 0
+    capsys.readouterr()
+    assert cli_run("train", *base) == 5
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: ensemble member 2/3: its worker process was killed by "
+                                f"signal {signal.SIGKILL.value} "
+                                f"({signal.strsignal(signal.SIGKILL)})"], err
+    assert not (out / "models" / "ensemble" / "spec.json").exists()
+    assert no_child_is_left()
+
+
+PAPER_WIDTHS = {
+    "data": {"synth": {"n_per_class": 100, "n_features": 30, "separation": 2.5}},
+    "network": {"hidden_units": [256, 64, 16], "epochs": 1, "batch_size": 128},
+    "ensemble": {"members": 2, "width_ranges": [[256, 260], [64, 66], [16, 18]]},
+    "mc_passes": 2,
+    "seed": 5,
+}
+
+
+def reproduce_in_subprocess(tmp_path, out_name, env_changes, pin=None):
+    """Run `frauduq reproduce` on the paper-width PAPER_WIDTHS config in a
+    fresh process and return its tree's digests and its stdout."""
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(PAPER_WIDTHS))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, **env_changes,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env = {k: v for k, v in env.items() if v is not None}
+    out = tmp_path / out_name
+    done = subprocess.run([sys.executable, "-m", "frauduq", "reproduce", "--config",
+                           str(config_path), "--out", str(out)], env=env, preexec_fn=pin,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return tree_digests(out), done.stdout
+
+
+def usable_core_ids():
+    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    if len(cores) < 2 or not hasattr(os, "fork"):
+        pytest.skip("needs at least 2 usable cores and os.fork")
+    return cores
 
 
 def test_cli_reproduce_tree_does_not_depend_on_the_core_count(tmp_path):
-    """A tiny `reproduce` whose members train on threads writes the same
-    tree pinned to one core as on every usable core."""
-    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
-    if len(cores) < 2:
-        pytest.skip("needs at least 2 usable cores")
-    config = {
-        "data": {"synth": {"n_per_class": 100, "n_features": 30, "separation": 2.5}},
-        "network": {"hidden_units": [256, 64, 16], "epochs": 1, "batch_size": 128},
-        "ensemble": {"members": 2, "width_ranges": [[256, 260], [64, 66], [16, 18]]},
-        "mc_passes": 2,
-        "seed": 5,
-    }
-    widths = [30, 258, 65, 17, 2]  # the mean member; 140 train rows fill a batch
-    assert 128 * sum(a * b for a, b in zip(widths, widths[1:])) >= unc._THREAD_MIN_STEP_MACS
-    config_path = tmp_path / "run.json"
-    config_path.write_text(json.dumps(config))
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    core = min(cores)
-    runs = []
-    for pin in (lambda: os.sched_setaffinity(0, {core}), None):
-        out = tmp_path / ("pinned" if pin else "unpinned")
-        done = subprocess.run([sys.executable, "-m", "frauduq", "reproduce", "--config",
-                               str(config_path), "--out", str(out)], env=env, preexec_fn=pin,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        runs.append((tree_digests(out), done.stdout))
-    assert runs[0] == runs[1]
+    """A tiny `reproduce` with paper-width members writes the same tree
+    pinned to one core, where the caller trains them, as on every usable
+    core, where worker processes do."""
+    core = min(usable_core_ids())
+    pinned = reproduce_in_subprocess(tmp_path, "pinned", {},
+                                     pin=lambda: os.sched_setaffinity(0, {core}))
+    assert pinned == reproduce_in_subprocess(tmp_path, "unpinned", {})
+
+
+def test_cli_reproduce_forks_safely_beside_openblas_threads(tmp_path):
+    """With OPENBLAS_NUM_THREADS unset, OpenBLAS's threads are alive when
+    the workers are forked; `reproduce` still exits 0 and writes the tree
+    it writes with OPENBLAS_NUM_THREADS=1."""
+    usable_core_ids()
+    unset = {name: None for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                     "OMP_NUM_THREADS")}
+    if os.path.exists("/proc/self/status"):  # the CLI's threads once it has pinned BLAS
+        probe = subprocess.run([sys.executable, "-c", "from frauduq import cli; "
+                                "cli._pin_blas_threads(); print(open('/proc/self/status').read())"],
+                               env={k: v for k, v in {**os.environ, **unset}.items() if v},
+                               capture_output=True, text=True, timeout=60,
+                               cwd=Path(__file__).resolve().parent.parent / "src")
+        assert re.search(r"^Threads:\s+([2-9]|\d\d+)$", probe.stdout, re.M), probe.stdout
+    forked = reproduce_in_subprocess(tmp_path, "unset", unset)
+    assert forked == reproduce_in_subprocess(tmp_path, "one", {"OPENBLAS_NUM_THREADS": "1"})
 
 
 def test_cli_sweep_prints_threshold_table(tmp_path, capsys):

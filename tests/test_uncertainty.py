@@ -3,13 +3,17 @@ construction, and the prediction dump files."""
 
 import concurrent.futures
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import os
 import re
+import signal
 import sys
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -587,133 +591,208 @@ TINY_SPEC = EnsembleSpec(members=5, width_ranges=((3, 6), (3, 5), (2, 4)))
 TINY_BASE = NetworkConfig(input_units=3, hidden_units=(1, 1, 1), epochs=2, batch_size=16)
 
 
-def training_spy(monkeypatch, fails=(), error=NumericError, hold=None, meet=1):
-    """Record the (member, on the caller) of every member that starts
-    training. Each member in ``fails`` raises ``error``; every other
-    first waits for the event ``hold``, if given. The first ``meet``
-    members wait for each other, so they train on ``meet`` threads."""
+def event_log(tmp_path):
+    """(record, read): ``record(*event)`` appends the event and the pid of
+    the process recording it to a file, one line per event, and ``read()``
+    returns them in the order written. A spy's list would stay behind in
+    the worker process that appends to it."""
+    path = tmp_path / "events.jsonl"
+    path.touch()
+
+    def record(*event):
+        with open(path, "a") as fh:  # one small appending write: events never interleave
+            fh.write(json.dumps([*event, os.getpid()]) + "\n")
+
+    def read():
+        return [tuple(json.loads(line)) for line in path.read_text().splitlines()]
+
+    return record, read
+
+
+def training_spy(monkeypatch, record, fails=(), error=NumericError, hold=0.0):
+    """Record ("start", member) and ("trained", member) around each
+    member's training. Each member in ``fails`` raises ``error``; every
+    other first sleeps ``hold`` seconds."""
     index = {member_config(TINY_SPEC, TINY_BASE, i, 8).seed: i for i in range(TINY_SPEC.members)}
-    started, barrier, order = [], threading.Barrier(meet, timeout=10), itertools.count()
 
     def spy(config, data):
         i = index[config.seed]
-        started.append((i, on_main()))
-        if next(order) < meet:
-            barrier.wait()
+        record("start", i)
         if i in fails:
             raise error(f"member {i} failed")
-        if hold is not None:
-            hold.wait(timeout=10)
-        return network.train(config, data)
-
-    monkeypatch.setattr(unc, "train", spy)
-    return started
-
-
-def test_members_train_on_threads_from_the_step_size_up(monkeypatch):
-    """Members train on the cores exactly when a member's expected step,
-    batch rows times weights at the mean widths, reaches
-    _THREAD_MIN_STEP_MACS; either way the networks and the logs, given
-    in member order, are the same bitwise."""
-    usable_cores(monkeypatch, 2)
-    opened, _ = pool_spy(monkeypatch)
-    step = 16 * (3 * 4.5 + 4.5 * 4 + 4 * 3 + 3 * 2)  # batch 16, widths 3 -> 4.5 -> 4 -> 3 -> 2
-    runs = []
-    for threshold, pooled in ((step + 1, False), (step, True)):
-        monkeypatch.setattr(unc, "_THREAD_MIN_STEP_MACS", threshold)
-        started = training_spy(monkeypatch, meet=2 if pooled else 1)
-        opened.clear()
-        logged = []
-        members = train_ensemble(TINY_SPEC, TINY_BASE, tiny_table(), master_seed=8,
-                                 log=lambda *entry: logged.append(entry))
-        assert len(opened) == int(pooled) and sorted(i for i, _ in started) == list(range(5))
-        assert {main for _, main in started} == ({True, False} if pooled else {True})
-        assert [i for i, _, _ in logged] == list(range(5))
-        runs.append((members, logged))
-    (serial, serial_log), (threaded, threaded_log) = runs
-    assert repr(serial_log) == repr(threaded_log)
-    for a, b in zip(serial, threaded):
-        assert a.config == b.config
-        assert all(np.array_equal(x, y) for x, y in zip(a.weights + a.biases,
-                                                        b.weights + b.biases))
-
-
-@pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
-def test_each_member_is_logged_once_it_and_every_lower_member_have_trained(monkeypatch,
-                                                                           threaded):
-    """Line i comes after members 0 to i have trained, each line comes
-    once and in member order, and one after another line i comes before
-    member i + 1 starts, so a long ensemble shows its progress. On threads
-    it runs on more threads than cores, with a short switch interval."""
-    usable_cores(monkeypatch, 4)
-    if threaded:
-        monkeypatch.setattr(unc, "_THREAD_MIN_STEP_MACS", 0)
-    index = {member_config(TINY_SPEC, TINY_BASE, i, 8).seed: i for i in range(TINY_SPEC.members)}
-    events = []
-
-    def spy(config, data):
-        events.append(("start", index[config.seed]))
+        time.sleep(hold)
         trained = network.train(config, data)
-        events.append(("trained", index[config.seed]))
+        record("trained", i)
         return trained
 
     monkeypatch.setattr(unc, "train", spy)
+
+
+def no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def test_members_train_in_workers_and_equal_the_serial_ones(monkeypatch, tmp_path):
+    """On two cores the members train in two worker processes, not in the
+    caller, and a SIGINT sent to a worker (which keeps it blocked) leaves
+    its member alone; the networks and the logs equal one core's bitwise."""
+    record, read = event_log(tmp_path)
+    train, runs = network.train, []
+
+    def spy(config, data):
+        record("start")
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGINT)
+        return train(config, data)
+
+    monkeypatch.setattr(unc, "train", spy)
+    caller = os.getpid()
+    for cores in (1, 2):
+        usable_cores(monkeypatch, cores)
+        logged = []
+        members = train_ensemble(TINY_SPEC, TINY_BASE, tiny_table(), master_seed=8,
+                                 log=lambda *entry: logged.append(entry))
+        runs.append((members, logged))
+    pids = [pid for _, pid in read()]
+    assert set(pids[:5]) == {caller}
+    assert len(set(pids[5:])) == 2 and caller not in pids[5:]
+    (serial, serial_log), (forked, forked_log) = runs
+    assert repr(serial_log) == repr(forked_log)
+    assert [i for i, _, _ in serial_log] == list(range(5))
+    for a, b in zip(serial, forked):
+        assert a.config == b.config
+        assert all(np.array_equal(x, y) for x, y in zip(a.weights + a.biases,
+                                                        b.weights + b.biases))
+    assert no_child_is_left()
+
+
+@pytest.mark.parametrize("cores", [1, 4], ids=["serial", "workers"])
+def test_each_member_is_logged_once_it_and_every_lower_member_have_trained(monkeypatch,
+                                                                           tmp_path, cores):
+    """Line i comes after members 0 to i have trained, each line comes
+    once and in member order, and one after another line i comes before
+    member i + 1 starts, so a long ensemble shows its progress. The
+    workers run on more processes than cores."""
+    usable_cores(monkeypatch, cores)
+    record, read = event_log(tmp_path)
+    training_spy(monkeypatch, record)
     members = range(TINY_SPEC.members)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            events.clear()
-            train_ensemble(TINY_SPEC, TINY_BASE, tiny_table(), master_seed=8,
-                           log=lambda i, config, history: events.append(("log", i)))
-            at = {event: k for k, event in enumerate(events)}
-            assert len(at) == len(events) == 3 * len(members)
-            assert [i for kind, i in events if kind == "log"] == list(members)
-            for i in members:
-                assert all(at[("trained", j)] < at[("log", i)] for j in range(i + 1))
-                if not threaded and i + 1 in members:
-                    assert at[("log", i)] < at[("start", i + 1)]
-    finally:
-        sys.setswitchinterval(interval)
+    for _ in range(5):
+        (tmp_path / "events.jsonl").write_text("")
+        train_ensemble(TINY_SPEC, TINY_BASE, tiny_table(), master_seed=8,
+                       log=lambda i, config, history: record("log", i))
+        events = [event for *event, _ in read()]
+        at = {tuple(event): k for k, event in enumerate(events)}
+        assert len(at) == len(events) == 3 * len(members)
+        assert [i for kind, i in events if kind == "log"] == list(members)
+        for i in members:
+            assert all(at[("trained", j)] < at[("log", i)] for j in range(i + 1))
+            if cores == 1 and i + 1 in members:
+                assert at[("log", i)] < at[("start", i + 1)]
 
 
-def test_train_ensemble_raises_the_lowest_failing_member(monkeypatch):
+def test_train_ensemble_raises_the_lowest_failing_member(monkeypatch, tmp_path):
     """On two cores a failure in any member reaches the caller, the lowest
-    member wins, every member below it started, and every pool thread has
-    ended. Repeated with a short switch interval."""
+    member wins, every member below it has trained, and no worker is
+    left. Repeated, so the workers finish in many orders."""
     usable_cores(monkeypatch, 2)
-    monkeypatch.setattr(unc, "_THREAD_MIN_STEP_MACS", 0)
     data = tiny_table()
-    before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for fails in ({3, 4}, {1, 2}, {0, 1}, {4}):
-            started = training_spy(monkeypatch, fails)
-            for _ in range(5):
-                started.clear()
-                with pytest.raises(NumericError, match=f"member {min(fails)} failed"):
-                    train_ensemble(TINY_SPEC, TINY_BASE, data, master_seed=8)
-                assert {i for i, _ in started} >= set(range(min(fails) + 1))
-                assert threading.active_count() == before
-    finally:
-        sys.setswitchinterval(interval)
+    record, read = event_log(tmp_path)
+    for fails in ({3, 4}, {1, 2}, {0, 1}, {4}):
+        training_spy(monkeypatch, record, fails)
+        for _ in range(5):
+            (tmp_path / "events.jsonl").write_text("")
+            with pytest.raises(NumericError, match=f"member {min(fails)} failed"):
+                train_ensemble(TINY_SPEC, TINY_BASE, data, master_seed=8)
+            assert {i for kind, i, _ in read() if kind == "trained"} >= set(range(min(fails)))
+            assert no_child_is_left()
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_an_interrupted_member_starts_no_new_member(monkeypatch, cores):
-    """A KeyboardInterrupt in member 0 is raised once the member in flight
-    on the other thread has finished, and no member starts after it."""
+def test_an_interrupted_member_starts_no_new_member(monkeypatch, tmp_path, cores):
+    """A KeyboardInterrupt in member 0 is raised at once: on two cores the
+    worker still training member 1 is killed, not waited for, and no
+    member starts after it."""
     usable_cores(monkeypatch, cores)
-    monkeypatch.setattr(unc, "_THREAD_MIN_STEP_MACS", 0)
-    _, left = pool_spy(monkeypatch)
-    started = training_spy(monkeypatch, {0}, KeyboardInterrupt, hold=left)
-    before = threading.active_count()
+    record, read = event_log(tmp_path)
+    training_spy(monkeypatch, record, {0}, KeyboardInterrupt, hold=60.0)
+    start = time.monotonic()
     with pytest.raises(KeyboardInterrupt, match="member 0 failed"):
         train_ensemble(TINY_SPEC, TINY_BASE, tiny_table(), master_seed=8)
-    assert 0 in {i for i, _ in started}
-    assert {i for i, _ in started} <= ({0} if cores == 1 else {0, 1})
-    assert threading.active_count() == before
+    assert time.monotonic() - start < 30
+    started = {i for kind, i, _ in read() if kind == "start"}
+    assert 0 in started and started <= ({0} if cores == 1 else {0, 1})
+    assert no_child_is_left()
+
+
+FORK_HOOK_SIGNALS = []  # a signal a test has the next fork's hook in the caller send
+
+
+def send_from_fork_hook():
+    if FORK_HOOK_SIGNALS:
+        os.kill(os.getpid(), FORK_HOOK_SIGNALS.pop())
+
+
+os.register_at_fork(after_in_parent=send_from_fork_hook)  # idle until a test arms it
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("way", ["returns", "raises", "interrupted", "interrupted-in-fork"])
+def test_train_ensemble_leaves_no_worker_pipe_or_warning(monkeypatch, tmp_path, way):
+    """However the workers' map ends (every member trains, member 1
+    raises, or the caller takes a Ctrl-C's SIGINT while members train, or
+    while it forks the first worker, where an interrupt raised in an
+    at-fork hook would be discarded), it ends at once, no child process
+    is left, as many files are open as before, and no ResourceWarning is
+    raised."""
+    usable_cores(monkeypatch, 2)
+    record, _ = event_log(tmp_path)
+    training_spy(monkeypatch, record, fails={1} if way == "raises" else ())
+    if way.startswith("interrupted"):
+        def spy(config, data):
+            if way == "interrupted" and config.seed == member_config(TINY_SPEC, TINY_BASE, 1,
+                                                                     8).seed:
+                os.kill(os.getppid(), signal.SIGINT)  # once, from member 1's worker
+            time.sleep(60)  # until killed
+
+        monkeypatch.setattr(unc, "train", spy)
+    if way == "interrupted-in-fork":
+        FORK_HOOK_SIGNALS.append(signal.SIGINT)
+    data, fds, start = tiny_table(), len(os.listdir("/proc/self/fd")), time.monotonic()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if way == "returns":
+            assert len(train_ensemble(TINY_SPEC, TINY_BASE, data, master_seed=8)) == 5
+        else:
+            with pytest.raises(NumericError if way == "raises" else KeyboardInterrupt):
+                train_ensemble(TINY_SPEC, TINY_BASE, data, master_seed=8)
+        gc.collect()
+    assert time.monotonic() - start < 30 and not FORK_HOOK_SIGNALS
+    assert no_child_is_left()
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_forking_beside_native_threads_only_does_not_warn(monkeypatch):
+    """Python 3.12 warns at a fork while the process has other threads,
+    OpenBLAS's too. With no other Python thread alive, those are native
+    threads whose library stops them at a fork, so the map forks without
+    the warning (filterwarnings = error would raise it)."""
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          f"may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    usable_cores(monkeypatch, 2)
+    assert len(train_ensemble(TINY_SPEC, TINY_BASE, tiny_table(), master_seed=8)) == 5
+    assert no_child_is_left()
 
 
 # --- prediction dumps -----------------------------------------------------------------
