@@ -43,7 +43,6 @@ from .evaluation import (
 from .network import (
     Network,
     NetworkConfig,
-    backward,
     cross_entropy,
     forward,
     init_network,

@@ -26,6 +26,8 @@ FEATURES_FORMAT = "frauduq-features"
 PREPROCESSOR_FORMAT = "frauduq-preprocessor"
 SCHEMA_FORMAT = "frauduq-schema"
 
+MAX_FLOATS = np.iinfo(np.intp).max // 8  # numpy counts an array's bytes in np.intp
+
 
 @dataclass(frozen=True)
 class CsvSchema:
@@ -202,11 +204,6 @@ def _parse_numeric(raw: list) -> np.ndarray | None:
         return None
 
 
-# a column kind -> the type of its impute_value and its own keys, sorted
-_COLUMN_KEYS = {NUMERIC: (float, ["mean", "std"]),
-                CATEGORICAL: (str, ["categories"])}
-
-
 @dataclass(frozen=True)
 class ColumnParams:
     """One column's fitted statistics. Numeric: the observed mean as
@@ -223,18 +220,6 @@ class ColumnParams:
     std: float | None = None
     categories: tuple[str, ...] | None = None
 
-    def validate(self) -> "ColumnParams":
-        if self.kind not in _COLUMN_KEYS:
-            raise ValidationError(f"column {self.name!r} has unknown kind {self.kind!r}")
-        impute, own = _COLUMN_KEYS[self.kind]
-        given = [k for k in ("categories", "mean", "std") if getattr(self, k) is not None]
-        if not isinstance(self.impute_value, impute) or given != own:
-            raise ValidationError(
-                f"column {self.name!r}: a {self.kind} column takes a {impute.__name__} "
-                f"impute_value and the keys {own}, got "
-                f"{type(self.impute_value).__name__} and {given}")
-        return self
-
 
 @dataclass(frozen=True)
 class PreprocessorState:
@@ -243,17 +228,8 @@ class PreprocessorState:
 
     columns: tuple[ColumnParams, ...]
 
-    def validate(self) -> "PreprocessorState":
-        for column in self.columns:
-            column.validate()
-        return self
-
     def save(self, path) -> None:
         container.write_artifact(self, PREPROCESSOR_FORMAT, path)
-
-    @classmethod
-    def load(cls, path) -> "PreprocessorState":
-        return container.read_artifact(path, PREPROCESSOR_FORMAT, cls)
 
 
 def fit_preprocessor(train: RawTable) -> PreprocessorState:

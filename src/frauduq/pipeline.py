@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import container
 from .data import (
+    MAX_FLOATS,
     CsvSchema,
     apply_preprocessor,
     fit_preprocessor,
@@ -76,6 +77,9 @@ class SynthSpec:
             raise ValidationError(f"synth n_features must be >= 2, got {self.n_features}")
         if self.separation <= 0:
             raise ValidationError(f"synth separation must be > 0, got {self.separation}")
+        if 2 * self.n_per_class * self.n_features > MAX_FLOATS:
+            raise ValidationError(f"data.synth makes a table of 2 * {self.n_per_class} * "
+                                  f"{self.n_features} values, more than numpy can allocate")
         return self
 
 

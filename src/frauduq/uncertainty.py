@@ -218,6 +218,8 @@ def _in_workers(task, n: int):
     leaves (done, raised, interrupted or closed early), it kills and reaps
     every worker and closes every pipe. The workers block SIGINT, so a
     Ctrl-C reaches the caller alone, which abandons the tasks in flight.
+    On Linux the kernel kills the workers when the caller dies; elsewhere
+    a worker outliving its caller ends with its task.
     With one usable core, or no ``os.fork``, the caller runs every task.
     """
     n_workers = min(n, _usable_cores())
@@ -229,7 +231,7 @@ def _in_workers(task, n: int):
     import signal
     import warnings
 
-    indices, replies, failed = iter(range(n)), {}, False
+    indices, replies, failed, caller = iter(range(n)), {}, False, os.getpid()
     fds, pids, busy = [], [], {}  # busy: a reply pipe -> (worker pid, its task pipe, index)
     poller = select.poll()
 
@@ -259,6 +261,12 @@ def _in_workers(task, n: int):
                     pid = os.fork()
                 if pid == 0:  # a worker: serve tasks until it is killed
                     try:
+                        import ctypes
+                        prctl = getattr(ctypes.CDLL(None), "prctl", None)  # only Linux has it
+                        if prctl is not None:  # sent when the forking thread ends: the caller's
+                            prctl(1, ctypes.c_ulong(signal.SIGKILL))  # 1: PR_SET_PDEATHSIG
+                        if os.getppid() != caller:  # the caller died before the call
+                            os._exit(1)
                         for fd in fds:
                             if fd not in (task_r, reply_w):
                                 os.close(fd)

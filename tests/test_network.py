@@ -9,18 +9,16 @@ import pytest
 
 import frauduq.network as network
 from frauduq import container
-from frauduq.errors import DataError, FormatError, NumericError, ShapeError, ValidationError
+from frauduq.errors import DataError, FormatError, NumericError, ShapeError
 from frauduq.network import (
     AdamState,
     NetworkConfig,
     adam_step,
-    backward,
     cross_entropy,
     first_hidden,
     forward,
     init_network,
     load_network,
-    loss_on_batch,
     sample_dropout_mask,
     save_network,
     softmax,
@@ -87,6 +85,17 @@ def test_cross_entropy_rejects_bad_label():
 # --- gradients --------------------------------------------------------------
 
 
+def grads_of(net, x, labels, masks):
+    """``(weight_grads, bias_grads)`` of the batch loss, from training's
+    ``_loss_and_grads`` on copies of ``masks``, which it consumes."""
+    return network._loss_and_grads(net, x, labels, [m.copy() for m in masks])[0]
+
+
+def batch_loss(net, x, labels, masks):
+    """The mean cross-entropy of a pass on copies of ``masks``."""
+    return cross_entropy(forward(net, x, [m.copy() for m in masks]), labels)
+
+
 def numeric_gradient(net, x, labels, masks, param, h=1e-5):
     """Central finite differences of the batch loss w.r.t. one tensor."""
     grad = np.zeros_like(param)
@@ -95,9 +104,9 @@ def numeric_gradient(net, x, labels, masks, param, h=1e-5):
     for k in range(flat.size):
         orig = flat[k]
         flat[k] = orig + h
-        up = loss_on_batch(net, x, labels, masks)
+        up = batch_loss(net, x, labels, masks)
         flat[k] = orig - h
-        down = loss_on_batch(net, x, labels, masks)
+        down = batch_loss(net, x, labels, masks)
         flat[k] = orig
         out[k] = (up - down) / (2.0 * h)
     return grad
@@ -121,7 +130,7 @@ def test_gradient_matches_finite_differences_with_dropout_mask():
     labels = rng.integers(0, 2, size=5)
     masks = sample_dropout_mask(config, np.random.default_rng(1), n_rows=5)
 
-    weight_grads, bias_grads = backward(net, x, labels, masks)
+    weight_grads, bias_grads = grads_of(net, x, labels, masks)
     worst = 0.0
     for i, w in enumerate(net.weights):
         worst = max(worst, max_relative_error(
@@ -139,8 +148,10 @@ def test_gradient_of_duplicated_batch_is_unchanged():
     x = rng.normal(size=(4, config.input_units))
     labels = np.array([0, 1, 1, 0])
 
-    single = backward(net, x, labels)
-    doubled = backward(net, np.vstack([x, x]), np.concatenate([labels, labels]))
+    # masks drawn as train draws them: ones at this rate of 0
+    single = grads_of(net, x, labels, sample_dropout_mask(config, rng, n_rows=4))
+    doubled = grads_of(net, np.vstack([x, x]), np.concatenate([labels, labels]),
+                       sample_dropout_mask(config, rng, n_rows=8))
     for a, b in zip(single[0] + single[1], doubled[0] + doubled[1]):
         assert np.allclose(a, b, atol=1e-12)
 
@@ -154,8 +165,8 @@ def test_adam_first_step_closed_form():
     config = small_config(rng)
     net = init_network(config)
     before = [w.copy() for w in net.weights]
-    grads = backward(net, rng.normal(size=(3, config.input_units)),
-                     np.array([0, 1, 0]))
+    grads = grads_of(net, rng.normal(size=(3, config.input_units)), np.array([0, 1, 0]),
+                     sample_dropout_mask(config, rng, n_rows=3))
 
     adam_step(net, grads, AdamState.for_network(net))
     for w0, w1, g in zip(before, net.weights, grads[0]):
@@ -175,7 +186,8 @@ def test_adam_step_matches_one_line_update_bitwise():
     b1, b2, eps = network.ADAM_BETA1, network.ADAM_BETA2, network.ADAM_EPSILON
     for t in range(1, 6):
         x = rng.normal(size=(4, config.input_units))
-        grads = backward(net, x, np.array([0, 1, 1, 0]))
+        masks = sample_dropout_mask(config, rng, n_rows=4)
+        grads = grads_of(net, x, np.array([0, 1, 1, 0]), masks)
         lr = config.learning_rate if t % 2 else 0.05
         net.config = replace(config, learning_rate=lr)
         adam_step(net, grads, state)
@@ -202,8 +214,10 @@ def test_adam_row_blocks_give_the_bits_of_one_pass(monkeypatch, block):
         net = init_network(config)
         state = AdamState.for_network(net)
         for t in range(4):
-            x = np.random.default_rng(t).normal(size=(5, 9))
-            adam_step(net, backward(net, x, np.array([0, 1, 1, 0, 1])), state)
+            rng = np.random.default_rng(t)
+            x = rng.normal(size=(5, 9))
+            masks = sample_dropout_mask(config, rng, n_rows=5)
+            adam_step(net, grads_of(net, x, np.array([0, 1, 1, 0, 1]), masks), state)
         runs.append(net.weights + net.biases + state.m + state.v)
     assert all(np.array_equal(a, b) for a, b in zip(*runs, strict=True))
 
@@ -214,7 +228,8 @@ def test_adam_rejects_mismatched_shapes():
     and the whole optimizer state left as they were."""
     rng = np.random.default_rng(5)
     net = init_network(NetworkConfig(input_units=3, hidden_units=(8, 8, 8)))
-    gw, gb = backward(net, rng.normal(size=(4, 3)), np.array([0, 1, 1, 0]))
+    masks = sample_dropout_mask(net.config, rng, n_rows=4)
+    gw, gb = grads_of(net, rng.normal(size=(4, 3)), np.array([0, 1, 1, 0]), masks)
     state = AdamState.for_network(net)
     adam_step(net, (gw, gb), state)  # non-zero moments, so a touched one would show
     for grads in (([gw[0][:, :-1], *gw[1:]], gb), ([gw[0]], [gb[0]]),
@@ -345,10 +360,7 @@ def reference_backward(net, x, labels, masks):
         d_weights[i] = delta.T @ acts[i]
         d_biases[i] = delta.sum(axis=0)
         if i > 0:
-            d_act = delta @ net.weights[i]
-            if masks is not None:
-                d_act = d_act * masks[i - 1]
-            delta = d_act * (relus[i - 1] > 0)
+            delta = ((delta @ net.weights[i]) * masks[i - 1]) * (relus[i - 1] > 0)
     return d_weights, d_biases
 
 
@@ -389,8 +401,8 @@ def test_forward_refuses_masks_not_drawn_for_its_rows():
 @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5])
 def test_backward_equals_the_mask_and_relu_gated_reference_bitwise(rate):
     """Gating by (d_act * s) * (masked activation > 0) gives the bits of the
-    written-out (d_act * mask) * (ReLU > 0), signed zeros included, with and
-    without masks; backward and loss_on_batch leave the masks intact."""
+    written-out (d_act * mask) * (ReLU > 0), signed zeros included; the loss
+    is the written-out pass's, and the masks are consumed as forward does."""
     rng = np.random.default_rng(61)
     for batch in range(6):
         config = small_config(rng, dropout_rate=rate)
@@ -399,29 +411,14 @@ def test_backward_equals_the_mask_and_relu_gated_reference_bitwise(rate):
         x = rng.normal(size=(n, config.input_units))
         labels = rng.integers(0, 2, size=n)
         masks = sample_dropout_mask(config, rng, n_rows=n)
-        kept = [m.copy() for m in masks]
-        for given in (masks, None):
-            got = backward(net, x, labels, given)
-            want = reference_backward(net, x, labels, given)
-            for g, w in zip(got[0] + got[1], want[0] + want[1]):
-                assert g.tobytes() == w.tobytes(), (rate, batch, given is None)
-        assert loss_on_batch(net, x, labels, masks) == cross_entropy(
-            cached_pass(net, x, kept)[0], labels)
-        assert all(m.tobytes() == k.tobytes() for m, k in zip(masks, kept))
-
-
-def test_backward_refuses_masks_other_than_zero_and_the_keep_scale():
-    """The gate reads a kept unit from its activation, so a mask value other
-    than 0 and 1/(1-rate) would be mis-differentiated: it is refused."""
-    config = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=0.3, seed=3)
-    net = init_network(config)
-    x = np.random.default_rng(8).normal(size=(6, 5))
-    labels = np.array([0, 1, 0, 1, 1, 0])
-    other_rate = NetworkConfig(input_units=5, hidden_units=(9, 7, 4), dropout_rate=0.5)
-    halved = [m / 2 for m in sample_dropout_mask(config, np.random.default_rng(4), n_rows=6)]
-    for masks in (sample_dropout_mask(other_rate, np.random.default_rng(4), n_rows=6), halved):
-        with pytest.raises(ValidationError, match="only 0 and"):
-            backward(net, x, labels, masks)
+        given = [m.copy() for m in masks]
+        got, loss = network._loss_and_grads(net, x, labels, given)
+        want = reference_backward(net, x, labels, masks)
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            assert g.tobytes() == w.tobytes(), (rate, batch)
+        probs, _, acts = cached_pass(net, x, masks)
+        assert loss == cross_entropy(probs, labels)
+        assert all(g.tobytes() == a.tobytes() for g, a in zip(given, acts[1:]))
 
 
 def test_rate_zero_mask_is_identity():

@@ -10,10 +10,12 @@ import math
 import os
 import re
 import signal
+import subprocess
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -793,6 +795,59 @@ def test_forking_beside_native_threads_only_does_not_warn(monkeypatch):
     usable_cores(monkeypatch, 2)
     assert len(train_ensemble(TINY_SPEC, TINY_BASE, tiny_table(), master_seed=8)) == 5
     assert no_child_is_left()
+
+
+# Trains two members of 5 s each, in two workers, each appending its pid to argv[1].
+HELD_MEMBERS = """
+import os, sys, time
+import numpy as np
+import frauduq.uncertainty as unc
+from frauduq.data import FeatureTable
+from frauduq.network import NetworkConfig
+
+def held(config, data):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(5)
+
+unc.train = held
+unc.train_ensemble(unc.EnsembleSpec(members=2, width_ranges=((3, 6), (3, 5), (2, 4))),
+                   NetworkConfig(input_units=3), FeatureTable(np.zeros((2, 3)), np.array([0, 1])))
+"""
+
+
+def has_exited(pid):
+    """No process ``pid`` runs: none is left, or a zombie its new parent has not reaped."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs Linux and 2 usable cores")
+def test_workers_die_with_their_killed_caller(tmp_path):
+    """A process killed outright while two workers train its members takes
+    them with it within about 0.5 s, not after their members end."""
+    pid_file = tmp_path / "workers"
+    pid_file.touch()
+    src = str(Path(unc.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    caller = subprocess.Popen([sys.executable, "-c", HELD_MEMBERS, str(pid_file)], env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while (written := pid_file.read_text()).count("\n") < 2:
+            assert caller.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        caller.kill()
+        caller.wait(timeout=60)
+    workers = written.split()
+    deadline = time.monotonic() + 0.5
+    while not all(map(has_exited, workers)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert [pid for pid in workers if not has_exited(pid)] == []
 
 
 # --- prediction dumps -----------------------------------------------------------------
