@@ -39,7 +39,7 @@ from .evaluation import (
     report_to_dict,
     threshold_table_csv,
 )
-from .network import NetworkConfig, NetworkParams, load_network, save_network, train
+from .network import N_CLASSES, NetworkConfig, NetworkParams, load_network, save_network, train
 from .seeding import STREAM_TRAIN, derive_seed
 from .uncertainty import (
     METHOD_ENSEMBLE,
@@ -147,8 +147,14 @@ class RunConfig:
             raise ValidationError(f"unknown UQ method {self.method!r}")
         if self.mc_passes < 1:
             raise ValidationError(f"mc_passes must be >= 1, got {self.mc_passes}")
+        if self.mc_passes * N_CLASSES > MAX_FLOATS:
+            raise ValidationError(f"mc_passes {self.mc_passes} makes a pass tensor of "
+                                  f"{self.mc_passes * N_CLASSES} values per row, more than "
+                                  f"numpy can allocate")
         if self.m_bins < 1:
             raise ValidationError(f"m_bins must be >= 1, got {self.m_bins}")
+        if self.m_bins > MAX_FLOATS:
+            raise ValidationError(f"m_bins {self.m_bins} is more than numpy can allocate")
         check_thresholds(self.thresholds)
         if not any(math.isclose(t, self.report_threshold, abs_tol=1e-9) for t in self.thresholds):
             raise ValidationError(

@@ -104,33 +104,21 @@ def estimates_of(mean_probs: np.ndarray) -> Estimates:
     return Estimates(mean_probs, mean_probs.argmax(axis=1), raw, norm)
 
 
-def _centered_mean(x: np.ndarray, axis: int) -> np.ndarray:
-    """Mean along ``axis``, taken relative to the first entry on that axis.
+def summarize(samples: np.ndarray) -> np.ndarray:
+    """The (rows, classes) mean of a (rows, k, classes) softmax sample array
+    along axis 1, taken relative to the first sample.
 
-    Offsetting by the first entry keeps the mean of bitwise-identical
-    entries exact, so zero-dropout sampling collapses to the single
-    forward pass with no rounding drift. ``x`` is centered in place.
+    Offsetting by the first sample keeps the mean of bitwise-identical
+    samples exact, so zero-dropout sampling collapses to the single
+    forward pass with no rounding drift. ``samples`` is centered in place.
     """
-    first = x.take([0], axis=axis)
-    x -= first
-    mean = x.mean(axis=axis)
-    mean += first.squeeze(axis)
-    return mean
-
-
-def summarize(samples: np.ndarray) -> Estimates:
-    """Collapse a (rows, members, passes, classes) softmax tensor into the
-    mean distribution and its entropy per row.
-
-    Each member's passes are averaged first, then the member means, which
-    equals the flat mean over all samples up to rounding. The tensor is
-    overwritten (centered in place), so besides it the reduction only
-    holds arrays of one pass per member. The mean distributions then go
-    through :func:`estimates_of`.
-    """
-    if 0 in samples.shape[1:3]:
+    if samples.shape[1] == 0:
         raise DataError("cannot summarize an empty sample set")
-    return estimates_of(_centered_mean(_centered_mean(samples, axis=2), axis=1))
+    first = samples.take([0], axis=1)
+    samples -= first
+    mean = samples.mean(axis=1)
+    mean += first.squeeze(1)
+    return mean
 
 
 def member_config(spec: EnsembleSpec, base: NetworkConfig, index: int,
@@ -346,9 +334,9 @@ def train_ensemble(spec: EnsembleSpec, base: NetworkConfig, data, master_seed: i
     return members
 
 
-# Input rows are processed in chunks sized so one chunk's sample tensor
-# stays near this many floats; a constant keeps chunking (and therefore
-# the dropout mask streams) reproducible across machines.
+# Input rows are processed in chunks of _CHUNK_BUDGET_FLOATS // (M*T*C)
+# rows. The chunk keys the dropout mask streams, so this constant is
+# frozen: any other value changes every mcd and emcd sample.
 _CHUNK_BUDGET_FLOATS = 16_000_000
 
 
@@ -357,15 +345,16 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
     """Uncertainty estimates for every row of a feature matrix (a vector is one row).
 
     Runs whole-chunk forward passes per (member, pass) with a fresh
-    per-row dropout mask each pass, reduces each chunk's sample tensor to
-    mean distributions with :func:`summarize`, and takes
-    :func:`estimates_of` their concatenation. Layer 1's activation is the
-    same on every pass (dropout acts after each hidden ReLU), so it is
-    computed once per member per chunk. That member's passes then run
-    through :func:`_on_cores`, on the caller and one pool for the whole
-    call, at most one thread per usable core and per pass, each pass into
-    its own slot: any core count gives the same bytes. The members take
-    turns, so one member's layer-1 activation is held at a time.
+    per-row dropout mask each pass. Layer 1's activation is the same on
+    every pass (dropout acts after each hidden ReLU), so it is computed
+    once per member per chunk. That member's passes then run through
+    :func:`_on_cores`, on the caller and one pool for the whole call, at
+    most one thread per usable core and per pass, each pass into its own
+    slot of one (rows, T, C) tensor: any core count gives the same bytes.
+    :func:`summarize` reduces the tensor to the member's mean at once, so
+    the members take turns, and one member's layer-1 activation and
+    samples are held at a time. Each chunk's member means are reduced in
+    turn, and :func:`estimates_of` takes their concatenation.
 
     A row's MC samples are fixed by (seed, member, pass, chunk): one
     stream per key draws the masks of every row in the chunk. So for mcd
@@ -396,7 +385,8 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
         # An empty table still runs one (empty) chunk, so the columns get their shapes.
         for chunk_no, start in enumerate(range(0, max(n, 1), chunk_rows)):
             block = features[start : start + chunk_rows]
-            tensor = np.empty((block.shape[0], n_members, per_member, N_CLASSES))
+            tensor = np.empty((block.shape[0], per_member, N_CLASSES))
+            member_means = np.empty((block.shape[0], n_members, N_CLASSES))
             for m, net in enumerate(models):
                 hidden1 = first_hidden(net, block)
 
@@ -405,10 +395,11 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
                     if stochastic:
                         rng = substream(seed, STREAM_PREDICT, m, t, chunk_no)
                         mask = sample_dropout_mask(net.config, rng, n_rows=block.shape[0])
-                    tensor[:, m, t] = forward(net, block, mask, hidden1)
+                    tensor[:, t] = forward(net, block, mask, hidden1)
 
                 _on_cores(one_pass, per_member, pool)
-            means.append(summarize(tensor).mean_probs)
+                member_means[:, m] = summarize(tensor)
+            means.append(summarize(member_means))
     return estimates_of(np.concatenate(means))
 
 

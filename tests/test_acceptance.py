@@ -43,6 +43,7 @@ from frauduq.seeding import STREAM_TRAIN, derive_seed
 from frauduq.uncertainty import (
     EnsembleSpec,
     Estimates,
+    estimates_of,
     predict_table,
     predictive_entropy,
     summarize,
@@ -118,6 +119,14 @@ def test_criterion_1_gradients_match_finite_differences():
 # --- criterion 2: softmax/entropy property suite -----------------------------------
 
 
+def reduce_passes_then_members(probs: np.ndarray) -> Estimates:
+    """Estimates of a (rows, members, passes, classes) softmax tensor, reduced
+    as predict_table reduces it: each member's passes, then the member means."""
+    member_means = np.stack([summarize(probs[:, m].copy()) for m in range(probs.shape[1])],
+                            axis=1)
+    return estimates_of(summarize(member_means))
+
+
 def test_criterion_2_softmax_entropy_property_suite():
     """1,000 random cases: softmax rows normalize to 1 +/- 1e-9, every
     summarized row has entropy_norm in [0,1] and mean probabilities
@@ -132,14 +141,14 @@ def test_criterion_2_softmax_entropy_property_suite():
         probs = softmax(logits)
         assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-9
 
-        base = summarize(probs)
+        base = reduce_passes_then_members(probs)
         assert np.all((0.0 <= base.entropy_norm) & (base.entropy_norm <= 1.0))
         assert np.abs(base.mean_probs.sum(axis=1) - 1.0).max() <= 1e-9
 
-    one_hot = summarize(np.array([[[[1.0, 0.0]]]]))
+    one_hot = reduce_passes_then_members(np.array([[[[1.0, 0.0]]]]))
     assert one_hot.entropy_norm.tolist() == [0.0]
 
-    uniform = summarize(np.array([[[[0.5, 0.5]]]]))
+    uniform = reduce_passes_then_members(np.array([[[[0.5, 0.5]]]]))
     assert uniform.entropy_norm.tolist() == [1.0]
 
     elapsed = time.time() - start

@@ -838,17 +838,22 @@ def test_cli_width_numpy_cannot_allocate_exits_2_naming_the_key(tmp_path, capsys
     assert not (out / "models").exists()
 
 
-@pytest.mark.parametrize("synth", [{"n_per_class": 2**63 - 1}, {"n_features": 2**63 - 1}],
-                         ids=["n_per_class", "n_features"])
-def test_cli_synthetic_table_numpy_cannot_allocate_exits_2(tmp_path, capsys, synth):
-    """A synthetic table of more float64 values than numpy can allocate is
-    refused before any work: exit 2, one error line naming data.synth, and
-    no stage directory."""
+@pytest.mark.parametrize("overrides, key", [
+    ({"data": {"synth": {**TINY["data"]["synth"], "n_per_class": 2**63 - 1}}}, "data.synth"),
+    ({"data": {"synth": {**TINY["data"]["synth"], "n_features": 2**63 - 1}}}, "data.synth"),
+    ({"mc_passes": 2**63 - 1}, "mc_passes"),
+    ({"m_bins": 2**63 - 1}, "m_bins"),
+], ids=["n_per_class", "n_features", "mc_passes", "m_bins"])
+def test_cli_config_numpy_cannot_allocate_exits_2_naming_the_key(tmp_path, capsys, overrides,
+                                                                 key):
+    """A synthetic table, one row's pass tensor or a bin count of more
+    values than numpy can allocate is refused before any work: exit 2,
+    one error line naming the key, and no output directory."""
     out = tmp_path / "out"
-    config = write_config(tmp_path, {"data": {"synth": {**TINY["data"]["synth"], **synth}}})
+    config = write_config(tmp_path, overrides)
     assert cli_run("preprocess", "--config", str(config), "--out", str(out)) == 2
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: data.synth ") and "more than numpy can allocate" in line, line
+    assert line.startswith(f"error: {key} ") and "more than numpy can allocate" in line, line
     assert not out.exists()
 
 

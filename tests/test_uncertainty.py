@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from frauduq.uncertainty import (
     DumpFile,
     EnsembleSpec,
     Estimates,
+    estimates_of,
     member_config,
     predict_table,
     predictive_entropy,
@@ -87,12 +89,20 @@ def test_entropy_rejects_garbage():
         predictive_entropy(np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.7], [0.2, 0.2]]))
 
 
-# --- summarize: the tensor reduction --------------------------------------------------
+# --- summarize: the sample reduction --------------------------------------------------
 
 
 def random_tensor(rng, rows, members, passes):
     raw = rng.random((rows, members, passes, 2))
     return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def reduce_passes_then_members(tensor: np.ndarray) -> Estimates:
+    """The estimates of a (rows, members, passes, classes) tensor, reduced
+    as predict_table reduces it: each member's passes, then the member means."""
+    member_means = np.stack([summarize(tensor[:, m].copy()) for m in range(tensor.shape[1])],
+                            axis=1)
+    return estimates_of(summarize(member_means))
 
 
 def reference_summary(rows: np.ndarray) -> tuple[np.ndarray, int, float, float]:
@@ -117,7 +127,7 @@ def test_summarize_matches_per_row_reference_bitwise():
         tensor = random_tensor(rng, *shape)
         if case % 3 == 0:
             tensor[:] = tensor[:, :, :1]  # identical passes, as with dropout 0
-        got = summarize(tensor.copy())
+        got = reduce_passes_then_members(tensor)
         for i in range(shape[0]):
             mean_probs, pred, raw, norm = reference_summary(tensor[i])
             assert np.array_equal(got.mean_probs[i], mean_probs)
@@ -132,11 +142,14 @@ def test_summarize_matches_grand_mean():
                                  int(rng.integers(1, 9)))
         tensor = random_tensor(rng, rows, members, passes)
         flat_mean = tensor.reshape(rows, -1, 2).mean(axis=1)
-        assert summarize(tensor).mean_probs == pytest.approx(flat_mean, abs=1e-12)
+        got = reduce_passes_then_members(tensor).mean_probs
+        assert got == pytest.approx(flat_mean, abs=1e-12)
+    with pytest.raises(DataError, match="empty sample set"):
+        summarize(np.empty((3, 0, 2)))
 
 
 def test_argmax_tie_prefers_lower_index():
-    est = summarize(np.full((3, 2, 2, 2), 0.5))
+    est = reduce_passes_then_members(np.full((3, 2, 2, 2), 0.5))
     assert est.predicted_class.tolist() == [0, 0, 0]
 
 
@@ -144,9 +157,9 @@ def test_argmax_tie_prefers_lower_index():
 
 
 def captured_tensors(monkeypatch):
-    """Record a copy of every sample tensor predict_table hands to summarize."""
-    import frauduq.uncertainty as unc
-
+    """Record a copy of every array predict_table hands to summarize: in
+    each chunk, each member's (rows, passes, classes) sample tensor in
+    turn, then the chunk's (rows, members, classes) member means."""
     seen = []
 
     def spy(tensor):
@@ -162,8 +175,8 @@ def test_mcd_produces_spread_with_dropout(monkeypatch):
     x = np.random.default_rng(1).normal(size=(4, 3))
     seen = captured_tensors(monkeypatch)
     predict_table("mcd", [net], x, passes=50, seed=5)
-    assert [t.shape for t in seen] == [(4, 1, 50, 2)]
-    assert seen[0].std(axis=2).max() > 0  # dropout actually perturbs
+    assert [t.shape for t in seen] == [(4, 50, 2), (4, 1, 2)]
+    assert seen[0].std(axis=1).max() > 0  # dropout actually perturbs
 
 
 def test_mcd_rejects_bad_passes():
@@ -176,26 +189,26 @@ def test_mcd_rejects_bad_passes():
 
 
 def test_emcd_sample_count_and_provenance(monkeypatch):
-    """Slot (m, t) of the tensor is pass t of member m, drawn from its own stream."""
+    """Slot t of member m's tensor is its pass t, drawn from its own stream,
+    and slot m of the member means is the mean of that tensor."""
     members = [init_network(dataclasses.replace(BASE, seed=s)) for s in (1, 2)]
     x = np.random.default_rng(3).normal(size=(5, 3))
     seen = captured_tensors(monkeypatch)
     predict_table("emcd", members, x, passes=7, seed=3)
-    assert [t.shape for t in seen] == [(5, 2, 7, 2)]
+    assert [t.shape for t in seen] == [(5, 7, 2), (5, 7, 2), (5, 2, 2)]
     for m, net in enumerate(members):
         for t in range(7):
             mask = sample_dropout_mask(net.config, substream(3, STREAM_PREDICT, m, t, 0),
                                        n_rows=5)
-            assert np.array_equal(seen[0][:, m, t], forward(net, x, mask))
+            assert np.array_equal(seen[m][:, t], forward(net, x, mask))
+        assert np.array_equal(seen[2][:, m], summarize(seen[m].copy()))
 
 
 @pytest.mark.parametrize("method, n_members", [("mcd", 1), ("emcd", 2)])
 def test_chunked_samples_equal_full_forward_passes(monkeypatch, method, n_members):
-    """In every chunk, slot (m, t) is member m's full forward pass of that
-    chunk under the mask stream of (seed, m, t, chunk), bitwise: reusing
-    layer 1 across passes changes no sample."""
-    import frauduq.uncertainty as unc
-
+    """In every chunk, slot t of member m's tensor is its full forward pass
+    of that chunk under the mask stream of (seed, m, t, chunk), bitwise:
+    reusing layer 1 across passes changes no sample."""
     config = NetworkConfig(input_units=40, hidden_units=(6, 5, 4), dropout_rate=0.3)
     members = [init_network(dataclasses.replace(config, seed=s)) for s in range(1, n_members + 1)]
     x = np.random.default_rng(59).normal(size=(11, 40))
@@ -204,14 +217,34 @@ def test_chunked_samples_equal_full_forward_passes(monkeypatch, method, n_member
     seen = captured_tensors(monkeypatch)
     predict_table(method, members, x, passes=passes, seed=seed)
 
-    assert [t.shape for t in seen] == [(rows, n_members, passes, 2) for rows in (4, 4, 3)]
-    for chunk_no, tensor in enumerate(seen):
-        block = x[4 * chunk_no : 4 * chunk_no + len(tensor)]
+    assert [t.shape for t in seen] == [
+        shape for rows in (4, 4, 3)
+        for shape in [(rows, passes, 2)] * n_members + [(rows, n_members, 2)]]
+    for chunk_no in range(3):
+        block = x[4 * chunk_no : 4 * chunk_no + 4]
         for m, net in enumerate(members):
+            tensor = seen[chunk_no * (n_members + 1) + m]
             for t in range(passes):
                 rng = substream(seed, STREAM_PREDICT, m, t, chunk_no)
                 mask = sample_dropout_mask(net.config, rng, n_rows=len(block))
-                assert np.array_equal(tensor[:, m, t], forward(net, block, mask))
+                assert np.array_equal(tensor[:, t], forward(net, block, mask))
+
+
+def test_emcd_holds_one_members_samples_at_a_time():
+    """Each member's passes are reduced as soon as they finish, so the
+    traced peak of emcd stays under twice one member's (rows, passes,
+    classes) tensor, far below the samples of all 4 members together."""
+    config = NetworkConfig(input_units=40, hidden_units=(6, 5, 4), dropout_rate=0.3)
+    members = [init_network(dataclasses.replace(config, seed=s)) for s in range(1, 5)]
+    x = np.random.default_rng(61).normal(size=(2000, 40))
+    one_member = 2000 * 200 * 2 * 8  # bytes
+    tracemalloc.start()
+    try:
+        predict_table("emcd", members, x, passes=200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * one_member, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_ensemble_disagreement_yields_maximal_entropy():
