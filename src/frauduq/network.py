@@ -180,13 +180,14 @@ def _hidden(net: Network, i: int, a: np.ndarray) -> np.ndarray:
 
 
 def first_hidden(net: Network, x: np.ndarray) -> np.ndarray:
-    """Layer 1's activation ``ReLU(x W1^T + b1)``, before its dropout mask.
+    """Layer 1's activation ``ReLU(x W1^T + b1)``, before its dropout mask,
+    in the dtype of ``net``'s weights: ``x`` is cast to it.
 
     Dropout acts only after each hidden ReLU, so this is the same on every
     stochastic pass over ``x``: compute it once and hand it to
     :func:`forward` for each pass.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=net.weights[0].dtype)
     if x.shape[-1] != net.config.input_units:
         raise ShapeError(
             f"input has {x.shape[-1]} features but the network expects {net.config.input_units}"
@@ -198,10 +199,14 @@ def forward(net: Network, x: np.ndarray, mask: list[np.ndarray] | None = None,
             hidden1: np.ndarray | None = None) -> np.ndarray:
     """Class probabilities for one input vector or an (n, d) batch.
 
+    The layers run in the dtype of ``net``'s weights: float64 in training,
+    float32 in prediction's MC passes. The logits are cast to float64 for
+    the softmax, so the probabilities are float64 either way.
     ``hidden1`` is an optional precomputed ``first_hidden(net, x)``, left
-    intact. The pass consumes its masks: each, as :func:`sample_dropout_mask`
-    draws it for ``x``'s rows, is overwritten with its layer's masked
-    activation (``mask * h``, bitwise ``h * mask``). Training runs this pass.
+    intact. The pass consumes its masks: each, drawn for ``x``'s rows in
+    the layers' dtype (:func:`sample_dropout_mask` in training), is
+    overwritten with its layer's masked activation (``mask * h``, bitwise
+    ``h * mask``).
     """
     h = first_hidden(net, x) if hidden1 is None else hidden1
     for i in range(N_HIDDEN_LAYERS):

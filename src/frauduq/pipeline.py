@@ -45,6 +45,7 @@ from .uncertainty import (
     METHOD_ENSEMBLE,
     METHOD_MCD,
     METHODS,
+    SAMPLER,
     DumpFile,
     EnsembleSpec,
     predict_table,
@@ -518,7 +519,7 @@ def stage_predict(config: RunConfig, method: str, model_path=None,
     # this stage; the rerun removes that layout's dump.csv (see run_stage).
     files = ("dump.jsonl", "dump.json")
     stage_config = {"method": method, "mc_passes": passes, "seed": config.seed,
-                    "files": list(files)}
+                    "files": list(files), "sampling": SAMPLER}
     inputs = {"data": Path(data_path)}
     inputs.update({f"model_{i}": Path(p) for i, p in enumerate(model_files)})
 

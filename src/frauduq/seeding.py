@@ -1,7 +1,7 @@
 """Named, reproducible RNG sub-streams derived from one master seed.
 
-Every stochastic stage (splitting, weight init, dropout masks per member
-and pass, synthetic data) draws from its own stream keyed by
+Every stochastic stage (splitting, weight init, dropout masks per member,
+pass and layer, synthetic data) draws from its own stream keyed by
 ``(master_seed, stream_tag, *indices)`` so stages can be re-run or
 parallelized independently without the streams interfering.
 """

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import container
 from .data import check_labels
-from .errors import DataError, ValidationError
+from .errors import DataError, NumericError, ValidationError
 from .network import (N_CLASSES, Network, NetworkConfig, check_allocatable, first_hidden,
-                      forward, sample_dropout_mask, train)
+                      forward, train)
 from .seeding import STREAM_MEMBER, STREAM_PREDICT, derive_seed, substream
 
 METHOD_MCD = "mcd"
@@ -335,19 +335,66 @@ def train_ensemble(spec: EnsembleSpec, base: NetworkConfig, data, master_seed: i
 
 
 # Input rows are processed in chunks of _CHUNK_BUDGET_FLOATS // (M*T*C)
-# rows. The chunk keys the dropout mask streams, so this constant is
-# frozen: any other value changes every mcd and emcd sample.
+# rows, which bounds one member's (rows, T, C) samples and the (rows, M, C)
+# member means. No mask depends on it (a row's masks are keyed by its
+# index), but a float32 product's rows depend on how many rows it holds,
+# so another value may move mean_probs in their last bits.
 _CHUNK_BUDGET_FLOATS = 16_000_000
+
+# Names the sampling scheme in the predict stage's config, so that dumps
+# sampled another way are sampled again on resume.
+SAMPLER = "float32, u16 lanes"
+
+
+def sample_dropout_mask(config: NetworkConfig, seed: int, member: int, pass_no: int,
+                        start: int = 0, *, n_rows: int) -> list[np.ndarray]:
+    """The float32 inverted-dropout masks of table rows [start, start + n_rows)
+    on pass ``pass_no`` of member ``member``: one (n_rows, width) array per
+    hidden layer, 0 (dropped) or float32 1/(1-rate) (kept).
+
+    Layer ``layer`` reads ``substream(seed, STREAM_PREDICT, member, pass_no,
+    layer)`` as 16-bit lanes, four to each 64-bit output, low lane first.
+    Row r of a width-w layer owns lanes [r*w, (r+1)*w), so the stream is
+    advanced to row ``start``: a row draws the same mask whichever rows
+    are drawn with it. A lane at or above min(round(rate * 65536), 65535)
+    keeps its unit, so the dropped share is within 2^-16 of the rate.
+    """
+    threshold = min(round(config.dropout_rate * 65536), 65535)
+    scale = np.float32(1.0 / (1.0 - config.dropout_rate))
+    masks = []
+    for layer, width in enumerate(config.hidden_units):
+        bits = substream(seed, STREAM_PREDICT, member, pass_no, layer).bit_generator
+        first, n = start * width, n_rows * width
+        bits.advance(first // 4)
+        skip = first % 4
+        lanes = bits.random_raw(-(-(skip + n) // 4)).astype("<u8", copy=False).view("<u2")
+        mask = np.multiply(lanes[skip : skip + n] >= threshold, scale, dtype=np.float32)
+        masks.append(mask.reshape(n_rows, width))
+    return masks
+
+
+def _float32(net: Network, index: int, n_models: int) -> Network:
+    """``net`` with its weights and biases cast to float32, as the MC passes
+    run it; one that is not finite there (beyond float32's range) raises."""
+    with np.errstate(over="ignore"):
+        arrays = [a.astype(np.float32) for a in net.weights + net.biases]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericError(f"model {index + 1} of {n_models} has a weight or bias that is "
+                           f"non-finite in float32 (beyond {np.finfo(np.float32).max:.4g})")
+    return Network(arrays[: len(net.weights)], arrays[len(net.weights) :], net.config)
 
 
 def predict_table(method: str, models: list[Network], features: np.ndarray,
                   passes: int, seed: int = 0) -> Estimates:
     """Uncertainty estimates for every row of a feature matrix (a vector is one row).
 
-    Runs whole-chunk forward passes per (member, pass) with a fresh
-    per-row dropout mask each pass. Layer 1's activation is the same on
-    every pass (dropout acts after each hidden ReLU), so it is computed
-    once per member per chunk. That member's passes then run through
+    Runs whole-chunk forward passes per (member, pass) in float32, with a
+    fresh per-row dropout mask each pass: each member's weights and each
+    chunk's features are cast once, and each pass's logits go back to
+    float64 for its softmax, so the samples, their reduction and the
+    estimates are float64. Layer 1's activation is the same on every
+    pass (dropout acts after each hidden ReLU), so it is computed once
+    per member per chunk. That member's passes then run through
     :func:`_on_cores`, on the caller and one pool for the whole call, at
     most one thread per usable core and per pass, each pass into its own
     slot of one (rows, T, C) tensor: any core count gives the same bytes.
@@ -356,13 +403,13 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
     samples are held at a time. Each chunk's member means are reduced in
     turn, and :func:`estimates_of` takes their concatenation.
 
-    A row's MC samples are fixed by (seed, member, pass, chunk): one
-    stream per key draws the masks of every row in the chunk. So for mcd
-    and emcd, the same rows predicted alone, or under another chunk
-    budget, give other samples, and ``_CHUNK_BUDGET_FLOATS`` is a fixed
-    constant, not tuned to the machine. The same table, models and seed
-    always give the same bytes; the mask-free ensemble does not depend
-    on chunking.
+    A row's masks are fixed by (seed, member, pass) and its index in the
+    table (see :func:`sample_dropout_mask`), not by the rows chunked with
+    it. A pass at dropout rate 0 draws no mask, so MC dropout at rate 0
+    is the plain float32 pass bitwise. The same table, models and seed
+    always give the same bytes; another chunking gives the same masks,
+    with mean_probs that may differ in their last bits, as a float32
+    product's rounding depends on its row count.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown UQ method {method!r}")
@@ -377,25 +424,31 @@ def predict_table(method: str, models: list[Network], features: np.ndarray,
     n = features.shape[0]
     n_members = len(models)
     per_member = 1 if method == METHOD_ENSEMBLE else passes
-    stochastic = method != METHOD_ENSEMBLE
+    nets = [_float32(net, m, n_members) for m, net in enumerate(models)]
 
     chunk_rows = max(1, min(n, _CHUNK_BUDGET_FLOATS // (n_members * per_member * N_CLASSES)))
     means = []
     with _core_pool() as pool:
         # An empty table still runs one (empty) chunk, so the columns get their shapes.
-        for chunk_no, start in enumerate(range(0, max(n, 1), chunk_rows)):
-            block = features[start : start + chunk_rows]
+        for start in range(0, max(n, 1), chunk_rows):
+            with np.errstate(over="ignore"):
+                block = features[start : start + chunk_rows].astype(np.float32)
+            if not np.isfinite(block).all():
+                raise NumericError(f"rows {start}-{start + len(block) - 1} hold a feature "
+                                   f"value that is not finite in float32")
             tensor = np.empty((block.shape[0], per_member, N_CLASSES))
             member_means = np.empty((block.shape[0], n_members, N_CLASSES))
-            for m, net in enumerate(models):
-                hidden1 = first_hidden(net, block)
+            for m, net in enumerate(nets):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    hidden1 = first_hidden(net, block)
+                masked = method != METHOD_ENSEMBLE and net.config.dropout_rate > 0.0
 
                 def one_pass(t):
-                    mask = None
-                    if stochastic:
-                        rng = substream(seed, STREAM_PREDICT, m, t, chunk_no)
-                        mask = sample_dropout_mask(net.config, rng, n_rows=block.shape[0])
-                    tensor[:, t] = forward(net, block, mask, hidden1)
+                    mask = (sample_dropout_mask(net.config, seed, m, t, start,
+                                                n_rows=block.shape[0]) if masked else None)
+                    # a pass that overflows is refused by softmax, not warned of
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        tensor[:, t] = forward(net, block, mask, hidden1)
 
                 _on_cores(one_pass, per_member, pool)
                 member_means[:, m] = summarize(tensor)

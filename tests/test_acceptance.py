@@ -30,6 +30,7 @@ from frauduq.data import (
 from frauduq.errors import ValidationError
 from frauduq.network import (
     AdamState,
+    Network,
     NetworkConfig,
     _loss_and_grads,
     cross_entropy,
@@ -171,14 +172,17 @@ def rate_zero_members(n_members, seed=0):
 
 
 def test_criterion_3_rate_zero_degeneracies_are_bitwise():
-    """dropout 0: MCD(T=100) == the single forward pass, and EMCD ==
-    Ensemble on the same members — exact equality, no tolerance."""
+    """dropout 0: MCD(T=100) == the single forward pass in float32, the
+    precision of every MC pass, and EMCD == Ensemble on the same members
+    — exact equality, no tolerance."""
     members, table = rate_zero_members(3)
     xs = table.features[:20]
 
     net = members[0]
     mcd = predict_table("mcd", [net], xs, passes=100, seed=3)
-    single = forward(net, xs)
+    net32 = Network([w.astype(np.float32) for w in net.weights],
+                    [b.astype(np.float32) for b in net.biases], net.config)
+    single = forward(net32, xs.astype(np.float32))
     assert np.array_equal(mcd.mean_probs, single), "MCD(rate 0) drifted"
     assert np.array_equal(mcd.entropy_raw, predictive_entropy(single)[0])
 

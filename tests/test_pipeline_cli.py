@@ -614,6 +614,45 @@ def test_reproduce_over_the_older_dump_layout_reruns_predict(tmp_path, capsys):
     assert tree_digests(old) == tree_digests(fresh)
 
 
+def test_reproduce_over_float64_sampled_dumps_reruns_predict_once(tmp_path, capsys):
+    """A tree predicted before the float32 sampler has the predict stage
+    config of its time, with no ``sampling`` key, in its predict manifests
+    and dumps. reproduce reruns each predict stage, then each evaluate
+    stage and the summary as their dumps changed, and leaves the tree of a
+    fresh run; the next reproduce skips every stage."""
+    config_path = write_config(tmp_path)
+    old, fresh = tmp_path / "old", tmp_path / "fresh"
+    for out in (old, fresh):
+        assert cli_run("reproduce", "--config", str(config_path), "--out", str(out)) == 0
+    config = pipeline.load_run_config(config_path)
+    dump_digests = {}
+    for method in METHODS:
+        stage = old / "predictions" / method
+        digest = pipeline._digest_of({
+            "method": method, "mc_passes": None if method == "ensemble" else config.mc_passes,
+            "seed": config.seed, "files": ["dump.jsonl", "dump.json"]})
+        files = [stage / "dump.jsonl", stage / "dump.json"]
+        write_dump(*files, dataclasses.replace(unc.read_dump(files[1]), config_digest=digest))
+        outputs = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+        dump_digests[method] = outputs["dump.json"]
+        for path, change in ((stage / "manifest.json", {"config_digest": digest,
+                                                        "outputs": outputs}),
+                             (old / "reports" / method / "manifest.json",
+                              {"inputs": {"dump": outputs["dump.json"]}})):
+            path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    summary = old / "summary" / "manifest.json"
+    summary.write_text(json.dumps({**json.loads(summary.read_text()), "inputs": dump_digests}))
+
+    capsys.readouterr()
+    assert cli_run("reproduce", "--config", str(config_path), "--out", str(old)) == 0
+    skipped = [line for line in capsys.readouterr().out.splitlines() if "skipping" in line]
+    assert skipped == ["[data] up to date, skipping", "[models] up to date, skipping",
+                       "[models/ensemble] up to date, skipping"]
+    assert tree_digests(old) == tree_digests(fresh)
+    assert cli_run("reproduce", "--config", str(config_path), "--out", str(old)) == 0
+    assert capsys.readouterr().out.count("up to date, skipping") == 10
+
+
 def test_unreadable_manifest_reruns_the_stage(tmp_path):
     config = run_config(tmp_path)
     pipeline.cmd_preprocess(config, log=quiet)
@@ -1025,9 +1064,8 @@ def test_cli_shape_error_names_both_widths(tmp_path, capsys):
 
 
 def test_cli_non_finite_member_exits_4_without_a_traceback(tmp_path, capsys, monkeypatch):
-    """A member whose logits are non-finite fails on every pass, on the
-    worker thread too: emcd exits 4 with one error line, and no thread is
-    left behind."""
+    """A member with a non-finite bias is refused before its passes run:
+    emcd exits 4 with one error line, and no thread is left behind."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config_path = write_config(tmp_path)
     out = tmp_path / "out"
@@ -1044,6 +1082,27 @@ def test_cli_non_finite_member_exits_4_without_a_traceback(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("error:") and "non-finite" in err and "Traceback" not in err, err
     assert threading.active_count() == before
+
+
+def test_cli_member_beyond_float32_exits_4_with_one_error_line(tmp_path, capsys):
+    """A member file with a finite float64 weight beyond float32's range
+    cannot run the float32 passes: predict exits 4 with one error line
+    naming the model, and no warning or traceback."""
+    config_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    base = ["--config", str(config_path), "--out", str(out), "--method", "ensemble"]
+    assert cli_run("preprocess", *base) == 0
+    assert cli_run("train", *base) == 0
+    member = out / "models" / "ensemble" / "member_001.json"
+    net = network.load_network(member)
+    net.weights[1][0, 0] = 1e300
+    network.save_network(net, member)
+    capsys.readouterr()
+    assert cli_run("predict", *base) == 4
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: model 2 of 3 has a weight or bias that is non-finite in float32 "
+        "(beyond 3.403e+38)"], err
 
 
 def no_child_is_left():

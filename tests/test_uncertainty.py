@@ -23,10 +23,10 @@ import pytest
 
 import frauduq.uncertainty as unc
 from frauduq import container, network
-from frauduq.data import FeatureTable
+from frauduq.data import FeatureTable, synth_generate
 from frauduq.errors import DataError, FormatError, NumericError, ShapeError, ValidationError
 from frauduq.evaluation import threshold_sweep
-from frauduq.network import Network, NetworkConfig, forward, init_network, sample_dropout_mask
+from frauduq.network import Network, NetworkConfig, forward, init_network, train
 from frauduq.seeding import STREAM_PREDICT, substream
 from frauduq.uncertainty import (
     DumpFile,
@@ -43,6 +43,12 @@ from frauduq.uncertainty import (
 )
 
 BASE = NetworkConfig(input_units=3, hidden_units=(5, 4, 3), dropout_rate=0.3, seed=0)
+
+
+def float32_net(net: Network) -> Network:
+    """``net`` as the MC passes run it: every weight and bias in float32."""
+    return Network([w.astype(np.float32) for w in net.weights],
+                   [b.astype(np.float32) for b in net.biases], net.config)
 
 
 def biased_network(logit: float) -> Network:
@@ -189,8 +195,8 @@ def test_mcd_rejects_bad_passes():
 
 
 def test_emcd_sample_count_and_provenance(monkeypatch):
-    """Slot t of member m's tensor is its pass t, drawn from its own stream,
-    and slot m of the member means is the mean of that tensor."""
+    """Slot t of member m's tensor is its float32 pass t under the masks of
+    (seed, m, t), and slot m of the member means is the mean of that tensor."""
     members = [init_network(dataclasses.replace(BASE, seed=s)) for s in (1, 2)]
     x = np.random.default_rng(3).normal(size=(5, 3))
     seen = captured_tensors(monkeypatch)
@@ -198,17 +204,17 @@ def test_emcd_sample_count_and_provenance(monkeypatch):
     assert [t.shape for t in seen] == [(5, 7, 2), (5, 7, 2), (5, 2, 2)]
     for m, net in enumerate(members):
         for t in range(7):
-            mask = sample_dropout_mask(net.config, substream(3, STREAM_PREDICT, m, t, 0),
-                                       n_rows=5)
-            assert np.array_equal(seen[m][:, t], forward(net, x, mask))
+            mask = unc.sample_dropout_mask(net.config, 3, m, t, n_rows=5)
+            assert np.array_equal(seen[m][:, t],
+                                  forward(float32_net(net), x.astype(np.float32), mask))
         assert np.array_equal(seen[2][:, m], summarize(seen[m].copy()))
 
 
 @pytest.mark.parametrize("method, n_members", [("mcd", 1), ("emcd", 2)])
 def test_chunked_samples_equal_full_forward_passes(monkeypatch, method, n_members):
-    """In every chunk, slot t of member m's tensor is its full forward pass
-    of that chunk under the mask stream of (seed, m, t, chunk), bitwise:
-    reusing layer 1 across passes changes no sample."""
+    """In every chunk, slot t of member m's tensor is its full float32
+    forward pass of that chunk under the masks of (seed, m, t) for the
+    chunk's rows, bitwise: reusing layer 1 across passes changes no sample."""
     config = NetworkConfig(input_units=40, hidden_units=(6, 5, 4), dropout_rate=0.3)
     members = [init_network(dataclasses.replace(config, seed=s)) for s in range(1, n_members + 1)]
     x = np.random.default_rng(59).normal(size=(11, 40))
@@ -221,13 +227,32 @@ def test_chunked_samples_equal_full_forward_passes(monkeypatch, method, n_member
         shape for rows in (4, 4, 3)
         for shape in [(rows, passes, 2)] * n_members + [(rows, n_members, 2)]]
     for chunk_no in range(3):
-        block = x[4 * chunk_no : 4 * chunk_no + 4]
+        block = x[4 * chunk_no : 4 * chunk_no + 4].astype(np.float32)
         for m, net in enumerate(members):
             tensor = seen[chunk_no * (n_members + 1) + m]
             for t in range(passes):
-                rng = substream(seed, STREAM_PREDICT, m, t, chunk_no)
-                mask = sample_dropout_mask(net.config, rng, n_rows=len(block))
-                assert np.array_equal(tensor[:, t], forward(net, block, mask))
+                mask = unc.sample_dropout_mask(net.config, seed, m, t, 4 * chunk_no,
+                                               n_rows=len(block))
+                assert np.array_equal(tensor[:, t], forward(float32_net(net), block, mask))
+
+
+def test_float32_passes_stay_far_inside_the_mc_error():
+    """A desk net (32/16/8, rate 0.3) on 100 rows, T=50: the same masks
+    applied in float64 move mean_probs by at most 1e-5 from the float32
+    passes, and in every row by at least 100x less than the MC standard
+    error of its fraud probability."""
+    config = NetworkConfig(input_units=8, hidden_units=(32, 16, 8), dropout_rate=0.3,
+                           epochs=5, seed=3)
+    net, _ = train(config, synth_generate(300, 8, 1.0, noise_seed=7))
+    x = synth_generate(100, 8, 1.0, noise_seed=8).features
+    passes, seed = 50, 2
+    in_float32 = predict_table("mcd", [net], x, passes=passes, seed=seed).mean_probs
+    samples = np.stack([forward(net, x, [m.astype(np.float64) for m in unc.sample_dropout_mask(
+        config, seed, 0, t, n_rows=len(x))]) for t in range(passes)], axis=1)
+    mc_error = samples[:, :, 1].std(axis=1, ddof=1) / math.sqrt(passes)
+    gap = np.abs(in_float32 - summarize(samples)).max(axis=1)
+    assert gap.max() <= 1e-5
+    assert np.all(gap * 100 <= mc_error), (gap / mc_error).max()
 
 
 def test_emcd_holds_one_members_samples_at_a_time():
@@ -362,18 +387,71 @@ def test_predict_table_deterministic_and_validates():
         predict_table("bogus", [net], x, passes=5)
     with pytest.raises(ShapeError, match="3"):
         predict_table("mcd", [net], rng.normal(size=(4, 5)), passes=5)
+    with pytest.raises(NumericError, match="rows 0-11 hold a feature value that is not "
+                                           "finite in float32"):
+        predict_table("mcd", [net], np.where(x > 1.0, 1e39, x), passes=5)
 
 
-def test_predict_table_ensemble_chunking_is_invisible(monkeypatch):
-    """The deterministic ensemble path must not depend on chunk size."""
-    import frauduq.uncertainty as unc
+def test_mask_lanes_are_keyed_by_row():
+    """Each layer's mask is read from its own stream of (seed, member, pass,
+    layer), so rows drawn alone, from any first row, equal their rows of
+    one draw of the whole table, bitwise; kept units hold float32
+    1/(1-rate) and the kept share is near 1 - rate."""
+    config = NetworkConfig(input_units=3, hidden_units=(7, 5, 3), dropout_rate=0.3)
+    whole = unc.sample_dropout_mask(config, 11, 2, 4, n_rows=40)
+    assert [m.shape for m in whole] == [(40, 7), (40, 5), (40, 3)]
+    assert all(m.dtype == np.float32 for m in whole)
+    assert {float(v) for m in whole for v in np.unique(m)} == {0.0, float(np.float32(1 / 0.7))}
+    for n_rows in (1, 3):
+        for start in range(41 - n_rows):
+            part = unc.sample_dropout_mask(config, 11, 2, 4, start, n_rows=n_rows)
+            for layer in range(3):
+                assert np.array_equal(part[layer], whole[layer][start : start + n_rows])
+    other = unc.sample_dropout_mask(config, 11, 2, 5, n_rows=40)
+    assert not all(np.array_equal(a, b) for a, b in zip(whole, other))
+    wide = unc.sample_dropout_mask(dataclasses.replace(config, hidden_units=(500, 500, 500)),
+                                   0, 0, 0, n_rows=400)
+    assert abs(np.mean([(m > 0).mean() for m in wide]) - 0.7) < 0.005
 
-    members = [init_network(dataclasses.replace(BASE, seed=s)) for s in (1, 2, 3)]
-    x = np.random.default_rng(43).normal(size=(17, 3))
-    whole = predict_table("ensemble", members, x, passes=1, seed=0)
-    monkeypatch.setattr(unc, "_CHUNK_BUDGET_FLOATS", 12)  # forces 2-row chunks
-    tiny = predict_table("ensemble", members, x, passes=1, seed=0)
-    assert_same_estimates(whole, tiny)
+
+@pytest.mark.parametrize("method, n_members", [("mcd", 1), ("emcd", 2)])
+def test_masks_do_not_depend_on_the_chunking(monkeypatch, method, n_members):
+    """Under chunks of 1, 2, 5 and all 17 rows, every (member, pass) draws
+    the same masks for the table's rows, bitwise, so a row predicted in a
+    chunk of its own draws its row of the whole-table masks. mean_probs
+    agree within 1e-6 across the chunkings, and are bitwise equal on a
+    rerun of one chunking: a float32 product's rounding, not the masks,
+    depends on the rows it holds."""
+    config = NetworkConfig(input_units=40, hidden_units=(9, 6, 4), dropout_rate=0.3)
+    members = [init_network(dataclasses.replace(config, seed=s)) for s in range(1, n_members + 1)]
+    x = np.random.default_rng(67).normal(size=(17, 40))
+    passes, seed = 3, 29
+    draw = unc.sample_dropout_mask
+
+    def predict(chunk_rows):
+        drawn = {}
+
+        def spy(config, seed, m, t, start=0, *, n_rows):
+            masks = draw(config, seed, m, t, start, n_rows=n_rows)
+            drawn.setdefault((m, t), []).append((start, [a.copy() for a in masks]))
+            return masks
+
+        monkeypatch.setattr(unc, "sample_dropout_mask", spy)
+        monkeypatch.setattr(unc, "_CHUNK_BUDGET_FLOATS", chunk_rows * n_members * passes * 2)
+        estimates = predict_table(method, members, x, passes=passes, seed=seed)
+        masks = {key: [np.concatenate([m[layer] for _, m in sorted(parts, key=lambda p: p[0])])
+                       for layer in range(3)] for key, parts in drawn.items()}
+        return estimates.mean_probs, masks
+
+    runs = [predict(rows) for rows in (17, 1, 2, 5)]
+    whole_probs, whole_masks = runs[0]
+    assert sorted(whole_masks) == [(m, t) for m in range(n_members) for t in range(passes)]
+    for probs, masks in runs[1:]:
+        assert masks.keys() == whole_masks.keys()
+        for key, layers in masks.items():
+            assert all(np.array_equal(a, b) for a, b in zip(layers, whole_masks[key]))
+        assert np.abs(probs - whole_probs).max() <= 1e-6
+    assert np.array_equal(predict(5)[0], runs[3][0])
 
 
 # --- work across cores -------------------------------------------------------------
@@ -446,7 +524,7 @@ def failing_passes(monkeypatch, fails, error=NumericError, hold=None):
     started = []
 
     def spy(*key):
-        t = key[3]  # (seed, STREAM_PREDICT, member, pass, chunk)
+        t = key[3]  # (seed, STREAM_PREDICT, member, pass, layer)
         started.append((t, on_main()))
         if t in fails:
             raise error(f"pass {t} failed")
@@ -543,27 +621,26 @@ def test_a_failing_pass_cancels_the_passes_not_started(monkeypatch, error, cores
     assert len(opened) == 1 and threading.active_count() == before
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_member_raises_numeric_error_from_a_worker_thread(monkeypatch):
-    """One unit per layer: the logits overflow exactly on a pass that keeps
-    all three units. The pool thread's pass draws masks that keep all and
-    the caller's masks that drop one, so the pool thread's pass fails and
-    its NumericError reaches the caller."""
+    """One unit per layer: the float32 logits overflow exactly on a pass
+    that keeps all three units. The pool thread's pass draws masks that
+    keep all and the caller's masks that drop one, so the pool thread's
+    pass fails and its NumericError reaches the caller. The overflow
+    raises no RuntimeWarning (which this suite turns into errors)."""
     config = NetworkConfig(input_units=3, hidden_units=(1, 1, 1), dropout_rate=0.3)
     net = init_network(config)
     for w in net.weights:
         w[:] = 0.0
     net.biases[0][:] = 1.0
     net.weights[1][:] = net.weights[2][:] = 1.0
-    net.weights[3][:] = [[1e308], [0.0]]  # 1e308 * (1 / 0.7)**3 overflows
+    net.weights[3][:] = [[3e38], [0.0]]  # in float32 range; 3e38 * (1 / 0.7)**3 is not
 
     def keeps_all(seed, t):
-        masks = sample_dropout_mask(config, substream(seed, STREAM_PREDICT, 0, t, 0), n_rows=1)
-        return all(m[0, 0] > 0 for m in masks)
+        return all(m[0, 0] > 0 for m in unc.sample_dropout_mask(config, seed, 0, t, n_rows=1))
 
     seed = next(s for s in range(1000) if not keeps_all(s, 0) and keeps_all(s, 1))
     monkeypatch.setattr(unc, "substream", lambda *key: substream(
-        seed, STREAM_PREDICT, 0, 0 if on_main() else 1, 0))
+        seed, STREAM_PREDICT, 0, 0 if on_main() else 1, key[4]))  # key[4]: the layer
     usable_cores(monkeypatch, 2)
     calls = forward_threads(monkeypatch, meet=2)
     before = threading.active_count()
